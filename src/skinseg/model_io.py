@@ -10,7 +10,8 @@ The format is line-oriented and diffable:
 
 Floating-point values are written with 17 significant digits, which
 round-trips IEEE doubles exactly, so load(save(m)) reproduces the
-original predictions. Loaders reject unknown versions and kinds.
+original predictions. Loaders reject unknown versions and kinds, and
+MLP parameters that are not finite.
 """
 
 import hashlib
@@ -221,6 +222,8 @@ def _parse_mlp(lines: list[str]) -> MlpModel:
         if not 0 <= layer < len(dims) - 1:
             raise ValueError(f"layer index out of range: {layer}")
         values = np.array([float(v) for v in parts[2:]])
+        if not np.isfinite(values).all():
+            raise ValueError(f"layer {layer} {parts[0]} hold non-finite values")
         if parts[0] == "weights":
             expected = dims[layer] * dims[layer + 1]
             if values.size != expected:

@@ -75,7 +75,7 @@ class ProbabilityMap:
         if np.any(p_skin < 0) or np.any(p_non_skin < 0):
             raise ValueError("probabilities must be non-negative")
         dev = np.abs(p_skin + p_non_skin - 1.0).max()
-        if dev > _PAIR_SUM_TOL:
+        if not dev <= _PAIR_SUM_TOL:  # also catches NaN
             raise ValueError(f"pixel pairs must sum to 1 (max deviation {dev:g})")
         self.p_skin = p_skin
         self.p_non_skin = p_non_skin
@@ -181,6 +181,20 @@ def _window_sums(plane: np.ndarray, radius: int) -> np.ndarray:
     return total
 
 
+def _window_counts(height: int, width: int, radius: int) -> np.ndarray:
+    """Number of in-bounds neighbours of each pixel (centre excluded).
+
+    The clipped window is a rectangle, so the count is the product of its
+    row and column extents minus the centre; small integers, exact in
+    float64 and equal to what _window_sums gives for a plane of ones.
+    """
+    def extents(n):
+        i = np.arange(n)
+        return (np.minimum(i + radius, n - 1) - np.maximum(i - radius, 0) + 1).astype(np.float64)
+
+    return np.outer(extents(height), extents(width)) - 1.0
+
+
 def refine(
     pmap: ProbabilityMap, cfg: NeighbourhoodConfig = NeighbourhoodConfig()
 ) -> tuple[ProbabilityMap, SkinMask]:
@@ -195,7 +209,7 @@ def refine(
     """
     skin_sum = _window_sums(pmap.p_skin, cfg.radius)
     non_sum = _window_sums(pmap.p_non_skin, cfg.radius)
-    count = _window_sums(np.ones_like(pmap.p_skin), cfg.radius)
+    count = _window_counts(pmap.height, pmap.width, cfg.radius)
 
     interior = count > 0
     safe_count = np.where(interior, count, 1.0)

@@ -6,6 +6,12 @@ Everything runs in double precision on plain numpy arrays; training is
 single-threaded and bit-deterministic for a fixed seed (weights are
 drawn layer by layer from Generator(PCG64(seed)), biases start at zero,
 and each epoch reshuffles with the same generator).
+
+Inference keeps no backprop cache across the batch: forward_batch
+walks the rows in blocks of at most FORWARD_BLOCK_ROWS and holds only
+the current block's activations, so its working memory does not grow
+with the batch. Only training keeps every row's activations, for
+backward.
 """
 
 from dataclasses import dataclass
@@ -20,6 +26,10 @@ INPUT_DIM = 3
 OUTPUT_DIM = 2
 
 _LOG_CLAMP = 1e-12
+
+# rows per forward_batch block: a block's forward cache (119 float64
+# columns) stays under 8 MB, and the per-block call overhead stays small
+FORWARD_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -105,8 +115,20 @@ def _forward_cached(model: MlpModel, x: np.ndarray):
 
 
 def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """(N, 3) inputs in [0, 1] -> (N, 2) softmax probabilities."""
-    probs, _ = _forward_cached(model, np.asarray(x, dtype=np.float64))
+    """(N, 3) inputs in [0, 1] -> (N, 2) softmax probabilities.
+
+    Runs _forward_cached over blocks of at most FORWARD_BLOCK_ROWS rows
+    and drops each block's cache before the next. The blocks are
+    balanced so that none has a single row unless the batch does: numpy
+    multiplies a one-row matrix with a matrix-vector kernel that can
+    round differently, and a row's result must not depend on where the
+    batch was cut.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    probs = np.empty((x.shape[0], OUTPUT_DIM))
+    n_blocks = max(1, -(-x.shape[0] // FORWARD_BLOCK_ROWS))
+    for a, out in zip(np.array_split(x, n_blocks), np.array_split(probs, n_blocks)):
+        out[:] = _forward_cached(model, a)[0]
     return probs
 
 

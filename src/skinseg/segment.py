@@ -5,6 +5,12 @@ probability for every pixel (stage 1), optionally run the neighbourhood
 refinement (stage 2), and emit a binary mask. The half-resolution path
 downscales first and resizes the mask back to the input geometry, which
 cuts the classified pixel count to a quarter.
+
+Every classifier is a pure function of a pixel's 8-bit RGB triple, so
+stage 1 converts and scores each distinct colour of the image once and
+gathers the scores back to the pixels. Scoring then costs in
+proportion to the distinct colours; finding them is one sort of the
+pixels' 24-bit codes.
 """
 
 import time
@@ -35,19 +41,26 @@ class SegmentResult:
 
 
 def stage1_probabilities(image: Image, model) -> ProbabilityMap:
-    """Per-pixel P(colour = skin) for the whole image, as a 2-d map."""
-    flat = image.pixels.reshape(-1, 3)
+    """Per-pixel P(colour = skin) for the whole image, as a 2-d map.
+
+    Each distinct colour is scored once; the scores are the ones the
+    model gives that colour, gathered back to every pixel holding it.
+    """
+    rgb = image.pixels.reshape(-1, 3).astype(np.uint32)
+    codes, inverse = np.unique((rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2],
+                               return_inverse=True)
+    colours = np.stack([codes >> 16, (codes >> 8) & 0xFF, codes & 0xFF], axis=1).astype(np.uint8)
     if isinstance(model, ThresholdRange):
-        p_skin = threshold_scores(flat, model)
+        p_colour = threshold_scores(colours, model)
     elif isinstance(model, BayesModel):
-        p_skin = bayes_predict_batch(model, rgb_to_hsv_array(flat))
+        p_colour = bayes_predict_batch(model, rgb_to_hsv_array(colours))
     elif isinstance(model, TreeModel):
-        p_skin = tree_predict_batch(model, rgb_to_hsv_array(flat))
+        p_colour = tree_predict_batch(model, rgb_to_hsv_array(colours))
     elif isinstance(model, MlpModel):
-        p_skin = mlp_predict_batch(model, rgb_to_hsv_array(flat))
+        p_colour = mlp_predict_batch(model, rgb_to_hsv_array(colours))
     else:
         raise ValueError(f"unknown model type: {type(model).__name__}")
-    return ProbabilityMap.from_p_skin(p_skin.reshape(image.height, image.width))
+    return ProbabilityMap.from_p_skin(p_colour[inverse].reshape(image.height, image.width))
 
 
 def _decide(pmap: ProbabilityMap) -> SkinMask:

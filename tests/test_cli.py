@@ -10,7 +10,9 @@ from skinseg import cli
 from skinseg.dataset import parse_uci
 from skinseg.metrics import parse_report
 from skinseg.model_io import dataset_fingerprint, load_model
-from skinseg.raster import Image, read_pgm, write_ppm
+from skinseg.neighbourhood import NeighbourhoodConfig
+from skinseg.raster import Image, downscale_half, read_pgm, read_ppm, write_ppm
+from skinseg.segment import probability_rendering, segment_image, stage1_probabilities
 
 from conftest import surrogate_rows
 
@@ -292,6 +294,32 @@ def test_segment_refine_flags_and_prob_out(workdir, mlp_model, noisy_disc, tmp_p
     assert probs.max() > 200 and probs.min() < 50  # confident at both poles
 
 
+def test_prob_out_writes_the_final_map_at_working_resolution(workdir, mlp_model, noisy_disc,
+                                                             tmp_path):
+    model = load_model(mlp_model).model
+    image = read_ppm(noisy_disc.read_bytes())
+    prob_path = tmp_path / "prob.pgm"
+
+    # with --refine: the refined map, not the stage-1 one
+    assert cli.main(["segment", "--model", str(mlp_model), "--input", str(noisy_disc),
+                     "--output", str(tmp_path / "m.pgm"), "--refine",
+                     "--prob-out", str(prob_path)]) == 0
+    refined = segment_image(image, model, refine_cfg=NeighbourhoodConfig()).probabilities
+    written = read_pgm(prob_path.read_bytes())
+    assert np.array_equal(written, probability_rendering(refined))
+    assert not np.array_equal(written,
+                              probability_rendering(stage1_probabilities(image, model)))
+
+    # with --downscale: half the input's width and height
+    assert cli.main(["segment", "--model", str(mlp_model), "--input", str(noisy_disc),
+                     "--output", str(tmp_path / "m.pgm"), "--downscale",
+                     "--prob-out", str(prob_path)]) == 0
+    written = read_pgm(prob_path.read_bytes())
+    assert written.shape == (24, 24)
+    half = stage1_probabilities(downscale_half(image), model)
+    assert np.array_equal(written, probability_rendering(half))
+
+
 def test_segment_downscale_keeps_dimensions(workdir, threshold_model, tmp_path):
     rng = np.random.default_rng(3)
     pixels = rng.integers(0, 256, size=(25, 17, 3), dtype=np.uint8)
@@ -334,6 +362,24 @@ def test_dataset_stats(workdir, surrogate_file, surrogate_samples, capsys):
 
 
 # ------------------------------------------------------------- exit codes
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_mlp_weight_exits_2(workdir, mlp_model, noisy_disc, tmp_path, capsys, bad):
+    lines = mlp_model.read_text(encoding="ascii").splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("weights 0 "))
+    values = lines[i].split()
+    values[2] = bad
+    lines[i] = " ".join(values)
+    model_path = tmp_path / f"{bad}.model"
+    model_path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    mask_path = tmp_path / "mask.pgm"
+    rc = cli.main(["segment", "--model", str(model_path), "--input", str(noisy_disc),
+                   "--output", str(mask_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert str(model_path) in err and "non-finite" in err
+    assert not mask_path.exists()
 
 
 def test_usage_errors_exit_1(workdir, surrogate_file, bayes_model, capsys):

@@ -1,5 +1,7 @@
 """Versioned text persistence for every classifier kind."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,13 @@ def test_malformed_mlp_body(hsv_train):
         model_from_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         model_from_text(good.replace("hidden_layers 3", "hidden_layers 3 9"))
+    for prefix in ("weights 1", "biases 0"):
+        for bad in ("nan", "inf", "-inf"):
+            # the first value of that line becomes non-finite
+            text = re.sub(rf"^{prefix} \S+", f"{prefix} {bad}", good, count=1, flags=re.M)
+            assert text != good
+            with pytest.raises(ValueError, match=f"layer {prefix[-1]} .*non-finite"):
+                model_from_text(text)
 
 
 def test_model_kind_dispatch(hsv_train):

@@ -40,6 +40,9 @@ def test_probability_map_validation():
         ProbabilityMap(np.array([[0.3]]), np.array([[0.3]]))  # pair sums to 0.6
     with pytest.raises(ValueError):
         ProbabilityMap(np.zeros((0, 3)), np.zeros((0, 3)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ProbabilityMap(np.array([[0.25, bad]]), np.array([[0.75, 0.5]]))
     pm = _pmap([[0.25, 0.75]])
     assert pm.width == 2 and pm.height == 1
     pix = pm.pixel(1, 0)

@@ -7,6 +7,7 @@ import pytest
 
 from skinseg.dataset import HsvSample, Label
 from skinseg.nn import (
+    FORWARD_BLOCK_ROWS,
     AdamState,
     MlpArchitecture,
     MlpModel,
@@ -108,6 +109,16 @@ def test_forward_matches_straightline_oracle():
     got = forward(model, x)
     assert got.p_skin == pytest.approx(expect[0], abs=1e-12)
     assert got.p_non_skin == pytest.approx(expect[1], abs=1e-12)
+
+
+@pytest.mark.parametrize("n_rows", [1, FORWARD_BLOCK_ROWS + 1, 2 * FORWARD_BLOCK_ROWS + 7])
+def test_forward_batch_matches_cached_pass(n_rows):
+    model = init_model(MlpArchitecture(), np.random.Generator(np.random.PCG64(4)))
+    rng = np.random.default_rng(n_rows)
+    for b in model.biases:
+        b[:] = rng.normal(scale=0.1, size=b.shape)
+    x = rng.random((n_rows, 3))
+    assert np.array_equal(forward_batch(model, x), _forward_cached(model, x)[0])
 
 
 def test_loss_values():
