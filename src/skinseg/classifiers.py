@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .colorspace import HsvPixel, RgbPixel, YcbcrPixel, rgb_to_ycbcr, rgb_to_ycbcr_array
-from .dataset import HsvSample, Label
+from .dataset import HsvSample, Label, hsv_arrays
 
 DOMAIN_SIZE = 256  # each HSV attribute is quantized onto 0-255
 
@@ -99,21 +99,22 @@ class BayesModel:
 
     counts has shape (3, 2, 256): attribute (h, s, v) x class (skin,
     non-skin) x attribute value. alpha is the Laplace pseudo-count;
-    alpha = 0 reproduces the raw relative-frequency model.
-    likelihood_form is a reserved selector; only "factorized" (one count
-    table per attribute, likelihoods multiplied) is implemented.
+    alpha = 0 reproduces the raw relative-frequency model. Both classes
+    must have been seen, so the priors are defined.
     """
 
     counts: np.ndarray
     class_counts: np.ndarray  # (2,) totals: [skin, non-skin]
     alpha: float
-    likelihood_form: str = "factorized"
 
     def __post_init__(self):
         if self.counts.shape != (3, 2, DOMAIN_SIZE):
             raise ValueError(f"counts must have shape (3, 2, 256), got {self.counts.shape}")
-        if self.likelihood_form != "factorized":
-            raise ValueError(f"unsupported likelihood_form: {self.likelihood_form!r}")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not (self.class_counts > 0).all() or (self.counts < 0).any():
+            raise ValueError(f"class counts must be > 0 and value counts >= 0, "
+                             f"got class counts {self.class_counts.tolist()}")
 
     @property
     def priors(self) -> np.ndarray:
@@ -128,16 +129,14 @@ class BayesModel:
 def bayes_fit(train: list[HsvSample], alpha: float = 1.0) -> BayesModel:
     """Count per-attribute values for each class and store priors.
 
-    Raises ValueError when the training set is empty or a class is absent.
+    Raises ValueError when the training set is empty, a class is absent
+    or alpha is negative.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
     if not train:
         raise ValueError("training set is empty")
     counts = np.zeros((3, 2, DOMAIN_SIZE), dtype=np.int64)
     class_counts = np.zeros(2, dtype=np.int64)
-    hsv = np.array([(s.h, s.s, s.v) for s in train], dtype=np.int64)
-    skin = np.array([s.label is Label.SKIN for s in train], dtype=bool)
+    hsv, skin = hsv_arrays(train)
     for cls, mask in enumerate((skin, ~skin)):
         class_counts[cls] = int(mask.sum())
         for attr in range(3):
@@ -311,8 +310,7 @@ def tree_fit(train: list[HsvSample], cfg: TreeConfig = TreeConfig()) -> TreeMode
     """
     if not train:
         raise ValueError("training set is empty")
-    values = np.array([(s.h, s.s, s.v) for s in train], dtype=np.int64)
-    skin = np.array([s.label is Label.SKIN for s in train], dtype=bool)
+    values, skin = hsv_arrays(train)
 
     def make_node(idx: np.ndarray) -> TreeNode:
         n_skin = int(skin[idx].sum())

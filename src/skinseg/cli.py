@@ -12,19 +12,11 @@ import sys
 import numpy as np
 
 from . import model_io
-from .classifiers import (
-    ThresholdRange,
-    bayes_fit,
-    bayes_predict_batch,
-    threshold_scores,
-    tree_fit,
-    tree_predict_batch,
-)
+from .classifiers import ThresholdRange, bayes_fit, tree_fit
 from .dataset import (
     DatasetError,
     Label,
     SplitConfig,
-    hsv_arrays,
     label_counts,
     load_uci,
     split,
@@ -39,9 +31,9 @@ from .metrics import (
     scalar_metrics,
 )
 from .neighbourhood import NeighbourhoodConfig, Rule
-from .nn import TrainConfig, mlp_predict_batch, train as train_mlp
+from .nn import TrainConfig, train as train_mlp
 from .raster import PnmError, read_ppm, write_gray_pgm, write_pgm
-from .segment import probability_rendering, segment_image
+from .segment import probability_rendering, score_rgb, segment_image
 
 PROG = "skinseg"
 
@@ -77,8 +69,7 @@ def build_parser() -> _Parser:
     p_train = sub.add_parser("train", help="fit a model and write it to disk")
     p_train.add_argument("--dataset", required=True)
     p_train.add_argument("--model", required=True)
-    p_train.add_argument("--kind", required=True,
-                         choices=["threshold", "bayes", "tree", "mlp"])
+    p_train.add_argument("--kind", required=True, choices=model_io.KINDS)
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--test-fraction", type=float, default=0.30)
     p_train.add_argument("--alpha", type=float, default=None)
@@ -235,20 +226,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _score_test_set(saved, test_raw):
-    """(N,) p_skin scores plus (N,) boolean truth for the held-out rows."""
-    truth = np.array([s.label is Label.SKIN for s in test_raw], dtype=bool)
-    if saved.kind == "threshold":
-        rgb = np.array([(s.r, s.g, s.b) for s in test_raw], dtype=np.uint8)
-        return threshold_scores(rgb, saved.model), truth
-    hsv, _ = hsv_arrays(to_hsv_samples(test_raw))
-    if saved.kind == "bayes":
-        return bayes_predict_batch(saved.model, hsv), truth
-    if saved.kind == "tree":
-        return tree_predict_batch(saved.model, hsv), truth
-    return mlp_predict_batch(saved.model, hsv), truth
-
-
 def cmd_eval(args) -> int:
     _check_fraction(args.test_fraction)
     saved = _load_model(args.model)
@@ -273,7 +250,9 @@ def cmd_eval(args) -> int:
     _, test_raw = split(samples, SplitConfig(test_fraction=args.test_fraction, seed=seed))
     if not test_raw:
         raise DataError("held-out split is empty")
-    scores, truth = _score_test_set(saved, test_raw)
+    rgb = np.array([(s.r, s.g, s.b) for s in test_raw], dtype=np.uint8)
+    truth = np.array([s.label is Label.SKIN for s in test_raw], dtype=bool)
+    scores = score_rgb(saved.model, rgb)
     matrix = confusion_from_flags(scores >= 0.5, truth)
     try:
         _, auc = roc_auc(scores, [s.label for s in test_raw])

@@ -10,8 +10,25 @@ The format is line-oriented and diffable:
 
 Floating-point values are written with 17 significant digits, which
 round-trips IEEE doubles exactly, so load(save(m)) reproduces the
-original predictions. Loaders reject unknown versions and kinds, and
-MLP parameters that are not finite.
+original predictions.
+
+Loading raises ValueError for:
+
+* an unknown format version or kind, or a header without kind, seed
+  or fingerprint;
+* a body line with an unknown key, the wrong number of fields or a
+  field that does not parse as a number, and a body that is incomplete:
+  both threshold bounds, all six 256-entry Bayes count tables, a whole
+  preorder tree with no nodes left over, every MLP layer's weights and
+  biases at the declared shapes;
+* a threshold box whose lower bound exceeds its upper bound in any
+  channel;
+* a Bayes alpha that is negative or not finite, a likelihood form other
+  than factorized, a class count that is not positive, or a negative
+  value count;
+* a tree node with a negative count or a zero total, and a tree config
+  with min_samples_split < 2 or max_depth < 0;
+* an MLP hidden width < 1, and weights or biases that are not finite.
 """
 
 import hashlib
@@ -25,7 +42,6 @@ from .dataset import RawSample, serialize_uci
 from .nn import MlpArchitecture, MlpModel
 
 FORMAT_HEADER = "skinseg-model 1"
-KINDS = ("threshold", "bayes", "tree", "mlp")
 
 _ATTR_NAMES = ("h", "s", "v")
 
@@ -43,18 +59,6 @@ def dataset_fingerprint(samples: list[RawSample]) -> str:
     return hashlib.sha256(serialize_uci(samples).encode("ascii")).hexdigest()
 
 
-def model_kind(model) -> str:
-    if isinstance(model, ThresholdRange):
-        return "threshold"
-    if isinstance(model, BayesModel):
-        return "bayes"
-    if isinstance(model, TreeModel):
-        return "tree"
-    if isinstance(model, MlpModel):
-        return "mlp"
-    raise ValueError(f"unknown model type: {type(model).__name__}")
-
-
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -69,7 +73,7 @@ def _threshold_body(box: ThresholdRange) -> list[str]:
 def _bayes_body(model: BayesModel) -> list[str]:
     lines = [
         f"alpha {_fmt(model.alpha)}",
-        f"likelihood_form {model.likelihood_form}",
+        "likelihood_form factorized",
         f"class_counts {model.class_counts[0]} {model.class_counts[1]}",
     ]
     for attr in range(3):
@@ -108,18 +112,6 @@ def _mlp_body(model: MlpModel) -> list[str]:
     return lines
 
 
-def model_to_text(model, seed: int, fingerprint: str = "none") -> str:
-    kind = model_kind(model)
-    body = {
-        "threshold": _threshold_body,
-        "bayes": _bayes_body,
-        "tree": _tree_body,
-        "mlp": _mlp_body,
-    }[kind](model)
-    lines = [FORMAT_HEADER, f"kind {kind}", f"seed {seed}", f"fingerprint {fingerprint}"]
-    return "\n".join(lines + body) + "\n"
-
-
 def _parse_threshold(lines: list[str]) -> ThresholdRange:
     fields = {}
     for ln in lines:
@@ -140,13 +132,14 @@ def _parse_bayes(lines: list[str]) -> BayesModel:
     seen = set()
     for ln in lines:
         parts = ln.split()
-        if parts[0] == "alpha":
+        key, n_fields = parts[0], len(parts)
+        if key == "alpha" and n_fields == 2:
             alpha = float(parts[1])
-        elif parts[0] == "likelihood_form":
+        elif key == "likelihood_form" and n_fields == 2:
             form = parts[1]
-        elif parts[0] == "class_counts":
+        elif key == "class_counts" and n_fields == 3:
             class_counts = np.array([int(parts[1]), int(parts[2])], dtype=np.int64)
-        elif parts[0] == "counts":
+        elif key == "counts" and n_fields >= 3:
             attr = _ATTR_NAMES.index(parts[1])
             cls = ("skin", "non_skin").index(parts[2])
             values = [int(v) for v in parts[3:]]
@@ -155,19 +148,21 @@ def _parse_bayes(lines: list[str]) -> BayesModel:
             counts[attr, cls] = values
             seen.add((attr, cls))
         else:
-            raise ValueError(f"unexpected bayes line: {ln!r}")
+            raise ValueError(f"malformed bayes line: {ln!r}")
     if alpha is None or form is None or class_counts is None or len(seen) != 6:
         raise ValueError("incomplete bayes body")
-    return BayesModel(
-        counts=counts, class_counts=class_counts, alpha=alpha, likelihood_form=form
-    )
+    if form != "factorized":
+        raise ValueError(f"unsupported likelihood form: {form!r}")
+    return BayesModel(counts=counts, class_counts=class_counts, alpha=alpha)
 
 
 def _parse_tree(lines: list[str]) -> TreeModel:
-    if len(lines) < 3 or not lines[0].startswith("samples ") or not lines[1].startswith("config "):
+    if len(lines) < 3:
         raise ValueError("malformed tree body")
-    n_samples = int(lines[0].split()[1])
-    cfg_parts = lines[1].split()
+    samples, cfg_parts = lines[0].split(), lines[1].split()
+    if (samples[0], len(samples), cfg_parts[0], len(cfg_parts)) != ("samples", 2, "config", 5):
+        raise ValueError(f"malformed tree header: {lines[:2]!r}")
+    n_samples = int(samples[1])
     min_split = int(cfg_parts[2])
     max_depth = None if cfg_parts[4] == "none" else int(cfg_parts[4])
     config = TreeConfig(min_samples_split=min_split, max_depth=max_depth)
@@ -176,9 +171,9 @@ def _parse_tree(lines: list[str]) -> TreeModel:
     stack = []  # internal nodes still missing a child
     for ln in lines[2:]:
         parts = ln.split()
-        if parts[0] == "leaf":
+        if parts[0] == "leaf" and len(parts) == 3:
             node = TreeNode(skin_count=int(parts[1]), non_skin_count=int(parts[2]))
-        elif parts[0] == "split":
+        elif parts[0] == "split" and len(parts) == 5:
             node = TreeNode(
                 skin_count=int(parts[3]),
                 non_skin_count=int(parts[4]),
@@ -186,7 +181,9 @@ def _parse_tree(lines: list[str]) -> TreeModel:
                 threshold=float(parts[2]),
             )
         else:
-            raise ValueError(f"unexpected tree line: {ln!r}")
+            raise ValueError(f"malformed tree line: {ln!r}")
+        if node.skin_count < 0 or node.non_skin_count < 0 or node.total == 0:
+            raise ValueError(f"tree node counts must be >= 0 with a positive total: {ln!r}")
         if root is None:
             root = node
         elif not stack:
@@ -216,8 +213,8 @@ def _parse_mlp(lines: list[str]) -> MlpModel:
     biases = [None] * (len(dims) - 1)
     for ln in lines[1:]:
         parts = ln.split()
-        if parts[0] not in ("weights", "biases"):
-            raise ValueError(f"unexpected mlp line: {ln!r}")
+        if parts[0] not in ("weights", "biases") or len(parts) < 2:
+            raise ValueError(f"malformed mlp line: {ln!r}")
         layer = int(parts[1])
         if not 0 <= layer < len(dims) - 1:
             raise ValueError(f"layer index out of range: {layer}")
@@ -242,6 +239,30 @@ def _parse_mlp(lines: list[str]) -> MlpModel:
     return MlpModel(arch=arch, weights=weights, biases=biases)
 
 
+# kind -> (model class, body writer, body parser): the only place a kind is named
+_FORMATS = {
+    "threshold": (ThresholdRange, _threshold_body, _parse_threshold),
+    "bayes": (BayesModel, _bayes_body, _parse_bayes),
+    "tree": (TreeModel, _tree_body, _parse_tree),
+    "mlp": (MlpModel, _mlp_body, _parse_mlp),
+}
+KINDS = tuple(_FORMATS)
+
+
+def model_kind(model) -> str:
+    for kind, (model_class, _, _) in _FORMATS.items():
+        if isinstance(model, model_class):
+            return kind
+    raise ValueError(f"unknown model type: {type(model).__name__}")
+
+
+def model_to_text(model, seed: int, fingerprint: str = "none") -> str:
+    kind = model_kind(model)
+    _, write_body, _ = _FORMATS[kind]
+    lines = [FORMAT_HEADER, f"kind {kind}", f"seed {seed}", f"fingerprint {fingerprint}"]
+    return "\n".join(lines + write_body(model)) + "\n"
+
+
 def model_from_text(text: str) -> SavedModel:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != FORMAT_HEADER:
@@ -256,18 +277,12 @@ def model_from_text(text: str) -> SavedModel:
         if key not in header:
             raise ValueError(f"model header missing {key}")
     kind = header["kind"]
-    if kind not in KINDS:
+    if kind not in _FORMATS:
         raise ValueError(f"unknown model kind: {kind!r}")
-    body = lines[4:]
-    parser = {
-        "threshold": _parse_threshold,
-        "bayes": _parse_bayes,
-        "tree": _parse_tree,
-        "mlp": _parse_mlp,
-    }[kind]
+    _, _, parse_body = _FORMATS[kind]
     return SavedModel(
         kind=kind, seed=int(header["seed"]), fingerprint=header["fingerprint"],
-        model=parser(body),
+        model=parse_body(lines[4:]),
     )
 
 

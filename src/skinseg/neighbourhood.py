@@ -34,25 +34,20 @@ class Rule(enum.Enum):
 
 @dataclass(frozen=True)
 class NeighbourhoodConfig:
-    """Window radius, likeliness rule and its constants.
+    """Window radius, likeliness rule and the PAPER rule's cut-off.
 
     radius 1 means the 3x3 window minus the centre (8 interior
-    neighbours). likeliness_scale is the constant the likeliness pair
-    sums to in non-degenerate branches; only 1.0 is meaningful.
-    decision_threshold is the stage-1 skin cut-off tested by the PAPER
-    rule's lock branch.
+    neighbours). decision_threshold is the stage-1 skin cut-off tested
+    by the PAPER rule's lock branch.
     """
 
     radius: int = 1
-    likeliness_scale: float = 1.0
     rule: Rule = Rule.SYMMETRIC
     decision_threshold: float = 0.5
 
     def __post_init__(self):
         if self.radius < 1:
             raise ValueError(f"radius must be >= 1, got {self.radius}")
-        if self.likeliness_scale <= 0:
-            raise ValueError(f"likeliness_scale must be > 0, got {self.likeliness_scale}")
         if not 0.0 < self.decision_threshold < 1.0:
             raise ValueError(
                 f"decision_threshold must lie in (0, 1), got {self.decision_threshold}"
@@ -163,7 +158,7 @@ def likeliness(
     if cfg.rule is Rule.PAPER and own.p_skin >= cfg.decision_threshold:
         if skin_sum == 0.0:
             return 0.0, 0.0
-        return cfg.likeliness_scale, 0.0
+        return 1.0, 0.0
     return skin_sum / count, non_skin_sum / count
 
 
@@ -217,7 +212,7 @@ def refine(
     like_non = non_sum / safe_count
     if cfg.rule is Rule.PAPER:
         locked = pmap.p_skin >= cfg.decision_threshold
-        like_skin = np.where(locked, np.where(skin_sum == 0.0, 0.0, cfg.likeliness_scale), like_skin)
+        like_skin = np.where(locked, np.where(skin_sum == 0.0, 0.0, 1.0), like_skin)
         like_non = np.where(locked, 0.0, like_non)
     # degenerate 1x1 map: no neighbours anywhere, fall back to own pair
     like_skin = np.where(interior, like_skin, pmap.p_skin)
@@ -268,7 +263,7 @@ def refine_brute_oracle(
                 if skin_sum == 0.0:
                     like_skin, like_non = 0.0, 0.0
                 else:
-                    like_skin, like_non = cfg.likeliness_scale, 0.0
+                    like_skin, like_non = 1.0, 0.0
             else:
                 like_skin, like_non = skin_sum / count, non_sum / count
             mask[y, x] = own_skin * like_skin >= own_non * like_non

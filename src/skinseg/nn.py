@@ -20,7 +20,7 @@ import numpy as np
 
 from .classifiers import ClassProbabilities
 from .colorspace import normalize_hsv_array
-from .dataset import HsvSample, Label
+from .dataset import HsvSample, Label, hsv_arrays
 
 INPUT_DIM = 3
 OUTPUT_DIM = 2
@@ -246,8 +246,7 @@ def train(
     """
     if not train_set:
         raise ValueError("training set is empty")
-    hsv = np.array([(s.h, s.s, s.v) for s in train_set], dtype=np.uint8)
-    skin = np.array([s.label is Label.SKIN for s in train_set], dtype=bool)
+    hsv, skin = hsv_arrays(train_set)
     if skin.all() or not skin.any():
         raise ValueError("training set must contain both classes")
     x = normalize_hsv_array(hsv)

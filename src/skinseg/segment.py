@@ -40,6 +40,27 @@ class SegmentResult:
     used_downscale: bool
 
 
+def score_rgb(model, rgb: np.ndarray) -> np.ndarray:
+    """P(skin) of each (N, 3) uint8 RGB row under any stage-1 model, as (N,).
+
+    The only model-type dispatch for scoring: the threshold box reads RGB,
+    the other kinds score the HSV conversion. Predictors are looked up by
+    their module-level names at call time, so a patched name is the one
+    that runs. Raises ValueError for an object of any other type.
+    """
+    if isinstance(model, ThresholdRange):
+        return threshold_scores(rgb, model)
+    if isinstance(model, BayesModel):
+        predict = bayes_predict_batch
+    elif isinstance(model, TreeModel):
+        predict = tree_predict_batch
+    elif isinstance(model, MlpModel):
+        predict = mlp_predict_batch
+    else:
+        raise ValueError(f"unknown model type: {type(model).__name__}")
+    return predict(model, rgb_to_hsv_array(rgb))
+
+
 def stage1_probabilities(image: Image, model) -> ProbabilityMap:
     """Per-pixel P(colour = skin) for the whole image, as a 2-d map.
 
@@ -50,16 +71,7 @@ def stage1_probabilities(image: Image, model) -> ProbabilityMap:
     codes, inverse = np.unique((rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2],
                                return_inverse=True)
     colours = np.stack([codes >> 16, (codes >> 8) & 0xFF, codes & 0xFF], axis=1).astype(np.uint8)
-    if isinstance(model, ThresholdRange):
-        p_colour = threshold_scores(colours, model)
-    elif isinstance(model, BayesModel):
-        p_colour = bayes_predict_batch(model, rgb_to_hsv_array(colours))
-    elif isinstance(model, TreeModel):
-        p_colour = tree_predict_batch(model, rgb_to_hsv_array(colours))
-    elif isinstance(model, MlpModel):
-        p_colour = mlp_predict_batch(model, rgb_to_hsv_array(colours))
-    else:
-        raise ValueError(f"unknown model type: {type(model).__name__}")
+    p_colour = score_rgb(model, colours)
     return ProbabilityMap.from_p_skin(p_colour[inverse].reshape(image.height, image.width))
 
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from skinseg.classifiers import (
-    BayesModel,
     ClassProbabilities,
     ThresholdRange,
     TreeConfig,
@@ -233,15 +232,6 @@ def test_bayes_batch_matches_scalar():
     for i in range(hsv.shape[0]):
         single = bayes_predict(model, HsvPixel(int(hsv[i, 0]), int(hsv[i, 1]), int(hsv[i, 2])))
         assert batch[i] == pytest.approx(single.p_skin, abs=1e-12)
-
-
-def test_bayes_model_rejects_unknown_likelihood_form():
-    model = bayes_fit(TOY, alpha=1.0)
-    with pytest.raises(ValueError):
-        BayesModel(
-            counts=model.counts, class_counts=model.class_counts,
-            alpha=1.0, likelihood_form="joint",
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end command-line coverage on the surrogate dataset."""
 
+import re
 import subprocess
 import sys
 
@@ -7,10 +8,19 @@ import numpy as np
 import pytest
 
 from skinseg import cli
-from skinseg.dataset import parse_uci
-from skinseg.metrics import parse_report
+from skinseg.classifiers import bayes_predict_batch, threshold_scores, tree_predict_batch
+from skinseg.dataset import SplitConfig, hsv_arrays, parse_uci, split, to_hsv_samples
+from skinseg.metrics import (
+    confusion_from_flags,
+    format_percent,
+    format_report,
+    parse_report,
+    roc_auc,
+    scalar_metrics,
+)
 from skinseg.model_io import dataset_fingerprint, load_model
 from skinseg.neighbourhood import NeighbourhoodConfig
+from skinseg.nn import mlp_predict_batch
 from skinseg.raster import Image, downscale_half, read_pgm, read_ppm, write_ppm
 from skinseg.segment import probability_rendering, segment_image, stage1_probabilities
 
@@ -48,6 +58,15 @@ def bayes_model(workdir, surrogate_file):
     path = workdir / "bayes.model"
     rc = cli.main(["train", "--dataset", str(surrogate_file), "--model", str(path),
                    "--kind", "bayes"])
+    assert rc == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def tree_model(workdir, surrogate_file):
+    path = workdir / "tree.model"
+    rc = cli.main(["train", "--dataset", str(surrogate_file), "--model", str(path),
+                   "--kind", "tree"])
     assert rc == 0
     return path
 
@@ -169,6 +188,39 @@ def test_eval_threshold_auc_matches_two_point_curve(workdir, surrogate_file,
     fpr = m.fp / (m.fp + m.tn)
     expected = fpr * tpr / 2.0 + (1.0 - fpr) * (tpr + 1.0) / 2.0
     assert report.auc == pytest.approx(expected, abs=1e-12)
+
+
+# per-row scoring of the held-out split through its HSV samples
+PER_ROW = {
+    "threshold": lambda model, rgb, hsv: threshold_scores(rgb, model),
+    "bayes": lambda model, rgb, hsv: bayes_predict_batch(model, hsv),
+    "tree": lambda model, rgb, hsv: tree_predict_batch(model, hsv),
+    "mlp": lambda model, rgb, hsv: mlp_predict_batch(model, hsv),
+}
+
+
+@pytest.mark.parametrize("kind", ["threshold", "bayes", "tree", "mlp"])
+def test_eval_report_matches_per_row_scoring(kind, surrogate_file, surrogate_samples,
+                                             request, capsys):
+    model_path = request.getfixturevalue(f"{kind}_model")
+    capsys.readouterr()  # drop the summary of a model trained on first use
+    rc = cli.main(["eval", "--dataset", str(surrogate_file), "--model", str(model_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+
+    saved = load_model(model_path)
+    _, test_raw = split(surrogate_samples, SplitConfig(test_fraction=0.30, seed=saved.seed))
+    hsv, truth = hsv_arrays(to_hsv_samples(test_raw))
+    rgb = np.array([(s.r, s.g, s.b) for s in test_raw], dtype=np.uint8)
+    scores = PER_ROW[kind](saved.model, rgb, hsv)
+    matrix = confusion_from_flags(scores >= 0.5, truth)
+    _, auc = roc_auc(scores, [s.label for s in test_raw])
+    report = scalar_metrics(matrix, auc=auc)
+    expected = format_report(report, matrix) + "".join(
+        f"# {name} {format_percent(getattr(report, name))}\n"
+        for name in ("accuracy", "sensitivity", "specificity", "precision", "f1")
+    )
+    assert out == expected
 
 
 def test_eval_repeated_reports_identical(workdir, surrogate_file, bayes_model, tmp_path):
@@ -379,6 +431,29 @@ def test_non_finite_mlp_weight_exits_2(workdir, mlp_model, noisy_disc, tmp_path,
     err = capsys.readouterr().err
     assert rc == 2
     assert str(model_path) in err and "non-finite" in err
+    assert not mask_path.exists()
+
+
+@pytest.mark.parametrize("kind, pattern, repl", [
+    pytest.param("tree", r"^config .*$", "config min_samples_split", id="tree-cut-config"),
+    pytest.param("tree", r"^leaf .*$", "leaf 0 0", id="tree-empty-leaf"),
+    pytest.param("bayes", r"^alpha .*$", "alpha", id="bayes-bare-alpha"),
+    pytest.param("bayes", r"^alpha .*$", "alpha -5", id="bayes-negative-alpha"),
+    pytest.param("bayes", r"^class_counts .*$", "class_counts 0 0", id="bayes-no-samples"),
+])
+def test_malformed_model_body_exits_2(kind, pattern, repl, noisy_disc, tmp_path, capsys,
+                                      request):
+    good = request.getfixturevalue(f"{kind}_model").read_text(encoding="ascii")
+    text = re.sub(pattern, repl, good, count=1, flags=re.M)
+    assert text != good
+    model_path = tmp_path / "bad.model"
+    model_path.write_text(text, encoding="ascii")
+    mask_path = tmp_path / "mask.pgm"
+    rc = cli.main(["segment", "--model", str(model_path), "--input", str(noisy_disc),
+                   "--output", str(mask_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"bad model file {model_path}:" in err
     assert not mask_path.exists()
 
 

@@ -25,7 +25,8 @@ from skinseg.model_io import (
     model_to_text,
     save_model,
 )
-from skinseg.nn import MlpArchitecture, TrainConfig, mlp_predict_batch, train
+from skinseg.nn import MlpArchitecture, TrainConfig, init_model, mlp_predict_batch, train
+from skinseg.segment import score_rgb
 
 N_PROBE = 10_000
 
@@ -143,6 +144,26 @@ def test_malformed_threshold_body():
         model_from_text(truncated)
 
 
+# (pattern, replacement) pairs that break one line of a valid model body
+BAYES_MUTATIONS = (
+    (r"^alpha .*$", "alpha"),
+    (r"^alpha .*$", "alpha -5"),
+    (r"^alpha .*$", "alpha nan"),
+    (r"^class_counts .*$", "class_counts 7"),
+    (r"^class_counts .*$", "class_counts 0 0"),
+    (r"^counts h .*$", "counts h"),
+    (r"^(counts h skin) \d+", r"\1 -1"),
+)
+TREE_MUTATIONS = (
+    (r"^config .*$", "config min_samples_split"),
+    (r"^samples .*$", "samples"),
+    (r"^leaf .*$", "leaf 0 0"),
+    (r"^leaf .*$", "leaf -2 1"),
+    (r"^leaf (\d+) .*$", r"leaf \1"),
+    (r"^split (\S+) .*$", r"split \1"),
+)
+
+
 def test_malformed_bayes_body(hsv_train):
     good = model_to_text(bayes_fit(hsv_train[:500]), seed=0)
     lines = good.splitlines()
@@ -155,6 +176,11 @@ def test_malformed_bayes_body(hsv_train):
         model_from_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         model_from_text(good.replace("likelihood_form factorized", "likelihood_form joint"))
+    for pattern, repl in BAYES_MUTATIONS:
+        text = re.sub(pattern, repl, good, count=1, flags=re.M)
+        assert text != good
+        with pytest.raises(ValueError):
+            model_from_text(text)
 
 
 def test_malformed_tree_body(hsv_train):
@@ -167,6 +193,11 @@ def test_malformed_tree_body(hsv_train):
     # an extra trailing leaf has nowhere to attach
     with pytest.raises(ValueError):
         model_from_text(good + "leaf 1 1\n")
+    for pattern, repl in TREE_MUTATIONS:
+        text = re.sub(pattern, repl, good, count=1, flags=re.M)
+        assert text != good
+        with pytest.raises(ValueError):
+            model_from_text(text)
 
 
 def test_malformed_mlp_body(hsv_train):
@@ -181,6 +212,8 @@ def test_malformed_mlp_body(hsv_train):
         model_from_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         model_from_text(good.replace("hidden_layers 3", "hidden_layers 3 9"))
+    with pytest.raises(ValueError):
+        model_from_text(re.sub(r"^biases 0 .*$", "biases", good, count=1, flags=re.M))
     for prefix in ("weights 1", "biases 0"):
         for bad in ("nan", "inf", "-inf"):
             # the first value of that line becomes non-finite
@@ -193,8 +226,12 @@ def test_malformed_mlp_body(hsv_train):
 def test_model_kind_dispatch(hsv_train):
     assert model_kind(ThresholdRange()) == "threshold"
     assert model_kind(bayes_fit(hsv_train[:200])) == "bayes"
+    assert model_kind(tree_fit(hsv_train[:200], TreeConfig(max_depth=2))) == "tree"
+    assert model_kind(init_model(MlpArchitecture(), np.random.default_rng(0))) == "mlp"
     with pytest.raises(ValueError):
         model_kind(object())
+    with pytest.raises(ValueError, match="unknown model type"):
+        score_rgb(object(), _probe_rgb()[:5])
 
 
 def test_fingerprint_is_stable_and_content_sensitive(surrogate_samples):

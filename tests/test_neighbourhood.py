@@ -31,8 +31,6 @@ def test_config_validation():
         NeighbourhoodConfig(radius=0)
     with pytest.raises(ValueError):
         NeighbourhoodConfig(decision_threshold=1.5)
-    with pytest.raises(ValueError):
-        NeighbourhoodConfig(likeliness_scale=0.0)
 
 
 def test_probability_map_validation():
