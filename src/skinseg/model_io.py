@@ -28,7 +28,9 @@ Loading raises ValueError for:
   value count;
 * a tree node with a negative count or a zero total, and a tree config
   with min_samples_split < 2 or max_depth < 0;
-* an MLP hidden width < 1, and weights or biases that are not finite.
+* an MLP hidden width < 1, weights or biases that are not finite, and
+  weights and biases large enough to overflow the forward pass on some
+  input in [0, 1]^3.
 """
 
 import hashlib
@@ -236,6 +238,17 @@ def _parse_mlp(lines: list[str]) -> MlpModel:
             biases[layer] = values
     if any(w is None for w in weights) or any(b is None for b in biases):
         raise ValueError("incomplete mlp body")
+    # Inputs lie in [0, 1]^3 and ReLU never grows a magnitude, so
+    # |W|^T u + |b|, from u = 1, bounds each layer's outputs; softmax
+    # subtracts the largest logit, so twice the bound must stay finite.
+    bound = np.ones(dims[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer, (w, b) in enumerate(zip(weights, biases)):
+            bound = np.abs(w).T @ bound + np.abs(b)
+            if not np.isfinite(2.0 * bound).all():
+                raise ValueError(
+                    f"layer {layer} weights and biases can overflow the forward pass"
+                )
     return MlpModel(arch=arch, weights=weights, biases=biases)
 
 

@@ -14,7 +14,10 @@ are provided:
   can only grow.
 
 The refinement is a single synchronous pass: all likeliness values are
-read from the original map, never from partially refined output.
+read from the original map, never from partially refined output. Window
+sums cost about 4r additions per pixel and plane (separable box sums);
+the mask equals refine_brute_oracle bit for bit, and the refined
+probabilities may differ from the oracle's order of addition by ulps.
 """
 
 import enum
@@ -162,32 +165,118 @@ def likeliness(
     return skin_sum / count, non_skin_sum / count
 
 
-def _window_sums(plane: np.ndarray, radius: int) -> np.ndarray:
-    """Sum of each pixel's window (centre excluded, borders clipped)."""
-    h, w = plane.shape
-    padded = np.zeros((h + 2 * radius, w + 2 * radius))
-    padded[radius : radius + h, radius : radius + w] = plane
-    total = np.zeros((h, w))
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            if dx == 0 and dy == 0:
-                continue
-            total += padded[radius + dy : radius + dy + h, radius + dx : radius + dx + w]
-    return total
+def _box_sums(plane: np.ndarray, radius: int) -> np.ndarray:
+    """Sum of each pixel's clipped (2r+1)^2 window, centre included.
 
-
-def _window_counts(height: int, width: int, radius: int) -> np.ndarray:
-    """Number of in-bounds neighbours of each pixel (centre excluded).
-
-    The clipped window is a rectangle, so the count is the product of its
-    row and column extents minus the centre; small integers, exact in
-    float64 and equal to what _window_sums gives for a plane of ones.
+    Separable: a row pass then a column pass, each adding its source
+    shifted by 1..min(radius, n-1) both ways, so 4r adds per plane and
+    no padded copy. Each accumulator starts from the centre term.
     """
-    def extents(n):
-        i = np.arange(n)
-        return (np.minimum(i + radius, n - 1) - np.maximum(i - radius, 0) + 1).astype(np.float64)
+    h, w = plane.shape
+    rows = plane.copy()
+    for d in range(1, min(radius, w - 1) + 1):
+        rows[:, d:] += plane[:, :-d]
+        rows[:, :-d] += plane[:, d:]
+    box = rows.copy()
+    for d in range(1, min(radius, h - 1) + 1):
+        box[d:] += rows[:-d]
+        box[:-d] += rows[d:]
+    return box
 
-    return np.outer(extents(height), extents(width)) - 1.0
+
+def _extents(n: int, radius: int) -> np.ndarray:
+    """Length of each index's clipped window along one axis."""
+    i = np.arange(n)
+    return (np.minimum(i + radius, n - 1) - np.maximum(i - radius, 0) + 1).astype(np.float64)
+
+
+def _oracle_order_sums(pmap: ProbabilityMap, ys: np.ndarray, xs: np.ndarray, radius: int):
+    """Neighbour sums of the pixels (ys, xs), added in refine_brute_oracle's order.
+
+    Works on the rows that hold those pixels, over the columns they
+    span: one shifted add per plane for each (dy, dx) of the oracle's
+    loop, so re-summing every pixel costs about what (2r+1)^2 - 1
+    full-frame shifted adds do. Neighbours outside the map come from a
+    zero border, and adding 0.0 leaves a non-negative sum unchanged, so
+    each sum is the oracle's bit for bit.
+    """
+    h, w = pmap.p_skin.shape
+    ry, rx = min(radius, h - 1), min(radius, w - 1)
+    rows, row_of = np.unique(ys, return_inverse=True)
+    x0, x1 = int(xs.min()), int(xs.max()) + 1
+    c0, c1 = max(x0 - rx, 0), min(x1 + rx, w)  # the columns the windows reach
+    sums = []
+    for plane in (pmap.p_skin, pmap.p_non_skin):
+        acc = np.zeros((rows.size, x1 - x0))
+        for dy in range(-ry, ry + 1):
+            src = rows + dy
+            inside = (src >= 0) & (src < h)
+            band = np.zeros((rows.size, x1 - x0 + 2 * rx))  # column j is x0 - rx + j
+            band[inside, c0 - x0 + rx : c1 - x0 + rx] = plane[src[inside], c0:c1]
+            for dx in range(-rx, rx + 1):
+                if dx or dy:
+                    acc += band[:, rx + dx : rx + dx + x1 - x0]
+        sums.append(acc[row_of, xs - x0])
+    return sums
+
+
+def _products(own_skin, own_non, skin_sum, non_sum, count, cfg: NeighbourhoodConfig):
+    """Elementwise (own_skin * skin likeliness, own_non * non-skin likeliness).
+
+    The same branches as likeliness; overwrites skin_sum and non_sum with
+    the two products and returns them.
+    """
+    lonely = count == 0  # only on a 1x1 map
+    if cfg.rule is Rule.PAPER:
+        locked = own_skin >= cfg.decision_threshold
+        has_skin = skin_sum != 0.0
+    np.divide(skin_sum, count, out=skin_sum, where=~lonely)
+    np.divide(non_sum, count, out=non_sum, where=~lonely)
+    if cfg.rule is Rule.PAPER:
+        np.copyto(skin_sum, has_skin, where=locked)
+        np.copyto(non_sum, 0.0, where=locked)
+    np.copyto(skin_sum, own_skin, where=lonely)
+    np.copyto(non_sum, own_non, where=lonely)
+    skin_sum *= own_skin
+    non_sum *= own_non
+    return skin_sum, non_sum
+
+
+def _tie_slack(height: int, width: int, radius: int) -> float:
+    """Factor of the bound on how far the box-sum products can stray.
+
+    Both the oracle's sum and _box_sums add non-negative terms, so each
+    lies within gamma_m * (exact sum) of the exact value, where m is its
+    number of additions and gamma_m = m*u / (1 - m*u), u = 2^-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 4.2). With ry, rx the radius clipped to the map:
+
+    * the oracle adds up to (2ry+1)(2rx+1) - 1 terms to 0.0;
+    * the row pass adds 2rx terms, the column pass 2ry terms of those
+      rows, and the centre is subtracted once, so the box-sum neighbour
+      sum lies within gamma_(2ry+2rx+1) * box of the exact sum, where box
+      is the exact window sum including the centre.
+
+    The two sums therefore differ by at most gamma_k * box, with
+    k = (2ry+1)(2rx+1) + 2ry + 2rx (gamma_a + gamma_b <= gamma_(a+b)).
+    A product own * (sum / count) takes two more roundings on each side,
+    and own * box / count = product + own^2 / count, so the skin and
+    non-skin products each move by at most
+    (gamma_k + gamma_2 + gamma_2) * (product + own^2 / count) to first
+    order. Summed over both classes, with own_skin^2 + own_non^2 <= 1 to
+    within the pair tolerance, the products can stray by at most
+    slack * (skin_product + non_product + 1 / count), where slack is
+    twice that first-order factor: the doubling covers the second-order
+    terms, the pair tolerance and the roundings of the test itself.
+    """
+    u = 2.0 ** -53
+    ry, rx = min(radius, height - 1), min(radius, width - 1)
+    k = (2 * ry + 1) * (2 * rx + 1) + 2 * ry + 2 * rx
+
+    def gamma(m):
+        return m * u / (1.0 - m * u)
+
+    return 2.0 * (gamma(k) + 2.0 * gamma(2))
 
 
 def refine(
@@ -201,33 +290,64 @@ def refine(
     their original pair). The mask marks skin wherever the skin product
     is at least the non-skin product. All likeliness values come from the
     original map in one synchronous pass.
+
+    Window sums are separable box sums, about 4r adds per pixel and
+    plane whatever the window's area, and a radius past the map's size
+    clips to it. Their order of addition differs from
+    refine_brute_oracle's, so every pixel whose decision could depend on
+    it (a skin/non-skin product pair closer than the error bound of
+    _tie_slack, or a PAPER-locked pixel whose neighbours sum to zero) is
+    re-summed in the oracle's order. The mask therefore equals the
+    oracle's bit for bit; the refined probabilities of the other pixels
+    may differ from oracle-order arithmetic in the last bits. The re-sum
+    costs (2r+1)^2 - 1 adds per pixel over the rows holding such pixels,
+    so a map where most pixels tie (a uniform 0.5 region) refines several
+    times slower than one with few ties.
     """
-    skin_sum = _window_sums(pmap.p_skin, cfg.radius)
-    non_sum = _window_sums(pmap.p_non_skin, cfg.radius)
-    count = _window_counts(pmap.height, pmap.width, cfg.radius)
+    height, width = pmap.height, pmap.width
+    skin_sum = _box_sums(pmap.p_skin, cfg.radius)
+    skin_sum -= pmap.p_skin
+    non_sum = _box_sums(pmap.p_non_skin, cfg.radius)
+    non_sum -= pmap.p_non_skin
+    ext_y, ext_x = _extents(height, cfg.radius), _extents(width, cfg.radius)
+    count = np.outer(ext_y, ext_x) - 1.0
+    skin_product, non_product = _products(
+        pmap.p_skin, pmap.p_non_skin, skin_sum, non_sum, count, cfg
+    )
 
-    interior = count > 0
-    safe_count = np.where(interior, count, 1.0)
-    like_skin = skin_sum / safe_count
-    like_non = non_sum / safe_count
+    # pixels whose mask or lock could hang on the order of addition: products
+    # closer than _tie_slack allows, or locked with a zero skin sum (as
+    # skin_product == 0 there); re-sum them in the oracle's order
+    gap = np.subtract(skin_product, non_product)
+    np.abs(gap, out=gap)
+    slack = np.divide(1.0, count, out=count, where=count > 0)
+    slack += skin_product
+    slack += non_product
+    slack *= _tie_slack(height, width, cfg.radius)
+    resum = gap <= slack
+    del slack, count
     if cfg.rule is Rule.PAPER:
-        locked = pmap.p_skin >= cfg.decision_threshold
-        like_skin = np.where(locked, np.where(skin_sum == 0.0, 0.0, 1.0), like_skin)
-        like_non = np.where(locked, 0.0, like_non)
-    # degenerate 1x1 map: no neighbours anywhere, fall back to own pair
-    like_skin = np.where(interior, like_skin, pmap.p_skin)
-    like_non = np.where(interior, like_non, pmap.p_non_skin)
-
-    skin_product = pmap.p_skin * like_skin
-    non_product = pmap.p_non_skin * like_non
-    total = skin_product + non_product
-    degenerate = total == 0.0
-    safe_total = np.where(degenerate, 1.0, total)
-    refined_skin = np.where(degenerate, pmap.p_skin, skin_product / safe_total)
-    refined_non = np.where(degenerate, pmap.p_non_skin, non_product / safe_total)
+        resum = np.where(pmap.p_skin >= cfg.decision_threshold, skin_product == 0.0, resum)
+    ys, xs = np.nonzero(resum)
+    del resum
+    if ys.size:
+        exact_skin, exact_non = _oracle_order_sums(pmap, ys, xs, cfg.radius)
+        skin_product[ys, xs], non_product[ys, xs] = _products(
+            pmap.p_skin[ys, xs], pmap.p_non_skin[ys, xs], exact_skin, exact_non,
+            ext_y[ys] * ext_x[xs] - 1.0, cfg,
+        )
 
     mask = SkinMask(pixels=skin_product >= non_product)
-    return ProbabilityMap(refined_skin, refined_non), mask
+    total = np.add(skin_product, non_product, out=gap)
+    del gap
+    degenerate = total == 0.0
+    total[degenerate] = 1.0
+    skin_product /= total
+    non_product /= total
+    del total
+    np.copyto(skin_product, pmap.p_skin, where=degenerate)
+    np.copyto(non_product, pmap.p_non_skin, where=degenerate)
+    return ProbabilityMap(skin_product, non_product), mask
 
 
 def refine_brute_oracle(

@@ -346,6 +346,22 @@ def test_segment_refine_flags_and_prob_out(workdir, mlp_model, noisy_disc, tmp_p
     assert probs.max() > 200 and probs.min() < 50  # confident at both poles
 
 
+@pytest.mark.parametrize("rule", ["symmetric", "paper"])
+def test_refine_radius_past_the_image_clips(workdir, mlp_model, tmp_path, rule):
+    """A radius far beyond an 80x60 image gives the whole-image window."""
+    rng = np.random.default_rng(8)
+    pixels = np.where(rng.random((60, 80, 1)) < 0.3, SKIN_TONE, COOL_BLUE)
+    image = _write_ppm(tmp_path / "wide.ppm", pixels)
+    masks = []
+    for radius in ("100000", "79"):  # 79 = max(h, w) - 1 already spans the image
+        mask_path = tmp_path / f"r{radius}.pgm"
+        assert cli.main(["segment", "--model", str(mlp_model), "--input", str(image),
+                         "--output", str(mask_path), "--refine", "--rule", rule,
+                         "--radius", radius]) == 0
+        masks.append(mask_path.read_bytes())
+    assert masks[0] == masks[1]
+
+
 def test_prob_out_writes_the_final_map_at_working_resolution(workdir, mlp_model, noisy_disc,
                                                              tmp_path):
     model = load_model(mlp_model).model
@@ -440,6 +456,7 @@ def test_non_finite_mlp_weight_exits_2(workdir, mlp_model, noisy_disc, tmp_path,
     pytest.param("bayes", r"^alpha .*$", "alpha", id="bayes-bare-alpha"),
     pytest.param("bayes", r"^alpha .*$", "alpha -5", id="bayes-negative-alpha"),
     pytest.param("bayes", r"^class_counts .*$", "class_counts 0 0", id="bayes-no-samples"),
+    pytest.param("mlp", r"^biases 0 \S+", "biases 0 1e308", id="mlp-huge-bias"),
 ])
 def test_malformed_model_body_exits_2(kind, pattern, repl, noisy_disc, tmp_path, capsys,
                                       request):

@@ -221,6 +221,11 @@ def test_malformed_mlp_body(hsv_train):
             assert text != good
             with pytest.raises(ValueError, match=f"layer {prefix[-1]} .*non-finite"):
                 model_from_text(text)
+    # finite, but a first-layer bias of 1e308 overflows the logits
+    text = re.sub(r"^biases 0 \S+", "biases 0 1e308", good, count=1, flags=re.M)
+    assert text != good
+    with pytest.raises(ValueError, match="layer 0 .*overflow"):
+        model_from_text(text)
 
 
 def test_model_kind_dispatch(hsv_train):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from skinseg import neighbourhood
 from skinseg.classifiers import ClassProbabilities
 from skinseg.neighbourhood import (
     NeighbourhoodConfig,
@@ -239,3 +240,100 @@ def test_refine_degenerate_products_keep_original_pair():
     assert mask.pixels[1, 1]
     oracle = refine_brute_oracle(_pmap(grid), SYM)
     assert np.array_equal(mask.pixels, oracle.pixels)
+
+
+def test_refine_paper_lock_sees_a_neighbour_absorbed_by_the_box_sum():
+    # 0.9 + 1e-20 rounds to 0.9, so the window sum minus the centre reads
+    # 0; the oracle's neighbour sum is 1e-20, so the pixel locks to (1, 0)
+    grid = np.zeros((3, 3))
+    grid[1, 1] = 0.9
+    grid[1, 2] = 1e-20
+    refined, mask = refine(_pmap(grid), PAPER)
+    assert (refined.p_skin[1, 1], refined.p_non_skin[1, 1]) == (1.0, 0.0)
+    assert np.array_equal(mask.pixels, refine_brute_oracle(_pmap(grid), PAPER).pixels)
+
+
+def _reference_refine(pm: ProbabilityMap, cfg: NeighbourhoodConfig):
+    """Refined pairs pixel by pixel from neighbour_sums and likeliness.
+
+    Returns (p_skin, p_non_skin, degenerate), where degenerate marks the
+    pixels whose two products both vanish and so keep their own pair.
+    """
+    skin = np.empty(pm.p_skin.shape)
+    non = np.empty(pm.p_skin.shape)
+    degenerate = np.zeros(pm.p_skin.shape, dtype=bool)
+    for y in range(pm.height):
+        for x in range(pm.width):
+            own = pm.pixel(x, y)
+            l1, l2 = likeliness(*neighbour_sums(pm, x, y, cfg.radius), own, cfg)
+            a, b = own.p_skin * l1, own.p_non_skin * l2
+            if a + b == 0.0:
+                skin[y, x], non[y, x], degenerate[y, x] = own.p_skin, own.p_non_skin, True
+            else:
+                skin[y, x], non[y, x] = a / (a + b), b / (a + b)
+    return skin, non, degenerate
+
+
+def _mirrored_tie_map(rng, h: int, w: int) -> np.ndarray:
+    """Odd-sized map whose centre is 0.5 and p(centre + d) = 1 - p(centre - d).
+
+    The centre's window is symmetric, so its skin and non-skin sums are
+    equal in real arithmetic: the products tie and only the order of
+    addition decides the mask.
+    """
+    p = rng.random(h * w)
+    half = h * w // 2
+    p[half + 1 :] = 1.0 - p[:half][::-1]
+    p[half] = 0.5
+    return p.reshape(h, w)
+
+
+def test_refine_matches_oracle_at_larger_radii_on_tie_heavy_maps(monkeypatch):
+    """Radii 3 and 7: the mask is the oracle's and the pairs stay within ulps.
+
+    Saturated maps on {0, 0.1, 0.5, 0.9, 1} are full of product ties,
+    mirrored maps tie in real arithmetic, sparse maps (isolated 0.9 and 1
+    pixels on 0) hold degenerate and zero-neighbourhood PAPER pixels, and
+    half the maps carry a non-skin plane that is 1 - p only to within the
+    pair tolerance. The re-sum in the oracle's order must run, and a
+    degenerate or zero-neighbourhood PAPER pixel must keep its own pair
+    exactly.
+    """
+    resummed, kept = [], []
+    real = neighbourhood._oracle_order_sums
+
+    def spy(pmap, ys, xs, radius):
+        resummed.append(ys.size)
+        return real(pmap, ys, xs, radius)
+
+    monkeypatch.setattr(neighbourhood, "_oracle_order_sums", spy)
+    ulps = 8 * np.finfo(np.float64).eps  # probabilities lie in [0, 1]
+    rng = np.random.default_rng(2026)
+    for case in range(48):
+        h, w = (2 * int(n) + 1 for n in rng.integers(0, 7, size=2))
+        family = case % 4
+        if family == 0:
+            p = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0], size=(h, w))
+        elif family == 1:
+            p = _mirrored_tie_map(rng, h, w)
+        elif family == 2:
+            p = np.where(rng.random((h, w)) < 0.05, rng.choice([0.9, 1.0], size=(h, w)), 0.0)
+        else:
+            p = rng.random((h, w))
+        q = 1.0 - p
+        if case // 4 % 2:
+            q = np.clip(q + rng.uniform(-1e-9, 1e-9, size=(h, w)), 0.0, 1.0)
+        pm = ProbabilityMap(p, q)
+        for rule in (Rule.SYMMETRIC, Rule.PAPER):
+            for radius in (3, 7):
+                cfg = NeighbourhoodConfig(rule=rule, radius=radius)
+                refined, mask = refine(pm, cfg)
+                assert np.array_equal(mask.pixels, refine_brute_oracle(pm, cfg).pixels), (
+                    case, rule, radius)
+                skin, non, degenerate = _reference_refine(pm, cfg)
+                assert np.abs(refined.p_skin - skin).max() <= ulps
+                assert np.abs(refined.p_non_skin - non).max() <= ulps
+                assert np.array_equal(refined.p_skin[degenerate], p[degenerate])
+                assert np.array_equal(refined.p_non_skin[degenerate], q[degenerate])
+                kept.append(degenerate.sum())
+    assert sum(resummed) > 0 and sum(kept) > 0
