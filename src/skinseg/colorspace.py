@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+HSV_BLOCK = 8192  # triples per block of rgb_to_hsv_array: 64 KiB int64 temporaries
+
 
 def round_half_up(x: float) -> int:
     """Round to the nearest integer with halves going toward +infinity."""
@@ -135,6 +137,9 @@ def normalize_hsv(p: HsvPixel) -> tuple[float, float, float]:
 def rgb_to_hsv_array(rgb: np.ndarray) -> np.ndarray:
     """Elementwise rgb_to_hsv over an array of RGB triples.
 
+    Converts HSV_BLOCK triples at a time, so the integer temporaries stay
+    small however many triples there are.
+
     Args:
         rgb: integer array with trailing axis of size 3 (..., 3), values 0-255.
 
@@ -144,9 +149,18 @@ def rgb_to_hsv_array(rgb: np.ndarray) -> np.ndarray:
     rgb = np.asarray(rgb)
     if rgb.shape[-1] != 3:
         raise ValueError(f"expected trailing axis of size 3, got shape {rgb.shape}")
-    r = rgb[..., 0].astype(np.int64)
-    g = rgb[..., 1].astype(np.int64)
-    b = rgb[..., 2].astype(np.int64)
+    triples = rgb.reshape(-1, 3)
+    out = np.empty(triples.shape, dtype=np.uint8)
+    for start in range(0, triples.shape[0], HSV_BLOCK):
+        _hsv_block(triples[start : start + HSV_BLOCK], out[start : start + HSV_BLOCK])
+    return out.reshape(rgb.shape)
+
+
+def _hsv_block(rgb: np.ndarray, out: np.ndarray) -> None:
+    """rgb_to_hsv_array of an (n, 3) block, written into out."""
+    r = rgb[:, 0].astype(np.int64)
+    g = rgb[:, 1].astype(np.int64)
+    b = rgb[:, 2].astype(np.int64)
 
     max_c = np.maximum(np.maximum(r, g), b)
     min_c = np.minimum(np.minimum(r, g), b)
@@ -166,11 +180,9 @@ def rgb_to_hsv_array(rgb: np.ndarray) -> np.ndarray:
     safe_m = np.where(max_c == 0, 1, max_c)
     s = np.where(max_c == 0, 0, (510 * chroma + safe_m) // (2 * safe_m))
 
-    out = np.empty(rgb.shape, dtype=np.uint8)
-    out[..., 0] = h
-    out[..., 1] = s
-    out[..., 2] = max_c
-    return out
+    out[:, 0] = h
+    out[:, 1] = s
+    out[:, 2] = max_c
 
 
 def rgb_to_ycbcr_array(rgb: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ N = 299,629 at test fraction 0.30 always lands on 209,740 / 89,889.
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -113,8 +114,7 @@ def to_hsv_samples(raw: list[RawSample]) -> list[HsvSample]:
     """Convert raw BGR samples to quantized HSV samples, order preserved."""
     if not raw:
         return []
-    rgb = np.array([(s.r, s.g, s.b) for s in raw], dtype=np.uint8)
-    hsv = rgb_to_hsv_array(rgb)
+    hsv = rgb_to_hsv_array(_columns(raw, ("r", "g", "b")))
     return [
         HsvSample(h=int(row[0]), s=int(row[1]), v=int(row[2]), label=s.label)
         for row, s in zip(hsv, raw)
@@ -123,9 +123,21 @@ def to_hsv_samples(raw: list[RawSample]) -> list[HsvSample]:
 
 def hsv_arrays(samples: list[HsvSample]) -> tuple[np.ndarray, np.ndarray]:
     """Column view of HSV samples: (N, 3) uint8 channels and (N,) bool skin flags."""
-    hsv = np.array([(s.h, s.s, s.v) for s in samples], dtype=np.uint8)
-    skin = np.array([s.label is Label.SKIN for s in samples], dtype=bool)
+    hsv = _columns(samples, ("h", "s", "v"))
+    skin = np.fromiter((s.label is Label.SKIN for s in samples), dtype=bool, count=len(samples))
     return hsv, skin
+
+
+def _columns(samples: list, names: tuple[str, ...]) -> np.ndarray:
+    """(N, len(names)) uint8 array of the samples' named fields.
+
+    Filled one column at a time from an iterator, so no list of N
+    per-sample tuples is ever built.
+    """
+    out = np.empty((len(samples), len(names)), dtype=np.uint8)
+    for j, name in enumerate(names):
+        out[:, j] = np.fromiter(map(attrgetter(name), samples), dtype=np.uint8, count=len(samples))
+    return out
 
 
 def train_size(n: int, test_fraction: float) -> int:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from skinseg.colorspace import (
+    HSV_BLOCK,
     HsvPixel,
     RgbPixel,
     YcbcrPixel,
@@ -164,6 +165,21 @@ def test_array_paths_match_scalar():
         sy = rgb_to_ycbcr(p)
         assert (sh.h, sh.s, sh.v) == tuple(int(x) for x in hsv[i])
         assert (sy.y, sy.cr, sy.cb) == tuple(int(x) for x in ycbcr[i])
+
+
+def test_hsv_array_blocks_join_seamlessly():
+    rng = np.random.default_rng(77)
+    n = 2 * HSV_BLOCK + 5
+    rgb = rng.integers(0, 256, size=(n, 3), dtype=np.uint8)
+    hsv = rgb_to_hsv_array(rgb)
+    for i in (0, HSV_BLOCK - 1, HSV_BLOCK, 2 * HSV_BLOCK - 1, 2 * HSV_BLOCK, n - 1):
+        sh = rgb_to_hsv(RgbPixel(int(rgb[i, 0]), int(rgb[i, 1]), int(rgb[i, 2])))
+        assert (sh.h, sh.s, sh.v) == tuple(int(x) for x in hsv[i])
+    # a non-contiguous (rows, cols, 3) view converts like its rows one by one
+    frame = rgb[: 2 * HSV_BLOCK].reshape(2, HSV_BLOCK, 3)[:, ::-1]
+    expect = hsv[: 2 * HSV_BLOCK].reshape(2, HSV_BLOCK, 3)[:, ::-1]
+    assert np.array_equal(rgb_to_hsv_array(frame), expect)
+    assert rgb_to_hsv_array(np.zeros((0, 3), dtype=np.uint8)).shape == (0, 3)
 
 
 def test_array_shape_validation():

@@ -113,6 +113,8 @@ def test_hsv_arrays():
     assert hsv.dtype == np.uint8
     assert np.array_equal(hsv, [[1, 2, 3], [4, 5, 6]])
     assert np.array_equal(skin, [True, False])
+    hsv, skin = hsv_arrays([])
+    assert hsv.shape == (0, 3) and skin.shape == (0,)
 
 
 def test_train_size_arithmetic():
