@@ -117,11 +117,21 @@ def _check_fraction(value: float) -> float:
 
 def _load_samples(path):
     try:
-        return load_uci(path)
+        samples = load_uci(path)
     except OSError as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
     except DatasetError as exc:
         raise DataError(str(exc)) from exc
+    if not samples:
+        raise DataError(f"dataset {path} is empty")
+    return samples
+
+
+def _split(samples, path, test_fraction, seed):
+    try:
+        return split(samples, SplitConfig(test_fraction=test_fraction, seed=seed))
+    except ValueError as exc:
+        raise DataError(f"cannot split dataset {path}: {exc}") from exc
 
 
 def _load_model(path):
@@ -172,11 +182,8 @@ def cmd_train(args) -> int:
         raise UsageError(f"--batch-size must be >= 1, got {args.batch_size}")
 
     samples = _load_samples(args.dataset)
-    if not samples:
-        raise DataError(f"dataset {args.dataset} is empty")
     counts = label_counts(samples)
-    cfg = SplitConfig(test_fraction=args.test_fraction, seed=args.seed)
-    train_raw, test_raw = split(samples, cfg)
+    train_raw, test_raw = _split(samples, args.dataset, args.test_fraction, args.seed)
 
     lines = [
         f"kind: {args.kind}",
@@ -230,8 +237,6 @@ def cmd_eval(args) -> int:
     _check_fraction(args.test_fraction)
     saved = _load_model(args.model)
     samples = _load_samples(args.dataset)
-    if not samples:
-        raise DataError(f"dataset {args.dataset} is empty")
 
     seed = saved.seed if args.seed is None else args.seed
     if args.seed is not None and args.seed != saved.seed:
@@ -247,7 +252,7 @@ def cmd_eval(args) -> int:
             file=sys.stderr,
         )
 
-    _, test_raw = split(samples, SplitConfig(test_fraction=args.test_fraction, seed=seed))
+    _, test_raw = _split(samples, args.dataset, args.test_fraction, seed)
     if not test_raw:
         raise DataError("held-out split is empty")
     rgb = np.array([(s.r, s.g, s.b) for s in test_raw], dtype=np.uint8)
@@ -346,8 +351,6 @@ def cmd_bench(args) -> int:
 def cmd_dataset_stats(args) -> int:
     _check_fraction(args.test_fraction)
     samples = _load_samples(args.dataset)
-    if not samples:
-        raise DataError(f"dataset {args.dataset} is empty")
     counts = label_counts(samples)
     n_train = train_size(len(samples), args.test_fraction)
     print(f"samples: {len(samples)}")

@@ -141,7 +141,8 @@ def roc_auc(scores: Sequence[float], labels: Sequence[Label]) -> tuple[RocCurve,
 
     Thresholds sweep the distinct scores in descending order, predicting
     skin at score >= threshold; equal scores flip together. The curve is
-    anchored at (0, 0) and (1, 1). Raises when either class is absent.
+    anchored at (0, 0) and (1, 1). Raises when either class is absent or
+    a score is NaN.
     """
     scores = np.asarray(scores, dtype=np.float64)
     truth = np.array([lab is Label.SKIN for lab in labels], dtype=bool)
@@ -153,29 +154,20 @@ def roc_auc(scores: Sequence[float], labels: Sequence[Label]) -> tuple[RocCurve,
     n_neg = truth.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC needs at least one positive and one negative label")
+    if np.isnan(scores).any():
+        raise ValueError("ROC scores must not be NaN")
 
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
-    sorted_truth = truth[order]
-
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    n = scores.shape[0]
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        group = sorted_truth[i:j]
-        tp += int(group.sum())
-        fp += group.size - int(group.sum())
-        points.append((fp / n_neg, tp / n_pos))
-        i = j
-
-    auc = 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        auc += (x1 - x0) * (y1 + y0) / 2.0
-    return RocCurve(points=tuple(points)), auc
+    # the last row of each tie group: every threshold flips a whole group
+    ends = np.flatnonzero(np.append(sorted_scores[1:] != sorted_scores[:-1], True))
+    tp = np.cumsum(truth[order])[ends]
+    fpr = np.concatenate(([0.0], (ends + 1 - tp) / n_neg))
+    tpr = np.concatenate(([0.0], tp / n_pos))
+    # cumsum adds left to right, as a running total would
+    auc = float(np.cumsum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0)[-1])
+    points = tuple(zip(fpr.tolist(), tpr.tolist()))
+    return RocCurve(points=points), auc
 
 
 def _format_value(value) -> str:

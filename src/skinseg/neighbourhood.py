@@ -70,8 +70,11 @@ class ProbabilityMap:
             )
         if p_skin.size == 0:
             raise ValueError("probability map must be non-empty")
-        if np.any(p_skin < 0) or np.any(p_non_skin < 0):
-            raise ValueError("probabilities must be non-negative")
+        for plane in (p_skin, p_non_skin):  # reductions: no full-size temporaries
+            if not 0.0 <= plane.min() <= plane.max() <= 1.0:  # also catches NaN
+                raise ValueError(
+                    f"probabilities must lie in [0, 1], got {plane.min():g}..{plane.max():g}"
+                )
         dev = np.abs(p_skin + p_non_skin - 1.0).max()
         if not dev <= _PAIR_SUM_TOL:  # also catches NaN
             raise ValueError(f"pixel pairs must sum to 1 (max deviation {dev:g})")

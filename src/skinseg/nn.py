@@ -7,6 +7,13 @@ single-threaded and bit-deterministic for a fixed seed (weights are
 drawn layer by layer from Generator(PCG64(seed)), biases start at zero,
 and each epoch reshuffles with the same generator).
 
+An MlpModel's weights and biases are views of one contiguous float64
+vector, params, in W0, b0, W1, b1, ... order (the order backward
+returns its gradients in). Training updates that vector, and the Adam
+moment vectors of the same length, in place once per batch. Adam's
+hyperparameters are the module constants ADAM_LR = 0.001,
+ADAM_BETA1 = 0.9, ADAM_BETA2 = 0.999 and ADAM_EPS = 1e-7.
+
 Inference keeps no backprop cache across the batch: forward_batch
 walks the rows in blocks of at most FORWARD_BLOCK_ROWS and holds only
 the current block's activations, so its working memory does not grow
@@ -14,7 +21,7 @@ with the batch. Only training keeps every row's activations, for
 backward.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +37,11 @@ _LOG_CLAMP = 1e-12
 # rows per forward_batch block: a block's forward cache (119 float64
 # columns) stays under 8 MB, and the per-block call overhead stays small
 FORWARD_BLOCK_ROWS = 8192
+
+ADAM_LR = 0.001
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-7
 
 
 @dataclass(frozen=True)
@@ -52,9 +64,17 @@ class MlpArchitecture:
 
 @dataclass
 class MlpModel:
+    """An MLP's parameters; weights and biases become views of params.
+
+    The constructor copies the given arrays into params, in W0, b0, W1,
+    b1, ... order, and replaces both lists by views of it, so an update
+    of params is an update of every layer.
+    """
+
     arch: MlpArchitecture
     weights: list[np.ndarray]  # weights[l] has shape (fan_in, fan_out)
     biases: list[np.ndarray]
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = self.arch.layer_dims
@@ -63,6 +83,11 @@ class MlpModel:
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (dims[l], dims[l + 1]) or b.shape != (dims[l + 1],):
                 raise ValueError(f"layer {l} shapes {w.shape}/{b.shape} do not match {dims}")
+        arrays = [a for pair in zip(self.weights, self.biases) for a in pair]
+        self.params = np.concatenate(arrays, axis=None, dtype=np.float64)
+        ends = np.cumsum([a.size for a in arrays])[:-1]
+        views = [v.reshape(a.shape) for v, a in zip(np.split(self.params, ends), arrays)]
+        self.weights, self.biases = views[0::2], views[1::2]
 
 
 def init_model(arch: MlpArchitecture, rng: np.random.Generator) -> MlpModel:
@@ -74,20 +99,6 @@ def init_model(arch: MlpArchitecture, rng: np.random.Generator) -> MlpModel:
         weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
     return MlpModel(arch=arch, weights=weights, biases=biases)
-
-
-def parameters(model: MlpModel) -> list[np.ndarray]:
-    """Flat parameter list [W0, b0, W1, b1, ...] in layer order."""
-    out = []
-    for w, b in zip(model.weights, model.biases):
-        out.extend((w, b))
-    return out
-
-
-def set_parameters(model: MlpModel, params: list[np.ndarray]) -> None:
-    for l in range(len(model.weights)):
-        model.weights[l] = params[2 * l]
-        model.biases[l] = params[2 * l + 1]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -155,7 +166,7 @@ def _batch_mean_loss(probs: np.ndarray, targets: np.ndarray) -> float:
 
 
 def backward(model: MlpModel, cache, targets: np.ndarray) -> list[np.ndarray]:
-    """Gradients of the batch-mean cross-entropy in parameters() order.
+    """Gradients of the batch-mean cross-entropy as [dW0, db0, dW1, db1, ...].
 
     The softmax + cross-entropy head collapses to (probs - one_hot) at the
     output; hidden layers propagate through the ReLU mask.
@@ -175,46 +186,31 @@ def backward(model: MlpModel, cache, targets: np.ndarray) -> list[np.ndarray]:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the shared hyperparameters."""
+    """First/second moment vectors, shaped like the parameter vector, and the step count."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-7
 
     @classmethod
-    def fresh(cls, params: list[np.ndarray], **hyper) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            **hyper,
-        )
+    def fresh(cls, params: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
-def adam_step(
-    state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]
-) -> tuple[list[np.ndarray], AdamState]:
-    """One Adam update; returns fresh parameter arrays and the new state.
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> None:
+    """One Adam update of params and of state, in place.
 
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2;  bias-corrected
     m_hat = m/(1-b1^t), v_hat = v/(1-b2^t);  p <- p - lr * m_hat/(sqrt(v_hat)+eps).
     """
-    t = state.t + 1
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        new_params.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, AdamState(
-        m=new_m, v=new_v, t=t, lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps
-    )
+    state.t += 1
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grads
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = state.m / (1.0 - ADAM_BETA1**state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2**state.t)
+    params -= ADAM_LR * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -256,7 +252,7 @@ def train(
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     model = init_model(arch, rng)
-    state = AdamState.fresh(parameters(model))
+    state = AdamState.fresh(model.params)
     n = len(train_set)
 
     history = []
@@ -268,8 +264,7 @@ def train(
             probs, cache = _forward_cached(model, x[batch])
             loss_sum += _batch_mean_loss(probs, targets[batch]) * batch.size
             grads = backward(model, cache, targets[batch])
-            new_params, state = adam_step(state, parameters(model), grads)
-            set_parameters(model, new_params)
+            adam_step(state, model.params, np.concatenate(grads, axis=None))
         history.append(loss_sum / n)
     return model, history
 

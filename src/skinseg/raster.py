@@ -198,13 +198,13 @@ def downscale_half(img: Image) -> Image:
 def upscale_mask_2x(mask: MaskImage, target_w: int, target_h: int) -> MaskImage:
     """Nearest-neighbour 2x upscale of a mask to the original image size.
 
-    The target may be one short of exactly double in either axis (the
-    downscale dropped an odd row/column); the last source row/column is
-    repeated to cover it.
+    The target is exactly double in each axis, or one longer where
+    downscale_half dropped a trailing odd row/column; the last mask
+    row/column is repeated to cover it.
     """
-    if not 2 * mask.width - 1 <= target_w <= 2 * mask.width:
+    if not 2 * mask.width <= target_w <= 2 * mask.width + 1:
         raise ValueError(f"target width {target_w} incompatible with mask width {mask.width}")
-    if not 2 * mask.height - 1 <= target_h <= 2 * mask.height:
+    if not 2 * mask.height <= target_h <= 2 * mask.height + 1:
         raise ValueError(f"target height {target_h} incompatible with mask height {mask.height}")
     ys = np.minimum(np.arange(target_h) // 2, mask.height - 1)
     xs = np.minimum(np.arange(target_w) // 2, mask.width - 1)

@@ -37,7 +37,6 @@ class SegmentResult:
     mask: MaskImage
     probabilities: ProbabilityMap  # final map at the working resolution
     elapsed_seconds: float
-    used_downscale: bool
 
 
 def score_rgb(model, rgb: np.ndarray) -> np.ndarray:
@@ -100,30 +99,9 @@ def segment_image(
         pmap, mask = refine(pmap, refine_cfg)
     mask_img = MaskImage.from_bool(mask.pixels)
     if downscale:
-        mask_img = _restore_geometry(mask_img, image.width, image.height)
+        mask_img = upscale_mask_2x(mask_img, image.width, image.height)
     elapsed = time.perf_counter() - start
-    return SegmentResult(
-        mask=mask_img, probabilities=pmap, elapsed_seconds=elapsed,
-        used_downscale=downscale,
-    )
-
-
-def _restore_geometry(mask: MaskImage, target_w: int, target_h: int) -> MaskImage:
-    """Upscale a half-resolution mask back to the source dimensions.
-
-    upscale_mask_2x reaches at most (2w, 2h); a source with an odd width
-    or height lost its trailing column/row in the downscale, so the last
-    mask column/row is replicated to restore the exact geometry.
-    """
-    up_w = min(target_w, 2 * mask.width)
-    up_h = min(target_h, 2 * mask.height)
-    up = upscale_mask_2x(mask, up_w, up_h)
-    pixels = up.pixels
-    if up_w < target_w:
-        pixels = np.concatenate([pixels, pixels[:, -1:]], axis=1)
-    if up_h < target_h:
-        pixels = np.concatenate([pixels, pixels[-1:, :]], axis=0)
-    return MaskImage(pixels)
+    return SegmentResult(mask=mask_img, probabilities=pmap, elapsed_seconds=elapsed)
 
 
 def probability_rendering(pmap: ProbabilityMap) -> np.ndarray:

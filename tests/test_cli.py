@@ -474,6 +474,24 @@ def test_malformed_model_body_exits_2(kind, pattern, repl, noisy_disc, tmp_path,
     assert not mask_path.exists()
 
 
+@pytest.mark.parametrize("command, expect_rc", [("train", 2), ("eval", 2), ("dataset-stats", 0)])
+def test_one_row_dataset(command, expect_rc, bayes_model, tmp_path, capsys):
+    one_row = tmp_path / "one_row.txt"
+    one_row.write_text("1 2 3 1\n", encoding="ascii")
+    argv = {
+        "train": ["train", "--dataset", str(one_row), "--model", str(tmp_path / "m"),
+                  "--kind", "bayes"],
+        "eval": ["eval", "--dataset", str(one_row), "--model", str(bayes_model)],
+        "dataset-stats": ["dataset-stats", "--dataset", str(one_row)],
+    }[command]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == expect_rc, err
+    if expect_rc == 2:
+        assert f"dataset {one_row}" in err
+        assert "internal error" not in err
+
+
 def test_usage_errors_exit_1(workdir, surrogate_file, bayes_model, capsys):
     cases = (
         [],  # no subcommand

@@ -235,6 +235,53 @@ def test_roc_invariant_under_monotone_transform():
     assert auc_a == auc_b
 
 
+def _loop_roc_auc(scores, labels):
+    """The per-group sweep and running trapezoid sum roc_auc used to run."""
+    scores = np.asarray(scores, dtype=np.float64)
+    truth = np.array([lab is Label.SKIN for lab in labels], dtype=bool)
+    n_pos = int(truth.sum())
+    n_neg = truth.size - n_pos
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_truth = truth[order]
+    points = [(0.0, 0.0)]
+    tp = fp = 0
+    i = 0
+    n = scores.shape[0]
+    while i < n:
+        j = i
+        while j < n and sorted_scores[j] == sorted_scores[i]:
+            j += 1
+        group = sorted_truth[i:j]
+        tp += int(group.sum())
+        fp += group.size - int(group.sum())
+        points.append((fp / n_neg, tp / n_pos))
+        i = j
+    auc = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        auc += (x1 - x0) * (y1 + y0) / 2.0
+    return tuple(points), auc
+
+
+@pytest.mark.parametrize("levels", [None, 2, 5, 50, 1000])
+def test_roc_matches_loop_oracle_bit_for_bit(levels):
+    rng = np.random.default_rng(7 if levels is None else levels)
+    for n in (2, 3, 17, 4000):
+        scores = rng.random(n) if levels is None else rng.integers(0, levels, size=n) / levels
+        flags = rng.random(n) < 0.3
+        flags[0], flags[1] = True, False
+        labels = [Label.SKIN if f else Label.NON_SKIN for f in flags]
+        curve, auc = roc_auc(scores, labels)
+        points, expect = _loop_roc_auc(scores, labels)
+        assert curve.points == points
+        assert auc == expect
+
+
+def test_roc_rejects_nan_scores():
+    with pytest.raises(ValueError, match="NaN"):
+        roc_auc([0.3, float("nan")], [Label.SKIN, Label.NON_SKIN])
+
+
 # ------------------------------------------------------------ report format
 
 

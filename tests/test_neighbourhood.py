@@ -42,6 +42,8 @@ def test_probability_map_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             ProbabilityMap(np.array([[0.25, bad]]), np.array([[0.75, 0.5]]))
+    with pytest.raises(ValueError):  # sums to 1 within tolerance, but q > 1
+        ProbabilityMap(np.array([[0.0]]), np.array([[1.0 + 6e-10]]))
     pm = _pmap([[0.25, 0.75]])
     assert pm.width == 2 and pm.height == 1
     pix = pm.pixel(1, 0)

@@ -20,8 +20,6 @@ from skinseg.nn import (
     init_model,
     mlp_predict_batch,
     one_hot,
-    parameters,
-    set_parameters,
     softmax,
     train,
     _forward_cached,
@@ -188,9 +186,10 @@ def gradient_check_pairs(n_pairs: int, seed: int, *, step=1e-5, tol=1e-4):
         if min(float(np.min(np.abs(z))) for z in pre[:-1]) < 1e-4:
             continue
         analytic = backward(model, cache, target.reshape(1, 2))
-        params = parameters(model)
+        params = [a for pair in zip(model.weights, model.biases) for a in pair]
         for p_idx, param in enumerate(params):
-            flat = param.ravel()
+            flat = param.reshape(-1)
+            assert np.shares_memory(flat, param)
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + step
@@ -214,32 +213,32 @@ def test_gradients_match_finite_differences():
 
 
 def test_adam_first_step_hand_value():
-    p = [np.array([1.0])]
-    g = [np.array([1.0])]
+    p = np.array([1.0])
     state = AdamState.fresh(p)
-    new_p, new_state = adam_step(state, p, g)
+    adam_step(state, p, np.array([1.0]))
     # hand evaluation: m_hat = 1, v_hat = 1 -> update = -lr / (1 + eps)
     expect = 1.0 - 0.001 * 1.0 / (1.0 + 1e-7)
-    assert new_p[0][0] == pytest.approx(expect, abs=1e-15)
-    assert new_p[0][0] == pytest.approx(1.0 - 0.001, abs=1e-6)
-    assert new_state.t == 1
-    assert new_state.m[0][0] == pytest.approx(0.1)
-    assert new_state.v[0][0] == pytest.approx(0.001)
+    assert p[0] == pytest.approx(expect, abs=1e-15)
+    assert p[0] == pytest.approx(1.0 - 0.001, abs=1e-6)
+    assert state.t == 1
+    assert state.m[0] == pytest.approx(0.1)
+    assert state.v[0] == pytest.approx(0.001)
 
 
 def test_adam_zero_gradient_is_identity():
-    p = [np.array([0.4, -0.2]), np.array([[1.0, 2.0]])]
+    p = np.array([0.4, -0.2, 1.0, 2.0])
+    before = p.copy()
     state = AdamState.fresh(p)
-    new_p, state = adam_step(state, p, [np.zeros(2), np.zeros((1, 2))])
-    assert all(np.array_equal(a, b) for a, b in zip(new_p, p))
+    adam_step(state, p, np.zeros(4))
+    assert np.array_equal(p, before)
 
 
 def test_adam_two_steps_match_unrolled_recurrence():
     g_const = 0.37
-    p = [np.array([2.0])]
+    p = np.array([2.0])
     state = AdamState.fresh(p)
     for _ in range(2):
-        p, state = adam_step(state, p, [np.array([g_const])])
+        adam_step(state, p, np.array([g_const]))
 
     # independent scalar recurrence
     m = v = 0.0
@@ -250,16 +249,15 @@ def test_adam_two_steps_match_unrolled_recurrence():
         m_hat = m / (1.0 - 0.9**t)
         v_hat = v / (1.0 - 0.999**t)
         param = param - 0.001 * m_hat / (math.sqrt(v_hat) + 1e-7)
-    assert p[0][0] == pytest.approx(param, abs=1e-15)
+    assert p[0] == pytest.approx(param, abs=1e-15)
 
 
 def test_adam_first_step_is_sign_scaled():
     for mag in (1e-3, 1.0, 1e3):
         for sign in (-1.0, 1.0):
-            p = [np.array([0.0])]
-            state = AdamState.fresh(p)
-            new_p, _ = adam_step(state, p, [np.array([sign * mag])])
-            assert new_p[0][0] == pytest.approx(-sign * 0.001, rel=1e-3)
+            p = np.array([0.0])
+            adam_step(AdamState.fresh(p), p, np.array([sign * mag]))
+            assert p[0] == pytest.approx(-sign * 0.001, rel=1e-3)
 
 
 def test_two_parameter_logistic_matches_scripted_loop():
@@ -276,11 +274,11 @@ def test_two_parameter_logistic_matches_scripted_loop():
         p = 1.0 / (1.0 + np.exp(-(w * xs + b)))
         return np.array([np.mean((p - ys) * xs)]), np.array([np.mean(p - ys)])
 
-    params = [np.array([0.3]), np.array([-0.2])]
+    params = np.array([0.3, -0.2])
     state = AdamState.fresh(params)
     for _ in range(3):
-        gw, gb = grads(params[0][0], params[1][0])
-        params, state = adam_step(state, params, [gw, gb])
+        gw, gb = grads(params[0], params[1])
+        adam_step(state, params, np.concatenate([gw, gb]))
 
     # scripted oracle: plain-float Adam recurrence on the same problem
     w, b = 0.3, -0.2
@@ -297,8 +295,8 @@ def test_two_parameter_logistic_matches_scripted_loop():
             v_hat = v[i] / (1.0 - 0.999**t)
             new.append(value - 0.001 * m_hat / (math.sqrt(v_hat) + 1e-7))
         w, b = new
-    assert params[0][0] == pytest.approx(w, abs=1e-9)
-    assert params[1][0] == pytest.approx(b, abs=1e-9)
+    assert params[0] == pytest.approx(w, abs=1e-9)
+    assert params[1] == pytest.approx(b, abs=1e-9)
 
 
 def test_train_config_defaults_and_validation():
@@ -416,16 +414,6 @@ def test_train_replicated_by_straightline_script():
     assert history == script_history
     for got, expect in zip(model.weights + model.biases, [w0, w1, b0, b1]):
         assert np.array_equal(got, expect)
-
-
-def test_set_parameters_round_trip():
-    model = init_model(MlpArchitecture(hidden_layers=(4,)),
-                       np.random.Generator(np.random.PCG64(1)))
-    params = parameters(model)
-    doubled = [p * 2 for p in params]
-    set_parameters(model, doubled)
-    assert np.array_equal(parameters(model)[0], doubled[0])
-    assert np.array_equal(model.weights[0], doubled[0])
 
 
 def test_predict_batch_matches_forward():

@@ -199,20 +199,26 @@ def test_upscale_checkerboard_blocks():
 
 def test_upscale_odd_targets_repeat_last_line():
     mask = MaskImage.from_bool(np.array([[True, False], [False, True]]))
-    up = upscale_mask_2x(mask, 3, 3)
+    up = upscale_mask_2x(mask, 5, 5)
     expect = np.array(
-        [[True, True, False], [True, True, False], [False, False, True]]
+        [
+            [True, True, False, False, False],
+            [True, True, False, False, False],
+            [False, False, True, True, True],
+            [False, False, True, True, True],
+            [False, False, True, True, True],
+        ]
     )
     assert np.array_equal(up.to_bool(), expect)
 
 
 def test_upscale_rejects_incompatible_targets():
     mask = MaskImage.from_bool(np.zeros((3, 3), dtype=bool))
-    for bad_w, bad_h in ((4, 6), (7, 6), (6, 4), (6, 7)):
+    for bad_w, bad_h in ((5, 6), (8, 6), (6, 5), (6, 8)):
         with pytest.raises(ValueError):
             upscale_mask_2x(mask, bad_w, bad_h)
-    upscale_mask_2x(mask, 5, 6)  # boundary targets are fine
-    upscale_mask_2x(mask, 6, 5)
+    upscale_mask_2x(mask, 7, 6)  # boundary targets are fine
+    upscale_mask_2x(mask, 6, 7)
 
 
 def test_constant_mask_survives_scale_cycle():
