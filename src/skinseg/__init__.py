@@ -27,8 +27,10 @@ from .colorspace import (
 from .dataset import (
     DatasetError,
     HsvSample,
+    HsvSamples,
     Label,
     RawSample,
+    RawSamples,
     SplitConfig,
     load_uci,
     parse_uci,

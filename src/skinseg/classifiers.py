@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .colorspace import HsvPixel, RgbPixel, YcbcrPixel, rgb_to_ycbcr, rgb_to_ycbcr_array
-from .dataset import HsvSample, Label, hsv_arrays
+from .dataset import HsvSample, HsvSamples, Label, hsv_arrays
 
 DOMAIN_SIZE = 256  # each HSV attribute is quantized onto 0-255
 
@@ -126,7 +126,7 @@ class BayesModel:
         return (self.counts + self.alpha) / denom
 
 
-def bayes_fit(train: list[HsvSample], alpha: float = 1.0) -> BayesModel:
+def bayes_fit(train: HsvSamples | list[HsvSample], alpha: float = 1.0) -> BayesModel:
     """Count per-attribute values for each class and store priors.
 
     Raises ValueError when the training set is empty, a class is absent
@@ -301,7 +301,7 @@ def _best_split(values: np.ndarray, skin: np.ndarray):
     return best
 
 
-def tree_fit(train: list[HsvSample], cfg: TreeConfig = TreeConfig()) -> TreeModel:
+def tree_fit(train: HsvSamples | list[HsvSample], cfg: TreeConfig = TreeConfig()) -> TreeModel:
     """Grow a CART tree on quantized HSV samples.
 
     A node becomes a leaf when it is pure, holds fewer than

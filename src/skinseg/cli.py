@@ -121,7 +121,7 @@ def _load_samples(path):
     except OSError as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
     except DatasetError as exc:
-        raise DataError(str(exc)) from exc
+        raise DataError(f"dataset {path}: {exc}") from exc
     if not samples:
         raise DataError(f"dataset {path} is empty")
     return samples
@@ -221,7 +221,7 @@ def cmd_train(args) -> int:
             for epoch, loss in enumerate(history, start=1):
                 lines.append(f"epoch_loss: {epoch} {loss:.6f}")
     except ValueError as exc:
-        raise DataError(str(exc)) from exc
+        raise DataError(f"cannot train on dataset {args.dataset}: {exc}") from exc
 
     fingerprint = model_io.dataset_fingerprint(samples)
     try:
@@ -255,12 +255,11 @@ def cmd_eval(args) -> int:
     _, test_raw = _split(samples, args.dataset, args.test_fraction, seed)
     if not test_raw:
         raise DataError("held-out split is empty")
-    rgb = np.array([(s.r, s.g, s.b) for s in test_raw], dtype=np.uint8)
-    truth = np.array([s.label is Label.SKIN for s in test_raw], dtype=bool)
-    scores = score_rgb(saved.model, rgb)
+    truth = test_raw.skin
+    scores = score_rgb(saved.model, test_raw.channels[:, ::-1])
     matrix = confusion_from_flags(scores >= 0.5, truth)
     try:
-        _, auc = roc_auc(scores, [s.label for s in test_raw])
+        _, auc = roc_auc(scores, np.where(truth, Label.SKIN, Label.NON_SKIN))
     except ValueError:
         auc = None  # single-class test split: the curve is undefined
     report = scalar_metrics(matrix, auc=auc)

@@ -1,7 +1,26 @@
-"""UCI skin-segmentation file parsing, HSV conversion and seeded splits.
+"""UCI skin-segmentation datasets: columnar storage, parsing, HSV conversion, splits.
 
 The on-disk format is one sample per line: four whitespace-separated
 base-10 integers ``B G R label`` with label 1 = skin, 2 = non-skin.
+
+A dataset is held as columns: an (N, 3) uint8 channel array and an (N,)
+bool skin vector. ``RawSamples`` (B, G, R channels) and ``HsvSamples``
+(H, S, V) wrap the pair as read-only sequences whose items are
+``RawSample``/``HsvSample`` objects built on access. Every function here
+that takes samples also takes a plain list of sample objects, which is
+turned into columns once on entry.
+
+``load_uci`` reads the file's bytes and parses them in blocks of about
+1 MiB, cut at a newline, one vectorised pass per block. That fast path
+takes a file only when every byte is an ASCII digit, space, tab or
+``\\n``, every token has 1-3 digits, every line holds 0 or 4 tokens,
+every channel is at most 255 and every label is 1 or 2. Anything else
+-- ``\\r`` line ends, form feeds, signs (``+7``), underscores (``1_0``),
+non-ASCII bytes, longer numbers, malformed lines -- sends the whole file
+to the slow path, the per-line ``parse_uci``. It accepts what Python's
+``str.split`` and ``int`` accept, and it is the only source of
+``DatasetError`` messages, so their wording and line numbers do not
+depend on where a block was cut.
 
 Splits are reproducible across platforms: the shuffle uses numpy's PCG64
 bit generator (seeded, 64-bit, documented stream stability) and the
@@ -10,14 +29,18 @@ N = 299,629 at test fraction 0.30 always lands on 209,740 / 89,889.
 """
 
 import enum
+import io
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
 
 from .colorspace import rgb_to_hsv_array
+
+PARSE_BLOCK = 1 << 20  # bytes per fast-parse block (cut at the next newline)
+RENDER_BLOCK = 65536  # rows per serialize_uci block: about 1 MiB of temporaries
 
 
 class Label(enum.Enum):
@@ -57,6 +80,68 @@ class HsvSample:
     label: Label
 
 
+class _Samples(Sequence):
+    """Read-only rows over an (N, 3) uint8 channel array and an (N,) bool skin vector.
+
+    The arrays are held as given, not copied. Indexing with an int builds
+    one sample object; a slice or an integer index array gives another
+    view of the selected rows.
+    """
+
+    sample: type
+    fields: tuple[str, str, str]
+
+    def __init__(self, channels: np.ndarray, skin: np.ndarray):
+        if skin.dtype != bool or skin.ndim != 1 \
+                or channels.dtype != np.uint8 or channels.shape != (len(skin), 3):
+            raise ValueError(f"expected (N, 3) uint8 channels and (N,) bool skin, got "
+                             f"{channels.dtype}{channels.shape} and {skin.dtype}{skin.shape}")
+        self.channels = channels
+        self.skin = skin
+
+    @classmethod
+    def of(cls, samples):
+        """The samples as this kind of view; a plain sequence is converted once."""
+        if isinstance(samples, cls):
+            return samples
+        channels = np.array([[getattr(s, f) for f in cls.fields] for s in samples],
+                            dtype=np.uint8)
+        skin = np.array([s.label is Label.SKIN for s in samples], dtype=bool)
+        return cls(channels.reshape(-1, 3), skin)
+
+    def __len__(self) -> int:
+        return self.skin.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, (slice, np.ndarray)):
+            return type(self)(self.channels[index], self.skin[index])
+        a, b, c = self.channels[index].tolist()
+        return self.sample(a, b, c, Label.SKIN if self.skin[index] else Label.NON_SKIN)
+
+    def __iter__(self) -> Iterator:
+        for (a, b, c), skin in zip(self.channels.tolist(), self.skin.tolist()):
+            yield self.sample(a, b, c, Label.SKIN if skin else Label.NON_SKIN)
+
+    def __eq__(self, other):
+        if not isinstance(other, (_Samples, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+
+class RawSamples(_Samples):
+    """A dataset as read from disk: B, G, R channels and the skin flags."""
+
+    sample = RawSample
+    fields = ("b", "g", "r")
+
+
+class HsvSamples(_Samples):
+    """Quantized H, S, V channels and the skin flags."""
+
+    sample = HsvSample
+    fields = ("h", "s", "v")
+
+
 @dataclass(frozen=True)
 class SplitConfig:
     test_fraction: float = 0.30
@@ -93,51 +178,115 @@ def parse_uci(lines: Iterable[str]) -> list[RawSample]:
     return samples
 
 
-def serialize_uci(samples: Iterable[RawSample]) -> str:
+# each value 0-255 as three ASCII bytes, right-aligned and padded with spaces
+_DIGITS = np.array([list(f"{v:>3}".encode("ascii")) for v in range(256)], dtype=np.uint8)
+
+
+def serialize_blocks(samples: RawSamples | list[RawSample]) -> Iterator[bytes]:
+    """serialize_uci's bytes, RENDER_BLOCK rows at a time."""
+    raw = RawSamples.of(samples)
+    for start in range(0, len(raw), RENDER_BLOCK):
+        channels = raw.channels[start : start + RENDER_BLOCK]
+        skin = raw.skin[start : start + RENDER_BLOCK]
+        # fixed-width rows "BBB\tGGG\tRRR\tL\n"; dropping the pad spaces gives the text
+        rows = np.empty((len(skin), 14), dtype=np.uint8)
+        for j in range(3):
+            rows[:, 4 * j : 4 * j + 3] = _DIGITS[channels[:, j]]
+        rows[:, 3:12:4] = ord("\t")
+        rows[:, 12] = np.where(skin, ord("1"), ord("2"))
+        rows[:, 13] = ord("\n")
+        yield rows[rows != ord(" ")].tobytes()
+
+
+def serialize_uci(samples: RawSamples | list[RawSample]) -> str:
     """Render samples back to the on-disk line format (inverse of parse_uci)."""
-    return "".join(f"{s.b}\t{s.g}\t{s.r}\t{s.label.code}\n" for s in samples)
+    return b"".join(serialize_blocks(samples)).decode("ascii")
 
 
-def load_uci(path) -> list[RawSample]:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_uci(fh)
+def load_uci(path) -> RawSamples:
+    """Read a dataset file into columns.
 
-
-def label_counts(samples) -> dict[Label, int]:
-    counts = {Label.SKIN: 0, Label.NON_SKIN: 0}
-    for s in samples:
-        counts[s.label] += 1
-    return counts
-
-
-def to_hsv_samples(raw: list[RawSample]) -> list[HsvSample]:
-    """Convert raw BGR samples to quantized HSV samples, order preserved."""
-    if not raw:
-        return []
-    hsv = rgb_to_hsv_array(_columns(raw, ("r", "g", "b")))
-    return [
-        HsvSample(h=int(row[0]), s=int(row[1]), v=int(row[2]), label=s.label)
-        for row, s in zip(hsv, raw)
-    ]
-
-
-def hsv_arrays(samples: list[HsvSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Column view of HSV samples: (N, 3) uint8 channels and (N,) bool skin flags."""
-    hsv = _columns(samples, ("h", "s", "v"))
-    skin = np.fromiter((s.label is Label.SKIN for s in samples), dtype=bool, count=len(samples))
-    return hsv, skin
-
-
-def _columns(samples: list, names: tuple[str, ...]) -> np.ndarray:
-    """(N, len(names)) uint8 array of the samples' named fields.
-
-    Filled one column at a time from an iterator, so no list of N
-    per-sample tuples is ever built.
+    Raises OSError when the file cannot be read and DatasetError, naming
+    the line, when it is malformed.
     """
-    out = np.empty((len(samples), len(names)), dtype=np.uint8)
-    for j, name in enumerate(names):
-        out[:, j] = np.fromiter(map(attrgetter(name), samples), dtype=np.uint8, count=len(samples))
-    return out
+    with open(path, "rb") as fh:
+        data = fh.read()
+    channels, skin = [], []
+    start = 0
+    while start < len(data):
+        cut = data.find(b"\n", start + PARSE_BLOCK - 1)
+        end = len(data) if cut < 0 else cut + 1
+        parsed = _parse_block(data[start:end])
+        if parsed is None:
+            text = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", errors="surrogateescape")
+            return RawSamples.of(parse_uci(text))
+        channels.append(parsed[0])
+        skin.append(parsed[1])
+        start = end
+    if not skin:
+        return RawSamples(np.empty((0, 3), dtype=np.uint8), np.empty(0, dtype=bool))
+    return RawSamples(np.concatenate(channels), np.concatenate(skin))
+
+
+def _parse_block(block: bytes):
+    """(channels, skin) of a block of whole lines, or None if any of it is not plain.
+
+    Plain means: only ASCII digits, space, tab and newline; tokens of 1-3
+    digits; 0 or 4 tokens per line; channels <= 255; labels 1 or 2. Every
+    such block reads the same under parse_uci, so np.fromstring only ever
+    sees well-formed input.
+    """
+    if not block.endswith(b"\n"):
+        block += b"\n"
+    raw = np.frombuffer(block, dtype=np.uint8)
+    digit = raw - ord("0") < 10  # uint8 arithmetic wraps, so bytes below "0" land above 9
+    newline = raw == ord("\n")
+    if not (digit | newline | (raw == ord(" ")) | (raw == ord("\t"))).all():
+        return None
+    if (digit[:-3] & digit[1:-2] & digit[2:-1] & digit[3:]).any():
+        return None  # a token of four or more digits
+    token_start = digit.copy()
+    token_start[1:] &= ~digit[:-1]
+    # the token starts and newlines in file order: a line's tokens sit between two newlines
+    is_newline = newline[np.flatnonzero(token_start | newline)]
+    per_line = np.diff(np.flatnonzero(is_newline), prepend=-1) - 1
+    if not ((per_line == 0) | (per_line == 4)).all():
+        return None
+    if not per_line.any():  # blank lines only; fromstring would read them as a 0
+        return np.empty((0, 3), dtype=np.uint8), np.empty(0, dtype=bool)
+    rows = np.fromstring(block, dtype=np.int16, sep=" ").reshape(-1, 4)
+    label = rows[:, 3]
+    if (rows[:, :3] > 255).any() or not ((label == 1) | (label == 2)).all():
+        return None
+    return rows[:, :3].astype(np.uint8), label == 1
+
+
+def label_counts(samples: Sequence) -> dict[Label, int]:
+    skin = int(_columns(samples).skin.sum())
+    return {Label.SKIN: skin, Label.NON_SKIN: len(samples) - skin}
+
+
+def to_hsv_samples(raw: RawSamples | list[RawSample]) -> HsvSamples:
+    """Convert raw BGR samples to quantized HSV samples, order preserved."""
+    raw = RawSamples.of(raw)
+    return HsvSamples(rgb_to_hsv_array(raw.channels[:, ::-1]), raw.skin)
+
+
+def hsv_arrays(samples: HsvSamples | list[HsvSample]) -> tuple[np.ndarray, np.ndarray]:
+    """Column view of HSV samples: (N, 3) uint8 channels and (N,) bool skin flags."""
+    hsv = HsvSamples.of(samples)
+    return hsv.channels, hsv.skin
+
+
+def _columns(samples):
+    """Samples as a view of their own kind; any other sequence as a numpy array."""
+    if isinstance(samples, _Samples):
+        return samples
+    if len(samples) and isinstance(samples[0], HsvSample):
+        return HsvSamples.of(samples)
+    if not len(samples) or isinstance(samples[0], RawSample):
+        return RawSamples.of(samples)
+    return np.asarray(samples)
 
 
 def train_size(n: int, test_fraction: float) -> int:
@@ -150,19 +299,20 @@ def train_size(n: int, test_fraction: float) -> int:
     return int(n * (1 - frac))  # Fraction -> int truncates toward zero; value >= 0
 
 
-def split(samples: list, cfg: SplitConfig) -> tuple[list, list]:
+def split(samples: Sequence, cfg: SplitConfig) -> tuple[Sequence, Sequence]:
     """Seeded uniform shuffle, then cut into train and test partitions.
 
     The shuffle permutation comes from numpy Generator(PCG64(seed)); train
     takes the first floor(N * (1 - test_fraction)) shuffled samples and
     test the remainder, which reproduces a 209,740 / 89,889 cut for
-    N = 299,629 at fraction 0.30. Deterministic for a fixed seed.
+    N = 299,629 at fraction 0.30. Deterministic for a fixed seed. Samples
+    come back as views of their kind; any other sequence as numpy arrays.
     """
     n = len(samples)
     if n < 2:
         raise ValueError(f"need at least 2 samples to split, got {n}")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     perm = rng.permutation(n)
-    shuffled = [samples[i] for i in perm]
     n_train = train_size(n, cfg.test_fraction)
-    return shuffled[:n_train], shuffled[n_train:]
+    table = _columns(samples)
+    return table[perm[:n_train]], table[perm[n_train:]]

@@ -40,7 +40,7 @@ import numpy as np
 
 from .classifiers import BayesModel, ThresholdRange, TreeConfig, TreeModel, TreeNode
 from .colorspace import YcbcrPixel
-from .dataset import RawSample, serialize_uci
+from .dataset import RawSample, RawSamples, serialize_blocks
 from .nn import MlpArchitecture, MlpModel
 
 FORMAT_HEADER = "skinseg-model 1"
@@ -56,9 +56,12 @@ class SavedModel:
     model: object
 
 
-def dataset_fingerprint(samples: list[RawSample]) -> str:
+def dataset_fingerprint(samples: RawSamples | list[RawSample]) -> str:
     """sha256 of the canonical sample serialization (whitespace-insensitive)."""
-    return hashlib.sha256(serialize_uci(samples).encode("ascii")).hexdigest()
+    digest = hashlib.sha256()
+    for block in serialize_blocks(samples):
+        digest.update(block)
+    return digest.hexdigest()
 
 
 def _fmt(x: float) -> str:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .classifiers import ClassProbabilities
 from .colorspace import normalize_hsv_array
-from .dataset import HsvSample, Label, hsv_arrays
+from .dataset import HsvSample, HsvSamples, Label, hsv_arrays
 
 INPUT_DIM = 3
 OUTPUT_DIM = 2
@@ -227,7 +227,7 @@ class TrainConfig:
 
 
 def train(
-    train_set: list[HsvSample],
+    train_set: HsvSamples | list[HsvSample],
     arch: MlpArchitecture = MlpArchitecture(),
     cfg: TrainConfig = TrainConfig(),
 ) -> tuple[MlpModel, list[float]]:

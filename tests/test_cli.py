@@ -1,5 +1,6 @@
 """End-to-end command-line coverage on the surrogate dataset."""
 
+import hashlib
 import re
 import subprocess
 import sys
@@ -490,6 +491,71 @@ def test_one_row_dataset(command, expect_rc, bayes_model, tmp_path, capsys):
     if expect_rc == 2:
         assert f"dataset {one_row}" in err
         assert "internal error" not in err
+
+
+@pytest.mark.parametrize("content, message", [
+    pytest.param(b"1 2 3 1\n4 5 6 2\n7 8 9 7\n", "line 3: label must be 1 or 2, got 7",
+                 id="bad-label"),
+    pytest.param(b"1 2 3 1\n4 5 6\xff 2\n", "line 2: non-integer field in "
+                 "['4', '5', '6\\udcff', '2']", id="non-ascii"),
+])
+@pytest.mark.parametrize("command", ["train", "eval", "dataset-stats"])
+def test_malformed_dataset_exits_2_naming_file_and_line(command, content, message,
+                                                        bayes_model, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    argv = {
+        "train": ["train", "--dataset", str(bad), "--model", str(tmp_path / "m"),
+                  "--kind", "bayes"],
+        "eval": ["eval", "--dataset", str(bad), "--model", str(bayes_model)],
+        "dataset-stats": ["dataset-stats", "--dataset", str(bad)],
+    }[command]
+    rc = cli.main(argv)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: dataset {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("kind", ["bayes", "mlp"])  # a one-class tree is a single leaf
+def test_single_class_training_set_exits_2_naming_file(kind, tmp_path, capsys):
+    single = tmp_path / "single.txt"
+    single.write_text("1 2 3 1\n4 5 6 1\n7 8 9 1\n", encoding="ascii")
+    rc = cli.main(["train", "--dataset", str(single), "--model", str(tmp_path / "m"),
+                   "--kind", kind])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot train on dataset {single}: ")
+
+
+# SHA-256 of the model file and the eval report for each kind trained with
+# default flags (mlp: 3 epochs) on surrogate_rows(6000, 24000, seed=5)
+PINNED_DIGESTS = {
+    "threshold": ("4c462c042fe0694014d86d6ca9849b7d689fab9206046b7f290fbd07fc4aca26",
+                  "88295c8438394d6500e903fad8b7d6aed3e2940333c2c76b6a94bfd069a71df7"),
+    "bayes": ("7422b0ce4da134d6cf7ced487bb8dff78fcc55397c386746609a26eeaf1c84b9",
+              "6b6ff278595292fc72cd061df067bff00c77d8b26fd680d0e28ed36e15559687"),
+    "tree": ("585e7a1770a56e434e562d919811334e67be7e908c03926bcc12fce066145181",
+             "10e16badd96a9123d7cce70ad2b0a704689ba7eeef13ecd5cdb4ad9fe36e0083"),
+    "mlp": ("473a637510c188b007f36537906263587e6756910aca5526965eb8a0dc261e24",
+            "ee6ac2c829d4b462f525fbab09841ba7ddea2f42a752334f02be160d5f04b024"),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pinned") / "rows.txt"
+    path.write_text("\n".join(surrogate_rows(6000, 24000, seed=5)) + "\n", encoding="ascii")
+    return path
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_DIGESTS))
+def test_trained_model_and_report_bytes_are_pinned(kind, pinned_dataset, tmp_path):
+    model, report = tmp_path / f"{kind}.model", tmp_path / f"{kind}.report"
+    extra = ["--epochs", "3"] if kind == "mlp" else []
+    assert cli.main(["train", "--dataset", str(pinned_dataset), "--model", str(model),
+                     "--kind", kind, *extra]) == 0
+    assert cli.main(["eval", "--dataset", str(pinned_dataset), "--model", str(model),
+                     "--output", str(report)]) == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (model, report))
+    assert digests == PINNED_DIGESTS[kind]
 
 
 def test_usage_errors_exit_1(workdir, surrogate_file, bayes_model, capsys):

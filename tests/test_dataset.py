@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 
+from skinseg import dataset
 from skinseg.colorspace import RgbPixel, rgb_to_hsv
 from skinseg.dataset import (
     DatasetError,
     HsvSample,
+    HsvSamples,
     Label,
     RawSample,
+    RawSamples,
     SplitConfig,
     hsv_arrays,
     label_counts,
+    load_uci,
     parse_uci,
     serialize_uci,
     split,
@@ -76,6 +80,9 @@ def test_parse_serialize_round_trip():
         )
     ]
     assert parse_uci(serialize_uci(rows).splitlines()) == rows
+    reference = "".join(f"{s.b}\t{s.g}\t{s.r}\t{s.label.code}\n" for s in rows)
+    assert serialize_uci(rows) == reference
+    assert serialize_uci([]) == ""
 
 
 def test_label_counts():
@@ -145,7 +152,7 @@ def test_split_sizes_and_multiset_preservation():
     assert len(train) == train_size(101, 0.30)
     assert len(train) + len(test) == 101
     key = lambda s: (s.b, s.g, s.r, s.label.code)
-    assert sorted(map(key, train + test)) == sorted(map(key, samples))
+    assert sorted(map(key, [*train, *test])) == sorted(map(key, samples))
 
 
 def test_split_deterministic_and_seed_sensitive():
@@ -172,3 +179,151 @@ def test_split_is_a_permutation_of_the_documented_generator():
     expect = [samples[i] for i in perm]
     assert train == expect[:14]
     assert test == expect[14:]
+
+
+def test_columnar_views_read_as_sample_sequences():
+    channels = np.array([[10, 20, 30], [0, 255, 7], [1, 2, 3]], dtype=np.uint8)
+    raw = RawSamples(channels, np.array([True, False, False]))
+    rows = [
+        RawSample(10, 20, 30, Label.SKIN),
+        RawSample(0, 255, 7, Label.NON_SKIN),
+        RawSample(1, 2, 3, Label.NON_SKIN),
+    ]
+    assert len(raw) == 3 and list(raw) == rows and raw == rows
+    assert raw[0] == rows[0] and raw[-1] == rows[2] and raw[np.int64(1)] == rows[1]
+    assert raw[1:] == rows[1:] and raw[np.array([2, 0])] == [rows[2], rows[0]]
+    assert RawSamples.of(rows) == raw and RawSamples.of(raw) is raw
+    assert raw != rows[:2] and raw != "not samples"
+    with pytest.raises(IndexError):
+        raw[3]
+    assert label_counts(raw) == label_counts(rows) == {Label.SKIN: 1, Label.NON_SKIN: 2}
+    with pytest.raises(ValueError):
+        RawSamples(channels, np.array([True, False]))
+    with pytest.raises(ValueError):
+        RawSamples(channels.astype(np.int64), np.array([True, False, False]))
+
+
+def test_hsv_columns_pass_through_without_copies():
+    raw = RawSamples(np.array([[0, 0, 255], [40, 90, 200]], dtype=np.uint8),
+                     np.array([True, False]))
+    converted = to_hsv_samples(raw)
+    assert isinstance(converted, HsvSamples)
+    assert converted == to_hsv_samples(list(raw))
+    hsv, skin = hsv_arrays(converted)
+    assert hsv is converted.channels and skin is converted.skin
+    train, test = split(raw, SplitConfig(test_fraction=0.5, seed=3))
+    assert isinstance(train, RawSamples) and isinstance(test, RawSamples)
+
+
+def _reference_parse(path):
+    """parse_uci over the file's lines, read as text with universal newlines."""
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        return parse_uci(fh)
+
+
+def _outcome(parse, path):
+    try:
+        return "rows", list(parse(path))
+    except DatasetError as exc:
+        return "error", str(exc)
+
+
+_SEPARATORS = (" ", "\t", "  ", " \t ")
+# 65543 and 4294967303 read as 7 in 16 and 32 bits
+_TOKENS = ("+7", "1_0", "007", "0007", "0256", "65543", "4294967303", "99999999999999999999",
+           "-1", "-0", "0", "3", "255", "256", "x", "\xff", "")
+# bytes next to the digits, separators str.split knows and ASCII does not, and a few random ones
+_ODD_BYTES = list("/:.,e\x08\x1c\x1f\x7f\x85\xa0\xff") + [chr(b) for b in range(0, 256, 17)]
+_MUTATIONS = ("crlf", "cr", "formfeed", "vtab", "nul", "blank", "spaces", "no-final-newline",
+              "token", "label", "short", "long", "leading", "byte")
+
+
+def _mutated_file(rng) -> bytes:
+    """A few valid random rows with zero to two random mutations applied."""
+    lines = [[str(v) for v in rng.integers(0, 256, 3)] + [str(rng.integers(1, 3))]
+             for _ in range(int(rng.integers(1, 12)))]
+    end = "\n"
+    for _ in range(int(rng.integers(0, 3))):
+        kind = _MUTATIONS[rng.integers(len(_MUTATIONS))]
+        i = int(rng.integers(len(lines)))
+        if kind == "crlf":
+            end = "\r\n"
+        elif kind == "no-final-newline":
+            end = ""
+        elif kind in ("cr", "formfeed", "vtab", "nul", "byte"):
+            char = {"cr": "\r", "formfeed": "\f", "vtab": "\v", "nul": "\0"}.get(
+                kind, rng.choice(_ODD_BYTES))
+            j = int(rng.integers(len(lines[i]) + 1))
+            lines[i] = lines[i][:j] + [char] + lines[i][j:]
+        elif kind == "blank":
+            lines.insert(i, [])
+        elif kind == "spaces":
+            lines.insert(i, ["".join(rng.choice([" ", "\t"], size=rng.integers(1, 150)))])
+        elif kind == "token":
+            j = int(rng.integers(max(len(lines[i]), 1)))
+            lines[i][j : j + 1] = [_TOKENS[rng.integers(len(_TOKENS))]]
+        elif kind == "label":
+            lines[i][-1:] = [str(rng.choice(["0", "1", "2", "3", "12"]))]
+        elif kind == "short":
+            lines[i] = lines[i][:3]
+        elif kind == "long":
+            lines[i] = lines[i] + ["1"]
+        else:  # leading whitespace
+            lines[i] = [" "] + lines[i]
+    seps = [_SEPARATORS[k] for k in rng.integers(len(_SEPARATORS), size=len(lines))]
+    newline = "\r\n" if end == "\r\n" else "\n"
+    text = newline.join(sep.join(tokens) for sep, tokens in zip(seps, lines)) + end
+    return text.encode("latin-1")
+
+
+def test_fast_parse_agrees_with_per_line_parser(tmp_path, monkeypatch):
+    """Seeded differential test: load_uci against parse_uci on mutated files.
+
+    A 64-byte block size makes most files span several fast-parse blocks,
+    so faults also land next to block cuts.
+    """
+    monkeypatch.setattr(dataset, "PARSE_BLOCK", 64)
+    slow_calls = []
+    monkeypatch.setattr(dataset, "parse_uci",
+                        lambda lines: slow_calls.append(1) or parse_uci(lines))
+    rng = np.random.default_rng(2024)
+    path = tmp_path / "case.txt"
+    outcomes = set()
+    for _ in range(600):
+        data = _mutated_file(rng)
+        path.write_bytes(data)
+        expect = _outcome(_reference_parse, path)
+        assert _outcome(load_uci, path) == expect, data
+        outcomes.add(expect[0])
+    for byte in range(256):  # every byte value, inside a token and between two
+        for data in (b"1 2 3%c 1\n" % byte, b"1 2%c3 1\n" % byte):
+            path.write_bytes(data)
+            assert _outcome(load_uci, path) == _outcome(_reference_parse, path), data
+    for data, rows in ((b"", 0), (b"\n \t \n" * 40, 0), (b"1 2 3 1" + b"\n \t" * 80, 1)):
+        path.write_bytes(data)
+        assert _outcome(load_uci, path) == _outcome(_reference_parse, path)
+        assert len(load_uci(path)) == rows
+    # both parse paths, and both outcomes, came up often enough to mean something
+    assert outcomes == {"rows", "error"}
+    assert 600 < len(slow_calls) < 1000
+
+
+def test_fault_in_second_parse_block_keeps_its_line_number(tmp_path):
+    rng = np.random.default_rng(7)
+    rows = rng.integers(0, 256, (20_000, 3))
+    pad = " " * 20  # wide separators: two blocks of few lines keep the slow path quick
+    lines = [pad.join(map(str, (b, g, r, 1 + b % 2))) for b, g, r in rows.tolist()]
+    data = ("\n".join(lines) + "\n").encode("ascii")
+    cut = data.find(b"\n", dataset.PARSE_BLOCK - 1) + 1
+    assert 0 < cut < len(data)  # two blocks at the real block size
+    path = tmp_path / "two_blocks.txt"
+    path.write_bytes(data)
+    parsed = load_uci(path)
+    assert np.array_equal(parsed.channels, rows)
+    assert np.array_equal(parsed.skin, rows[:, 0] % 2 == 0)
+
+    lineno = data[:cut].count(b"\n") + 1  # the first line of the second block
+    lines[lineno - 1] = lines[lineno - 1][:-1] + "7"
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    expect = f"line {lineno}: label must be 1 or 2, got 7"
+    assert _outcome(load_uci, path) == _outcome(_reference_parse, path) == ("error", expect)
