@@ -2,9 +2,9 @@
 
 Three models are provided: a fixed YCbCr box threshold baseline, a naive
 Bayes model counting per-attribute values over the 256-value HSV domain,
-and a CART decision tree with Gini splits. Every classifier emits a
-ClassProbabilities pair summing to 1; fitted models are immutable and
-safe for concurrent prediction.
+and a CART decision tree with Gini splits, stored as a preorder table of
+node arrays. Every classifier emits a ClassProbabilities pair summing to
+1; fitted models are immutable and safe for concurrent prediction.
 """
 
 from dataclasses import dataclass
@@ -209,55 +209,61 @@ class TreeConfig:
             raise ValueError("max_depth must be >= 0")
 
 
-@dataclass
-class TreeNode:
-    """Internal node (attribute + threshold) or leaf; every node keeps counts."""
-
-    skin_count: int
-    non_skin_count: int
-    attribute: int | None = None  # 0 = h, 1 = s, 2 = v
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.attribute is None
-
-    @property
-    def total(self) -> int:
-        return self.skin_count + self.non_skin_count
-
-
 @dataclass(frozen=True)
 class TreeModel:
-    root: TreeNode
+    """A fitted CART tree as a preorder node table; node 0 is the root.
+
+    Node i is a leaf when attribute[i] is -1 (its threshold and right
+    are 0). Otherwise a pixel whose attribute (0 = h, 1 = s, 2 = v) is
+    <= threshold[i] goes to the left child, node i + 1, and any other
+    pixel to the right child, node right[i]. counts[i] holds the skin
+    and non-skin training samples that reached node i; the arrays are
+    coerced to int64, float64, int64 and (n, 2) int64.
+    """
+
+    attribute: np.ndarray
+    threshold: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
     config: TreeConfig
     n_samples: int
 
+    def __post_init__(self):
+        for name, dtype in (("attribute", np.int64), ("threshold", np.float64),
+                            ("right", np.int64), ("counts", np.int64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+
     def depth(self) -> int:
-        best = 0
-        stack = [(self.root, 0)]
-        while stack:
-            node, d = stack.pop()
-            best = max(best, d)
-            if not node.is_leaf:
-                stack.append((node.left, d + 1))
-                stack.append((node.right, d + 1))
-        return best
+        level, nodes = 0, np.zeros(1, dtype=np.int64)
+        while True:
+            nodes = nodes[self.attribute[nodes] >= 0]
+            if nodes.size == 0:
+                return level
+            nodes = np.concatenate((nodes + 1, self.right[nodes]))
+            level += 1
 
     def node_count(self) -> tuple[int, int]:
         """(internal nodes, leaves)."""
-        internal = leaves = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                leaves += 1
-            else:
-                internal += 1
-                stack.extend((node.left, node.right))
-        return internal, leaves
+        internal = int((self.attribute >= 0).sum())
+        return internal, self.attribute.size - internal
+
+    def route(self, hsv: np.ndarray) -> np.ndarray:
+        """The leaf each (N, 3) HSV row reaches (value <= threshold goes left).
+
+        All rows descend together, one depth per round; a row leaves the
+        rounds once it reaches a leaf.
+        """
+        hsv = np.asarray(hsv)
+        node = np.zeros(hsv.shape[0], dtype=np.int64)
+        rows = np.arange(hsv.shape[0])
+        while rows.size:
+            at = node[rows]
+            attr = self.attribute[at]
+            inner = attr >= 0
+            rows, at, attr = rows[inner], at[inner], attr[inner]
+            go_left = hsv[rows, attr] <= self.threshold[at]
+            node[rows] = np.where(go_left, at + 1, self.right[at])
+        return node
 
 
 def _best_split(values: np.ndarray, skin: np.ndarray):
@@ -306,70 +312,51 @@ def tree_fit(train: HsvSamples | list[HsvSample], cfg: TreeConfig = TreeConfig()
 
     A node becomes a leaf when it is pure, holds fewer than
     min_samples_split samples, sits at max_depth, or no candidate split
-    reduces the Gini impurity.
+    reduces the Gini impurity. Nodes are appended in preorder: a left
+    child right after its parent, a right child once the left subtree
+    is complete.
     """
     if not train:
         raise ValueError("training set is empty")
     values, skin = hsv_arrays(train)
-
-    def make_node(idx: np.ndarray) -> TreeNode:
-        n_skin = int(skin[idx].sum())
-        return TreeNode(skin_count=n_skin, non_skin_count=int(idx.size) - n_skin)
-
-    root = make_node(np.arange(len(train)))
-    stack = [(root, np.arange(len(train)), 0)]
+    attribute, threshold, right, counts = [], [], [], []
+    stack = [(np.arange(len(train)), 0, None)]  # rows, depth, parent if a right child
     while stack:
-        node, idx, depth = stack.pop()
+        idx, depth, parent = stack.pop()
+        node = len(attribute)
+        if parent is not None:
+            right[parent] = node
+        n_skin = int(skin[idx].sum())
+        n_non = int(idx.size) - n_skin
+        attribute.append(-1)
+        threshold.append(0.0)
+        right.append(0)
+        counts.append((n_skin, n_non))
         if (
-            node.skin_count == 0
-            or node.non_skin_count == 0
-            or node.total < cfg.min_samples_split
+            n_skin == 0
+            or n_non == 0
+            or idx.size < cfg.min_samples_split
             or (cfg.max_depth is not None and depth >= cfg.max_depth)
         ):
             continue
         found = _best_split(values[idx], skin[idx])
         if found is None:
             continue
-        _, attr, threshold = found
-        node.attribute = attr
-        node.threshold = threshold
-        left_mask = values[idx, attr] <= threshold
-        left_idx, right_idx = idx[left_mask], idx[~left_mask]
-        node.left = make_node(left_idx)
-        node.right = make_node(right_idx)
-        stack.append((node.left, left_idx, depth + 1))
-        stack.append((node.right, right_idx, depth + 1))
-    return TreeModel(root=root, config=cfg, n_samples=len(train))
-
-
-def _leaf_probabilities(node: TreeNode) -> ClassProbabilities:
-    total = node.total
-    return ClassProbabilities(node.skin_count / total, node.non_skin_count / total)
+        _, attr, thr = found
+        attribute[node], threshold[node] = attr, thr
+        left_mask = values[idx, attr] <= thr
+        stack.append((idx[~left_mask], depth + 1, node))
+        stack.append((idx[left_mask], depth + 1, None))
+    return TreeModel(attribute, threshold, right, counts, cfg, len(train))
 
 
 def tree_predict(model: TreeModel, p: HsvPixel) -> ClassProbabilities:
-    """Route by threshold comparisons (value <= threshold goes left); the
-    reached leaf's class frequencies are the probabilities."""
-    node = model.root
-    values = (p.h, p.s, p.v)
-    while not node.is_leaf:
-        node = node.left if values[node.attribute] <= node.threshold else node.right
-    return _leaf_probabilities(node)
+    """The class frequencies of the leaf the pixel reaches."""
+    n_skin, n_non = model.counts[model.route([(p.h, p.s, p.v)])[0]].tolist()
+    return ClassProbabilities(n_skin / (n_skin + n_non), n_non / (n_skin + n_non))
 
 
 def tree_predict_batch(model: TreeModel, hsv: np.ndarray) -> np.ndarray:
     """Vectorized tree_predict: (N, 3) uint8 HSV rows -> (N,) p_skin."""
-    hsv = np.asarray(hsv, dtype=np.int64)
-    out = np.empty(hsv.shape[0], dtype=np.float64)
-    stack = [(model.root, np.arange(hsv.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            out[idx] = node.skin_count / node.total
-            continue
-        left = hsv[idx, node.attribute] <= node.threshold
-        stack.append((node.left, idx[left]))
-        stack.append((node.right, idx[~left]))
-    return out
+    p_skin = model.counts[:, 0] / model.counts.sum(axis=1)
+    return p_skin[model.route(hsv)]

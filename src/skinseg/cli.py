@@ -103,7 +103,6 @@ def build_parser() -> _Parser:
 
     p_stats = sub.add_parser("dataset-stats", help="row and class counts plus split sizes")
     p_stats.add_argument("--dataset", required=True)
-    p_stats.add_argument("--seed", type=int, default=0)
     p_stats.add_argument("--test-fraction", type=float, default=0.30)
 
     return parser
@@ -174,8 +173,10 @@ def cmd_train(args) -> int:
         raise UsageError("--alpha only applies to --kind bayes")
     if (args.epochs is not None or args.batch_size is not None) and args.kind != "mlp":
         raise UsageError("--epochs/--batch-size only apply to --kind mlp")
-    if args.alpha is not None and args.alpha < 0:
-        raise UsageError(f"--alpha must be >= 0, got {args.alpha}")
+    if args.alpha is not None and not 0 <= args.alpha < np.inf:  # also catches NaN
+        raise UsageError(f"--alpha must be finite and >= 0, got {args.alpha}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.epochs is not None and args.epochs < 1:
         raise UsageError(f"--epochs must be >= 1, got {args.epochs}")
     if args.batch_size is not None and args.batch_size < 1:
@@ -235,6 +236,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     _check_fraction(args.test_fraction)
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     saved = _load_model(args.model)
     samples = _load_samples(args.dataset)
 

@@ -60,9 +60,14 @@ class MetricsReport:
 
 @dataclass(frozen=True)
 class RocCurve:
-    """(false-positive-rate, true-positive-rate) points from (0,0) to (1,1)."""
+    """False- and true-positive rates from (0, 0) to (1, 1), as two arrays."""
 
-    points: tuple[tuple[float, float], ...]
+    fpr: np.ndarray
+    tpr: np.ndarray
+
+    @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.fpr.tolist(), self.tpr.tolist()))
 
 
 def confusion(predicted: Sequence[Label], actual: Sequence[Label]) -> ConfusionMatrix:
@@ -166,8 +171,7 @@ def roc_auc(scores: Sequence[float], labels: Sequence[Label]) -> tuple[RocCurve,
     tpr = np.concatenate(([0.0], tp / n_pos))
     # cumsum adds left to right, as a running total would
     auc = float(np.cumsum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0)[-1])
-    points = tuple(zip(fpr.tolist(), tpr.tolist()))
-    return RocCurve(points=points), auc
+    return RocCurve(fpr=fpr, tpr=tpr), auc
 
 
 def _format_value(value) -> str:

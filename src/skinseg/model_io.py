@@ -26,8 +26,9 @@ Loading raises ValueError for:
 * a Bayes alpha that is negative or not finite, a likelihood form other
   than factorized, a class count that is not positive, or a negative
   value count;
-* a tree node with a negative count or a zero total, and a tree config
-  with min_samples_split < 2 or max_depth < 0;
+* a tree node with a negative count, a zero total or a total of 2**63
+  or more, and a tree config with min_samples_split < 2 or
+  max_depth < 0;
 * an MLP hidden width < 1, weights or biases that are not finite, and
   weights and biases large enough to overflow the forward pass on some
   input in [0, 1]^3.
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import BayesModel, ThresholdRange, TreeConfig, TreeModel, TreeNode
+from .classifiers import BayesModel, ThresholdRange, TreeConfig, TreeModel
 from .colorspace import YcbcrPixel
 from .dataset import RawSample, RawSamples, serialize_blocks
 from .nn import MlpArchitecture, MlpModel
@@ -94,18 +95,12 @@ def _tree_body(model: TreeModel) -> list[str]:
         f"samples {model.n_samples}",
         f"config min_samples_split {model.config.min_samples_split} max_depth {max_depth}",
     ]
-    stack = [model.root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            lines.append(f"leaf {node.skin_count} {node.non_skin_count}")
+    rows = zip(model.attribute.tolist(), model.threshold.tolist(), model.counts.tolist())
+    for attr, threshold, (n_skin, n_non) in rows:
+        if attr < 0:
+            lines.append(f"leaf {n_skin} {n_non}")
         else:
-            lines.append(
-                f"split {_ATTR_NAMES[node.attribute]} {_fmt(node.threshold)} "
-                f"{node.skin_count} {node.non_skin_count}"
-            )
-            stack.append(node.right)  # preorder: left is processed first
-            stack.append(node.left)
+            lines.append(f"split {_ATTR_NAMES[attr]} {_fmt(threshold)} {n_skin} {n_non}")
     return lines
 
 
@@ -172,40 +167,37 @@ def _parse_tree(lines: list[str]) -> TreeModel:
     max_depth = None if cfg_parts[4] == "none" else int(cfg_parts[4])
     config = TreeConfig(min_samples_split=min_split, max_depth=max_depth)
 
-    root = None
-    stack = []  # internal nodes still missing a child
+    attribute, threshold, right, counts = [], [], [], []
+    open_splits = []  # splits whose right child has not started yet
     for ln in lines[2:]:
         parts = ln.split()
         if parts[0] == "leaf" and len(parts) == 3:
-            node = TreeNode(skin_count=int(parts[1]), non_skin_count=int(parts[2]))
+            attr, thr, n_skin, n_non = -1, 0.0, int(parts[1]), int(parts[2])
         elif parts[0] == "split" and len(parts) == 5:
-            node = TreeNode(
-                skin_count=int(parts[3]),
-                non_skin_count=int(parts[4]),
-                attribute=_ATTR_NAMES.index(parts[1]),
-                threshold=float(parts[2]),
-            )
+            attr, thr = _ATTR_NAMES.index(parts[1]), float(parts[2])
+            n_skin, n_non = int(parts[3]), int(parts[4])
         else:
             raise ValueError(f"malformed tree line: {ln!r}")
-        if node.skin_count < 0 or node.non_skin_count < 0 or node.total == 0:
+        if n_skin < 0 or n_non < 0 or n_skin + n_non == 0:
             raise ValueError(f"tree node counts must be >= 0 with a positive total: {ln!r}")
-        if root is None:
-            root = node
-        elif not stack:
-            raise ValueError("tree body has extra nodes after the preorder completed")
-        else:
-            parent = stack[-1]
-            if parent.left is None:
-                parent.left = node
-            else:
-                parent.right = node
-            while stack and stack[-1].left is not None and stack[-1].right is not None:
-                stack.pop()
-        if node.attribute is not None:
-            stack.append(node)
-    if root is None or stack:
+        if n_skin + n_non >= 2**63:
+            raise ValueError(f"tree node counts must total below 2**63: {ln!r}")
+        node = len(attribute)
+        # a node after a split is its left child; a node after a leaf is
+        # the right child of the latest split still lacking one
+        if node and attribute[-1] < 0:
+            if not open_splits:
+                raise ValueError("tree body has extra nodes after the preorder completed")
+            right[open_splits.pop()] = node
+        if attr >= 0:
+            open_splits.append(node)
+        attribute.append(attr)
+        threshold.append(thr)
+        right.append(0)
+        counts.append((n_skin, n_non))
+    if not attribute or open_splits:
         raise ValueError("tree body is incomplete")
-    return TreeModel(root=root, config=config, n_samples=n_samples)
+    return TreeModel(attribute, threshold, right, counts, config, n_samples)
 
 
 def _parse_mlp(lines: list[str]) -> MlpModel:

@@ -28,6 +28,7 @@ import numpy as np
 from .classifiers import ClassProbabilities
 
 _PAIR_SUM_TOL = 1e-9
+_PAIR_CHECK_PIXELS = 32768  # pixels per block of the pair-sum check: 256 KiB temporaries
 
 
 class Rule(enum.Enum):
@@ -75,7 +76,11 @@ class ProbabilityMap:
                 raise ValueError(
                     f"probabilities must lie in [0, 1], got {plane.min():g}..{plane.max():g}"
                 )
-        dev = np.abs(p_skin + p_non_skin - 1.0).max()
+        rows = max(1, _PAIR_CHECK_PIXELS // p_skin.shape[1])
+        dev = np.max([
+            np.abs(p_skin[r : r + rows] + p_non_skin[r : r + rows] - 1.0).max()
+            for r in range(0, p_skin.shape[0], rows)
+        ])
         if not dev <= _PAIR_SUM_TOL:  # also catches NaN
             raise ValueError(f"pixel pairs must sum to 1 (max deviation {dev:g})")
         self.p_skin = p_skin

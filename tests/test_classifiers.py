@@ -277,18 +277,24 @@ def _root_split_oracle(train):
 def test_tree_separable_single_split():
     train = [_hsv(h, 0, 0) for h in (1, 5, 10)] + [_hsv(h, 0, 0, skin=False) for h in (200, 220, 250)]
     model = tree_fit(train)
-    root = model.root
-    assert not root.is_leaf
-    assert root.attribute == 0
-    assert root.threshold == 105.0  # midpoint of 10 and 200
-    assert root.left.is_leaf and root.right.is_leaf
+    assert model.attribute[0] != -1
+    assert model.attribute[0] == 0
+    assert model.threshold[0] == 105.0  # midpoint of 10 and 200
+    assert model.attribute[1] == -1 and model.attribute[model.right[0]] == -1
     assert model.depth() == 1
+    # the whole table: root, its left child (h <= 105: the three skin
+    # rows), then its right child
+    assert model.attribute.tolist() == [0, -1, -1]
+    assert model.threshold.tolist() == [105.0, 0.0, 0.0]
+    assert model.right.tolist() == [2, 0, 0]
+    assert model.counts.tolist() == [[3, 3], [3, 0], [0, 3]]
+    assert model.node_count() == (1, 2)
 
 
 def test_tree_pure_input_single_leaf():
     model = tree_fit([_hsv(1, 2, 3), _hsv(4, 5, 6)])
-    assert model.root.is_leaf
-    assert model.root.skin_count == 2 and model.root.non_skin_count == 0
+    assert model.attribute.tolist() == [-1]
+    assert model.counts.tolist() == [[2, 0]]
 
 
 def test_tree_root_matches_bruteforce_oracle():
@@ -305,14 +311,15 @@ def test_tree_root_matches_bruteforce_oracle():
         expect = _root_split_oracle(train)
         model = tree_fit(train)
         if expect is None:
-            assert model.root.is_leaf
+            assert model.attribute[0] == -1
             continue
         gain, attr, thr = expect
-        assert not model.root.is_leaf
+        assert model.attribute[0] != -1
         # gains are compared in float inside the fit; identify exact ties
         exact = _exact_tied_candidates(train, gain)
-        assert (model.root.attribute, Fraction(model.root.threshold)) in exact
-        assert (model.root.attribute, Fraction(model.root.threshold)) == (attr, thr) or len(exact) > 1
+        root = (int(model.attribute[0]), Fraction(float(model.threshold[0])))
+        assert root in exact
+        assert root == (attr, thr) or len(exact) > 1
 
 
 def _exact_tied_candidates(train, target_gain):
@@ -341,16 +348,16 @@ def test_tree_tie_break_prefers_lowest_attribute():
     # attributes; the fit must split on h (attribute 0)
     train = [_hsv(0, 0, 9), _hsv(0, 0, 9), _hsv(10, 10, 9, skin=False), _hsv(10, 10, 9, skin=False)]
     model = tree_fit(train)
-    assert model.root.attribute == 0
-    assert model.root.threshold == 5.0
+    assert model.attribute[0] == 0
+    assert model.threshold[0] == 5.0
 
 
 def test_tree_tie_break_prefers_lowest_threshold():
     # S N S along h: splitting at 2.5 or 7.5 gives identical gains
     train = [_hsv(0, 0, 0), _hsv(5, 0, 0, skin=False), _hsv(10, 0, 0)]
     model = tree_fit(train)
-    assert model.root.attribute == 0
-    assert model.root.threshold == 2.5
+    assert model.attribute[0] == 0
+    assert model.threshold[0] == 2.5
 
 
 def test_tree_recovers_training_labels_when_consistent():
@@ -377,22 +384,20 @@ def test_tree_leaf_counts_sum_to_training_size():
         )
     ]
     model = tree_fit(train)
+    total = model.counts.sum(axis=1)
     leaf_total = 0
-    stack = [model.root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            leaf_total += node.total
+    for node, attr in enumerate(model.attribute):
+        if attr == -1:
+            leaf_total += total[node]
         else:
-            assert node.left.total + node.right.total == node.total
-            stack.extend((node.left, node.right))
+            assert total[node + 1] + total[model.right[node]] == total[node]
     assert leaf_total == len(train) == model.n_samples
 
 
 def test_tree_single_leaf_probabilities():
     train = [_hsv(1, 1, 1)] * 3 + [_hsv(1, 1, 1, skin=False)]
     model = tree_fit(train)  # identical tuples, mixed labels: no split possible
-    assert model.root.is_leaf
+    assert model.attribute.tolist() == [-1]
     out = tree_predict(model, HsvPixel(9, 9, 9))
     assert (out.p_skin, out.p_non_skin) == (0.75, 0.25)
 
@@ -400,11 +405,11 @@ def test_tree_single_leaf_probabilities():
 def test_tree_max_depth_and_min_samples():
     train = [_hsv(h, 0, 0, skin=h < 5) for h in range(10)]
     stump = tree_fit(train, TreeConfig(max_depth=0))
-    assert stump.root.is_leaf
+    assert stump.attribute.tolist() == [-1]
     shallow = tree_fit(train, TreeConfig(max_depth=1))
     assert shallow.depth() <= 1
     chunky = tree_fit(train, TreeConfig(min_samples_split=11))
-    assert chunky.root.is_leaf
+    assert chunky.attribute.tolist() == [-1]
 
 
 def test_tree_batch_matches_scalar():
@@ -435,14 +440,9 @@ def test_tree_deterministic():
     ]
     a = tree_fit(train)
     b = tree_fit(train)
-
-    def flatten(node):
-        if node.is_leaf:
-            return [("leaf", node.skin_count, node.non_skin_count)]
-        return ([("split", node.attribute, node.threshold)]
-                + flatten(node.left) + flatten(node.right))
-
-    assert flatten(a.root) == flatten(b.root)
+    assert a.attribute.size > 1
+    for name in ("attribute", "threshold", "right", "counts"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_probability_contract_across_classifiers():

@@ -572,6 +572,15 @@ def test_usage_errors_exit_1(workdir, surrogate_file, bayes_model, capsys):
          "--test-fraction", "1.5"],
         ["segment", "--model", str(bayes_model), "--input", "x.ppm", "--output", "y.pgm",
          "--rule", "paper"],  # rule without --refine
+        ["train", "--dataset", str(surrogate_file), "--model", "m", "--kind", "bayes",
+         "--alpha", "nan"],
+        ["train", "--dataset", str(surrogate_file), "--model", "m", "--kind", "bayes",
+         "--alpha", "inf"],
+        ["train", "--dataset", str(surrogate_file), "--model", "m", "--kind", "bayes",
+         "--seed", "-1"],
+        ["eval", "--dataset", str(surrogate_file), "--model", str(bayes_model),
+         "--seed", "-1"],
+        ["dataset-stats", "--dataset", str(surrogate_file), "--seed", "0"],  # no such flag
     )
     for argv in cases:
         assert cli.main(argv) == 1, argv

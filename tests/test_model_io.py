@@ -88,6 +88,8 @@ def test_tree_round_trip_is_exact(hsv_train, tmp_path):
     assert np.array_equal(tree_predict_batch(saved.model, hsv), tree_predict_batch(model, hsv))
     assert saved.model.node_count() == model.node_count()
     assert saved.model.depth() == model.depth()
+    for name in ("attribute", "threshold", "right", "counts"):
+        assert np.array_equal(getattr(saved.model, name), getattr(model, name)), name
 
 
 def test_mlp_round_trip_is_exact(hsv_train):
@@ -198,6 +200,18 @@ def test_malformed_tree_body(hsv_train):
         assert text != good
         with pytest.raises(ValueError):
             model_from_text(text)
+
+
+def test_tree_counts_past_int64_are_rejected(hsv_train):
+    # node counts are held as int64; a larger count must be a ValueError
+    # (exit 2 at the CLI), not an OverflowError from the array conversion
+    good = model_to_text(tree_fit(hsv_train[:500], TreeConfig(max_depth=3)), seed=0)
+    for repl in (r"leaf \g<1> 9223372036854775808", r"leaf \g<1> 99999999999999999999"):
+        text = re.sub(r"^leaf (\d+) \d+$", repl, good, count=1, flags=re.M)
+        with pytest.raises(ValueError, match="below 2\\*\\*63"):
+            model_from_text(text)
+    text = re.sub(r"^leaf \d+ \d+$", "leaf 0 9223372036854775807", good, count=1, flags=re.M)
+    assert model_from_text(text).model.counts.max() == 2**63 - 1
 
 
 def test_malformed_mlp_body(hsv_train):

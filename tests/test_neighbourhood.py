@@ -50,6 +50,24 @@ def test_probability_map_validation():
     assert pix.p_skin == 0.75
 
 
+@pytest.mark.parametrize("width", [1000, neighbourhood._PAIR_CHECK_PIXELS + 7])
+def test_probability_map_pair_check_covers_every_block(width):
+    # the pair sums are checked a block of rows at a time; a bad pair in
+    # the last, partial block must still be found, and the message must
+    # name the largest deviation over all blocks
+    rows = max(1, neighbourhood._PAIR_CHECK_PIXELS // width)
+    p = np.full((2 * rows + 3, width), 0.5)
+    q = p.copy()
+    q[0, 0] += 5e-10  # within tolerance
+    ProbabilityMap(p, q)
+    q[-1, -1] += 3e-9
+    with pytest.raises(ValueError, match=r"max deviation 3e-09\)"):
+        ProbabilityMap(p, q)
+    q[rows, 1] += 4e-9
+    with pytest.raises(ValueError, match=r"max deviation 4e-09\)"):
+        ProbabilityMap(p, q)
+
+
 def test_neighbour_sums_interior_all_skin():
     pm = _pmap(np.ones((3, 3)))
     s1, s2, c = neighbour_sums(pm, 1, 1, radius=1)
