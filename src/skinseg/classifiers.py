@@ -3,8 +3,10 @@
 Three models are provided: a fixed YCbCr box threshold baseline, a naive
 Bayes model counting per-attribute values over the 256-value HSV domain,
 and a CART decision tree with Gini splits, stored as a preorder table of
-node arrays. Every classifier emits a ClassProbabilities pair summing to
-1; fitted models are immutable and safe for concurrent prediction.
+node arrays. One helper builds every (attribute x value) count table:
+the Bayes per-class tables and each tree node's split search. Every
+classifier emits a ClassProbabilities pair summing to 1; fitted models
+are immutable and safe for concurrent prediction.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,14 @@ from .dataset import HsvSample, HsvSamples, Label, hsv_arrays
 
 DOMAIN_SIZE = 256  # each HSV attribute is quantized onto 0-255
 
-_PROB_SUM_TOL = 1e-9
+PROB_SUM_TOL = 1e-9  # how far a (p_skin, p_non_skin) pair may stray from summing to 1
+
+
+def _value_table(hsv: np.ndarray) -> np.ndarray:
+    """(3, 256) int64 counts of each value of each attribute in (N, 3) HSV rows."""
+    # intp is the type bincount counts in, so it reads the bins without a copy
+    bins = hsv + np.array([0, DOMAIN_SIZE, 2 * DOMAIN_SIZE], dtype=np.intp)
+    return np.bincount(bins.ravel(), minlength=3 * DOMAIN_SIZE).reshape(3, DOMAIN_SIZE)
 
 
 @dataclass(frozen=True)
@@ -35,7 +44,7 @@ class ClassProbabilities:
     def __post_init__(self):
         if not (0.0 <= self.p_skin <= 1.0 and 0.0 <= self.p_non_skin <= 1.0):
             raise ValueError(f"probabilities out of [0,1]: {self.p_skin}, {self.p_non_skin}")
-        if abs(self.p_skin + self.p_non_skin - 1.0) > _PROB_SUM_TOL:
+        if abs(self.p_skin + self.p_non_skin - 1.0) > PROB_SUM_TOL:
             raise ValueError(
                 f"probabilities must sum to 1: {self.p_skin} + {self.p_non_skin}"
             )
@@ -134,16 +143,13 @@ def bayes_fit(train: HsvSamples | list[HsvSample], alpha: float = 1.0) -> BayesM
     """
     if not train:
         raise ValueError("training set is empty")
-    counts = np.zeros((3, 2, DOMAIN_SIZE), dtype=np.int64)
-    class_counts = np.zeros(2, dtype=np.int64)
     hsv, skin = hsv_arrays(train)
-    for cls, mask in enumerate((skin, ~skin)):
-        class_counts[cls] = int(mask.sum())
-        for attr in range(3):
-            counts[attr, cls] = np.bincount(hsv[mask, attr], minlength=DOMAIN_SIZE)
-    if class_counts[0] == 0 or class_counts[1] == 0:
-        missing = "skin" if class_counts[0] == 0 else "non-skin"
+    n_skin = int(skin.sum())
+    if n_skin in (0, skin.size):
+        missing = "skin" if n_skin == 0 else "non-skin"
         raise ValueError(f"training set has no {missing} samples")
+    counts = np.stack([_value_table(hsv[skin]), _value_table(hsv[~skin])], axis=1)
+    class_counts = np.array([n_skin, skin.size - n_skin], dtype=np.int64)
     return BayesModel(counts=counts, class_counts=class_counts, alpha=float(alpha))
 
 
@@ -266,47 +272,6 @@ class TreeModel:
         return node
 
 
-def _best_split(values: np.ndarray, skin: np.ndarray):
-    """Best (attribute, threshold, gain) for one node, or None.
-
-    Candidate thresholds are midpoints between consecutive distinct values
-    of each attribute; the score is the Gini impurity decrease. Ties break
-    toward the lowest attribute index, then the lowest threshold (strict
-    greater-than comparisons scanning in that order).
-    """
-    n = values.shape[0]
-    n_skin = int(skin.sum())
-    n_non = n - n_skin
-    parent_q = (n_skin * n_skin + n_non * n_non) / n
-
-    best = None  # (gain, attribute, threshold)
-    for attr in range(3):
-        col = values[:, attr]
-        skin_counts = np.bincount(col[skin], minlength=DOMAIN_SIZE)
-        total_counts = np.bincount(col, minlength=DOMAIN_SIZE)
-        present = np.nonzero(total_counts)[0]
-        if present.size < 2:
-            continue
-        cum_total = np.cumsum(total_counts[present])[:-1]
-        cum_skin = np.cumsum(skin_counts[present])[:-1]
-        n_left = cum_total.astype(np.float64)
-        n_right = n - n_left
-        skin_left = cum_skin.astype(np.float64)
-        skin_right = n_skin - skin_left
-        non_left = n_left - skin_left
-        non_right = n_right - skin_right
-        q = (skin_left**2 + non_left**2) / n_left + (skin_right**2 + non_right**2) / n_right
-        gains = (q - parent_q) / n
-        i = int(np.argmax(gains))  # first max -> lowest threshold wins ties
-        gain = float(gains[i])
-        if best is None or gain > best[0]:
-            threshold = (float(present[i]) + float(present[i + 1])) / 2.0
-            best = (gain, attr, threshold)
-    if best is None or best[0] <= 0.0:
-        return None
-    return best
-
-
 def tree_fit(train: HsvSamples | list[HsvSample], cfg: TreeConfig = TreeConfig()) -> TreeModel:
     """Grow a CART tree on quantized HSV samples.
 
@@ -315,6 +280,16 @@ def tree_fit(train: HsvSamples | list[HsvSample], cfg: TreeConfig = TreeConfig()
     reduces the Gini impurity. Nodes are appended in preorder: a left
     child right after its parent, a right child once the left subtree
     is complete.
+
+    Each node's split is read off two (attribute x value) count tables,
+    of its rows and of its skin rows: cumulative sums along the value
+    axis give both sides of "split after value v" for every candidate.
+    A candidate with an empty side is masked (denominator 1, gain -inf).
+    A value absent from the node repeats the candidate of the value
+    below it, so the first maximum of the C-ordered gain table is a
+    present value, with ties to the lowest attribute, then the lowest
+    threshold. The threshold is the midpoint of v and the next value
+    present at the node.
     """
     if not train:
         raise ValueError("training set is empty")
@@ -326,8 +301,10 @@ def tree_fit(train: HsvSamples | list[HsvSample], cfg: TreeConfig = TreeConfig()
         node = len(attribute)
         if parent is not None:
             right[parent] = node
-        n_skin = int(skin[idx].sum())
-        n_non = int(idx.size) - n_skin
+        rows, rows_skin = values[idx], skin[idx]
+        n = int(idx.size)
+        n_skin = int(rows_skin.sum())
+        n_non = n - n_skin
         attribute.append(-1)
         threshold.append(0.0)
         right.append(0)
@@ -335,16 +312,29 @@ def tree_fit(train: HsvSamples | list[HsvSample], cfg: TreeConfig = TreeConfig()
         if (
             n_skin == 0
             or n_non == 0
-            or idx.size < cfg.min_samples_split
+            or n < cfg.min_samples_split
             or (cfg.max_depth is not None and depth >= cfg.max_depth)
         ):
             continue
-        found = _best_split(values[idx], skin[idx])
-        if found is None:
+        table = _value_table(rows)
+        cum_total = np.cumsum(table, axis=1)
+        empty_side = (cum_total == 0) | (cum_total == n)
+        n_left = np.where(empty_side, 1, cum_total).astype(np.float64)
+        n_right = n - n_left
+        skin_left = np.cumsum(_value_table(rows[rows_skin]), axis=1).astype(np.float64)
+        skin_right = n_skin - skin_left
+        non_left = n_left - skin_left
+        non_right = n_right - skin_right
+        q = (skin_left**2 + non_left**2) / n_left + (skin_right**2 + non_right**2) / n_right
+        parent_q = (n_skin * n_skin + n_non * n_non) / n
+        gains = (q - parent_q) / n
+        gains[empty_side] = -np.inf
+        attr, value = divmod(int(np.argmax(gains)), DOMAIN_SIZE)  # first max
+        if gains[attr, value] <= 0.0:
             continue
-        _, attr, thr = found
-        attribute[node], threshold[node] = attr, thr
-        left_mask = values[idx, attr] <= thr
+        next_value = value + 1 + int(np.argmax(table[attr, value + 1 :] > 0))
+        attribute[node], threshold[node] = attr, (value + next_value) / 2.0
+        left_mask = rows[:, attr] <= threshold[node]
         stack.append((idx[~left_mask], depth + 1, node))
         stack.append((idx[left_mask], depth + 1, None))
     return TreeModel(attribute, threshold, right, counts, cfg, len(train))

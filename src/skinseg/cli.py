@@ -153,10 +153,6 @@ def _load_image(path):
 
 
 def _refine_config(rule, radius, tau) -> NeighbourhoodConfig:
-    if radius is not None and radius < 1:
-        raise UsageError(f"--radius must be >= 1, got {radius}")
-    if tau is not None and not 0.0 <= tau <= 1.0:
-        raise UsageError(f"--tau must be in [0, 1], got {tau}")
     try:
         return NeighbourhoodConfig(
             radius=1 if radius is None else radius,

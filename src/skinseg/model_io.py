@@ -23,18 +23,21 @@ Loading raises ValueError for:
   biases at the declared shapes;
 * a threshold box whose lower bound exceeds its upper bound in any
   channel;
+* a negative seed;
 * a Bayes alpha that is negative or not finite, a likelihood form other
-  than factorized, a class count that is not positive, or a negative
-  value count;
+  than factorized, a class count that is not positive, a negative
+  value count, and a value count, class count or class total of 2**63
+  or more;
 * a tree node with a negative count, a zero total or a total of 2**63
-  or more, and a tree config with min_samples_split < 2 or
-  max_depth < 0;
+  or more, a split threshold that is not finite, and a tree config with
+  min_samples_split < 2 or max_depth < 0;
 * an MLP hidden width < 1, weights or biases that are not finite, and
   weights and biases large enough to overflow the forward pass on some
   input in [0, 1]^3.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,11 +141,14 @@ def _parse_bayes(lines: list[str]) -> BayesModel:
         elif key == "likelihood_form" and n_fields == 2:
             form = parts[1]
         elif key == "class_counts" and n_fields == 3:
-            class_counts = np.array([int(parts[1]), int(parts[2])], dtype=np.int64)
+            pair = [_bayes_count(v) for v in parts[1:]]
+            if sum(pair) >= 2**63:
+                raise ValueError(f"bayes class counts must total below 2**63: {ln!r}")
+            class_counts = np.array(pair, dtype=np.int64)
         elif key == "counts" and n_fields >= 3:
             attr = _ATTR_NAMES.index(parts[1])
             cls = ("skin", "non_skin").index(parts[2])
-            values = [int(v) for v in parts[3:]]
+            values = [_bayes_count(v) for v in parts[3:]]
             if len(values) != 256:
                 raise ValueError(f"count table needs 256 entries, got {len(values)}")
             counts[attr, cls] = values
@@ -154,6 +160,14 @@ def _parse_bayes(lines: list[str]) -> BayesModel:
     if form != "factorized":
         raise ValueError(f"unsupported likelihood form: {form!r}")
     return BayesModel(counts=counts, class_counts=class_counts, alpha=alpha)
+
+
+def _bayes_count(text: str) -> int:
+    """A Bayes value or class count: an int64, so at least 0 and below 2**63."""
+    count = int(text)
+    if not 0 <= count < 2**63:
+        raise ValueError(f"bayes counts must be >= 0 and below 2**63, got {text}")
+    return count
 
 
 def _parse_tree(lines: list[str]) -> TreeModel:
@@ -176,6 +190,8 @@ def _parse_tree(lines: list[str]) -> TreeModel:
         elif parts[0] == "split" and len(parts) == 5:
             attr, thr = _ATTR_NAMES.index(parts[1]), float(parts[2])
             n_skin, n_non = int(parts[3]), int(parts[4])
+            if not math.isfinite(thr):
+                raise ValueError(f"tree split threshold must be finite: {ln!r}")
         else:
             raise ValueError(f"malformed tree line: {ln!r}")
         if n_skin < 0 or n_non < 0 or n_skin + n_non == 0:
@@ -287,9 +303,12 @@ def model_from_text(text: str) -> SavedModel:
     kind = header["kind"]
     if kind not in _FORMATS:
         raise ValueError(f"unknown model kind: {kind!r}")
+    seed = int(header["seed"])
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     _, _, parse_body = _FORMATS[kind]
     return SavedModel(
-        kind=kind, seed=int(header["seed"]), fingerprint=header["fingerprint"],
+        kind=kind, seed=seed, fingerprint=header["fingerprint"],
         model=parse_body(lines[4:]),
     )
 

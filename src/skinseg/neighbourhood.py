@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import ClassProbabilities
+from .classifiers import PROB_SUM_TOL, ClassProbabilities
 
-_PAIR_SUM_TOL = 1e-9
 _PAIR_CHECK_PIXELS = 32768  # pixels per block of the pair-sum check: 256 KiB temporaries
 
 
@@ -81,7 +80,7 @@ class ProbabilityMap:
             np.abs(p_skin[r : r + rows] + p_non_skin[r : r + rows] - 1.0).max()
             for r in range(0, p_skin.shape[0], rows)
         ])
-        if not dev <= _PAIR_SUM_TOL:  # also catches NaN
+        if not dev <= PROB_SUM_TOL:  # also catches NaN
             raise ValueError(f"pixel pairs must sum to 1 (max deviation {dev:g})")
         self.p_skin = p_skin
         self.p_non_skin = p_non_skin

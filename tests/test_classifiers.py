@@ -12,7 +12,9 @@ import pytest
 from skinseg.classifiers import (
     ClassProbabilities,
     ThresholdRange,
+    DOMAIN_SIZE,
     TreeConfig,
+    TreeModel,
     bayes_fit,
     bayes_predict,
     bayes_predict_batch,
@@ -23,7 +25,7 @@ from skinseg.classifiers import (
     tree_predict_batch,
 )
 from skinseg.colorspace import HsvPixel, RgbPixel, YcbcrPixel
-from skinseg.dataset import HsvSample, Label
+from skinseg.dataset import HsvSample, HsvSamples, Label, hsv_arrays
 
 
 def _hsv(h, s, v, skin=True):
@@ -443,6 +445,104 @@ def test_tree_deterministic():
     assert a.attribute.size > 1
     for name in ("attribute", "threshold", "right", "counts"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def _per_attribute_best_split(values, skin):
+    """The split search tree_fit used before its count table, kept as an oracle.
+
+    One attribute at a time: compress to the values present, take each
+    attribute's first maximum, and keep a running best whose strict
+    greater-than lets the lowest attribute win ties.
+    """
+    n = values.shape[0]
+    n_skin = int(skin.sum())
+    n_non = n - n_skin
+    parent_q = (n_skin * n_skin + n_non * n_non) / n
+
+    best = None  # (gain, attribute, threshold)
+    for attr in range(3):
+        col = values[:, attr]
+        skin_counts = np.bincount(col[skin], minlength=DOMAIN_SIZE)
+        total_counts = np.bincount(col, minlength=DOMAIN_SIZE)
+        present = np.nonzero(total_counts)[0]
+        if present.size < 2:
+            continue
+        cum_total = np.cumsum(total_counts[present])[:-1]
+        cum_skin = np.cumsum(skin_counts[present])[:-1]
+        n_left = cum_total.astype(np.float64)
+        n_right = n - n_left
+        skin_left = cum_skin.astype(np.float64)
+        skin_right = n_skin - skin_left
+        non_left = n_left - skin_left
+        non_right = n_right - skin_right
+        q = (skin_left**2 + non_left**2) / n_left + (skin_right**2 + non_right**2) / n_right
+        gains = (q - parent_q) / n
+        i = int(np.argmax(gains))  # first max -> lowest threshold wins ties
+        gain = float(gains[i])
+        if best is None or gain > best[0]:
+            threshold = (float(present[i]) + float(present[i + 1])) / 2.0
+            best = (gain, attr, threshold)
+    if best is None or best[0] <= 0.0:
+        return None
+    return best
+
+
+def _per_attribute_tree_fit(train, cfg):
+    """tree_fit as it was before its count table, growing with the oracle above."""
+    values, skin = hsv_arrays(train)
+    attribute, threshold, right, counts = [], [], [], []
+    stack = [(np.arange(len(train)), 0, None)]  # rows, depth, parent if a right child
+    while stack:
+        idx, depth, parent = stack.pop()
+        node = len(attribute)
+        if parent is not None:
+            right[parent] = node
+        n_skin = int(skin[idx].sum())
+        n_non = int(idx.size) - n_skin
+        attribute.append(-1)
+        threshold.append(0.0)
+        right.append(0)
+        counts.append((n_skin, n_non))
+        if (
+            n_skin == 0
+            or n_non == 0
+            or idx.size < cfg.min_samples_split
+            or (cfg.max_depth is not None and depth >= cfg.max_depth)
+        ):
+            continue
+        found = _per_attribute_best_split(values[idx], skin[idx])
+        if found is None:
+            continue
+        _, attr, thr = found
+        attribute[node], threshold[node] = attr, thr
+        left_mask = values[idx, attr] <= thr
+        stack.append((idx[~left_mask], depth + 1, node))
+        stack.append((idx[left_mask], depth + 1, None))
+    return TreeModel(attribute, threshold, right, counts, cfg, len(train))
+
+
+def test_tree_fit_matches_per_attribute_split_search():
+    # tie-heavy datasets: each attribute takes 1-5 levels (often one
+    # attribute is constant), so equal gains across attributes and
+    # thresholds, and values absent between present ones, are common
+    rng = np.random.default_rng(808)
+    for case in range(1000):
+        n = int(rng.integers(2, 40))
+        channels = np.empty((n, 3), dtype=np.uint8)
+        for attr in range(3):
+            levels = rng.choice(DOMAIN_SIZE, size=int(rng.integers(1, 6)), replace=False)
+            channels[:, attr] = rng.choice(levels, size=n)
+        if rng.random() < 0.5:
+            channels[:, rng.integers(0, 3)] = rng.integers(0, DOMAIN_SIZE)
+        skin = rng.random(n) < rng.uniform(0.2, 0.8)
+        skin[rng.choice(n, size=2, replace=False)] = (True, False)  # both labels
+        max_depth = None if rng.random() < 0.5 else int(rng.integers(0, 6))
+        cfg = TreeConfig(min_samples_split=int(rng.integers(2, 7)), max_depth=max_depth)
+        train = HsvSamples(channels, skin)
+        got, want = tree_fit(train, cfg), _per_attribute_tree_fit(train, cfg)
+        for name in ("attribute", "threshold", "right", "counts"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (case, name)
+        assert (got.config, got.n_samples) == (want.config, want.n_samples), case
 
 
 def test_probability_contract_across_classifiers():

@@ -458,6 +458,16 @@ def test_non_finite_mlp_weight_exits_2(workdir, mlp_model, noisy_disc, tmp_path,
     pytest.param("bayes", r"^alpha .*$", "alpha -5", id="bayes-negative-alpha"),
     pytest.param("bayes", r"^class_counts .*$", "class_counts 0 0", id="bayes-no-samples"),
     pytest.param("mlp", r"^biases 0 \S+", "biases 0 1e308", id="mlp-huge-bias"),
+    pytest.param("tree", r"^split (\S+) \S+", r"split \1 nan", id="tree-nan-threshold"),
+    pytest.param("tree", r"^split (\S+) \S+", r"split \1 inf", id="tree-inf-threshold"),
+    pytest.param("bayes", r"^(counts h skin) \d+", r"\1 99999999999999999999",
+                 id="bayes-count-past-int64"),
+    pytest.param("bayes", r"^class_counts .*$", "class_counts 99999999999999999999 5",
+                 id="bayes-class-count-past-int64"),
+    pytest.param("bayes", r"^class_counts .*$",
+                 "class_counts 9000000000000000000 9000000000000000000",
+                 id="bayes-class-total-past-int64"),
+    pytest.param("bayes", r"^seed .*$", "seed -1", id="bayes-negative-seed"),
 ])
 def test_malformed_model_body_exits_2(kind, pattern, repl, noisy_disc, tmp_path, capsys,
                                       request):
@@ -473,6 +483,27 @@ def test_malformed_model_body_exits_2(kind, pattern, repl, noisy_disc, tmp_path,
     assert rc == 2
     assert f"bad model file {model_path}:" in err
     assert not mask_path.exists()
+
+
+@pytest.mark.parametrize("pattern, repl", [
+    pytest.param(r"^(counts h skin) \d+", r"\1 99999999999999999999", id="count-past-int64"),
+    pytest.param(r"^class_counts .*$", "class_counts 99999999999999999999 5",
+                 id="class-count-past-int64"),
+    pytest.param(r"^class_counts .*$", "class_counts 9000000000000000000 9000000000000000000",
+                 id="class-total-past-int64"),
+    pytest.param(r"^seed .*$", "seed -1", id="negative-seed"),
+])
+def test_malformed_model_eval_exits_2_naming_the_model(pattern, repl, bayes_model,
+                                                       surrogate_file, tmp_path, capsys):
+    good = bayes_model.read_text(encoding="ascii")
+    text = re.sub(pattern, repl, good, count=1, flags=re.M)
+    assert text != good
+    model_path = tmp_path / "bad.model"
+    model_path.write_text(text, encoding="ascii")
+    rc = cli.main(["eval", "--dataset", str(surrogate_file), "--model", str(model_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"bad model file {model_path}:" in err
 
 
 @pytest.mark.parametrize("command, expect_rc", [("train", 2), ("eval", 2), ("dataset-stats", 0)])
@@ -581,6 +612,10 @@ def test_usage_errors_exit_1(workdir, surrogate_file, bayes_model, capsys):
         ["eval", "--dataset", str(surrogate_file), "--model", str(bayes_model),
          "--seed", "-1"],
         ["dataset-stats", "--dataset", str(surrogate_file), "--seed", "0"],  # no such flag
+        *(["segment", "--model", str(bayes_model), "--input", "x.ppm", "--output", "y.pgm",
+           "--refine", *bad] for bad in (["--radius", "0"], ["--tau", "0"], ["--tau", "nan"])),
+        *(["bench", "--model", str(bayes_model), "--input", "x.ppm", *bad]
+          for bad in (["--radius", "0"], ["--tau", "0"], ["--tau", "nan"])),
     )
     for argv in cases:
         assert cli.main(argv) == 1, argv

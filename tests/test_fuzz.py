@@ -1,0 +1,99 @@
+"""Seeded mutation check of the model loaders through the command line.
+
+A valid model file of each kind is corrupted by token substitution,
+token deletion, token duplication and line deletion, then used for
+`segment --refine --prob-out` on a small image and for `eval` on a
+200-row dataset. Every case must either succeed with a well-formed mask
+or exit 2 with a message naming the model file; an exit 3 (an exception
+the loader did not turn into a ValueError) or a mask byte outside
+{0, 255} fails the test. The seed and case count are fixed, so the same
+files are generated on every run.
+"""
+
+import numpy as np
+import pytest
+
+from skinseg import cli
+from skinseg.raster import Image, read_pgm, write_ppm
+
+from conftest import surrogate_rows
+
+FUZZ_SEED = 20240601
+CASES_PER_KIND = 150
+SUBSTITUTES = ("nan", "inf", "-0", "1e308", "-1", "256", "99999999999999999999")
+KINDS = ("threshold", "bayes", "tree", "mlp")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def small_dataset(fuzz_dir):
+    path = fuzz_dir / "rows.txt"
+    path.write_text("\n".join(surrogate_rows(80, 120, seed=9)) + "\n", encoding="ascii")
+    return path
+
+
+@pytest.fixture(scope="module")
+def small_image(fuzz_dir):
+    rng = np.random.default_rng(FUZZ_SEED)
+    path = fuzz_dir / "noise.ppm"
+    path.write_bytes(write_ppm(Image(pixels=rng.integers(0, 256, (9, 11, 3), dtype=np.uint8))))
+    return path
+
+
+def _trained_model(kind, dataset, directory):
+    path = directory / f"{kind}.model"
+    extra = ["--epochs", "1"] if kind == "mlp" else []
+    assert cli.main(["train", "--dataset", str(dataset), "--model", str(path),
+                     "--kind", kind, *extra]) == 0
+    return path.read_text(encoding="ascii")
+
+
+def _mutate(text, rng):
+    """One corruption of a model file: a token replaced, deleted or
+    duplicated, or a whole line deleted."""
+    lines = text.splitlines()
+    i = int(rng.integers(len(lines)))
+    tokens = lines[i].split()
+    j = int(rng.integers(len(tokens)))
+    op = int(rng.integers(4))
+    if op == 0:
+        tokens[j] = SUBSTITUTES[int(rng.integers(len(SUBSTITUTES)))]
+    elif op == 1:
+        del tokens[j]
+    elif op == 2:
+        tokens.insert(j, tokens[j])
+    if op == 3:
+        del lines[i]
+    else:
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mutated_model_files_exit_0_or_2(kind, small_dataset, small_image, fuzz_dir, capsys):
+    good = _trained_model(kind, small_dataset, fuzz_dir)
+    capsys.readouterr()
+    rng = np.random.default_rng([FUZZ_SEED, KINDS.index(kind)])
+    model_path, mask_path = fuzz_dir / f"mutant-{kind}.model", fuzz_dir / "mask.pgm"
+    prob_path = fuzz_dir / "prob.pgm"
+    for case in range(CASES_PER_KIND):
+        text = _mutate(good, rng)
+        model_path.write_text(text, encoding="ascii")
+        for argv in (
+            ["segment", "--model", str(model_path), "--input", str(small_image),
+             "--output", str(mask_path), "--refine", "--prob-out", str(prob_path)],
+            ["eval", "--dataset", str(small_dataset), "--model", str(model_path)],
+        ):
+            mask_path.unlink(missing_ok=True)
+            rc = cli.main(argv)
+            err = capsys.readouterr().err
+            context = (case, argv[0], err)
+            assert rc in (0, 2), context
+            if rc == 2:
+                assert str(model_path) in err, context
+            elif argv[0] == "segment":
+                assert set(np.unique(read_pgm(mask_path.read_bytes())).tolist()) <= {0, 255}

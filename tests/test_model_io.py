@@ -155,6 +155,11 @@ BAYES_MUTATIONS = (
     (r"^class_counts .*$", "class_counts 0 0"),
     (r"^counts h .*$", "counts h"),
     (r"^(counts h skin) \d+", r"\1 -1"),
+    (r"^(counts h skin) \d+", r"\1 99999999999999999999"),
+    (r"^(counts v non_skin) \d+", r"\1 9223372036854775808"),
+    (r"^class_counts .*$", "class_counts 99999999999999999999 5"),
+    (r"^class_counts .*$", "class_counts 9000000000000000000 9000000000000000000"),
+    (r"^seed .*$", "seed -1"),
 )
 TREE_MUTATIONS = (
     (r"^config .*$", "config min_samples_split"),
@@ -163,6 +168,9 @@ TREE_MUTATIONS = (
     (r"^leaf .*$", "leaf -2 1"),
     (r"^leaf (\d+) .*$", r"leaf \1"),
     (r"^split (\S+) .*$", r"split \1"),
+    (r"^split (\S+) \S+", r"split \1 nan"),
+    (r"^split (\S+) \S+", r"split \1 inf"),
+    (r"^split (\S+) \S+", r"split \1 -inf"),
 )
 
 
