@@ -26,11 +26,14 @@ Loading raises ValueError for:
 * a negative seed;
 * a Bayes alpha that is negative or not finite, a likelihood form other
   than factorized, a class count that is not positive, a negative
-  value count, and a value count, class count or class total of 2**63
-  or more;
+  value count, a value count, class count or class total of 2**63 or
+  more, and a table of value counts that does not sum to its class
+  count;
 * a tree node with a negative count, a zero total or a total of 2**63
-  or more, a split threshold that is not finite, and a tree config with
-  min_samples_split < 2 or max_depth < 0;
+  or more, a split threshold that is not finite, a split whose counts
+  are not the sum of its children's, a samples count other than the
+  root's total, and a tree config with min_samples_split < 2 or
+  max_depth < 0;
 * an MLP hidden width < 1, weights or biases that are not finite, and
   weights and biases large enough to overflow the forward pass on some
   input in [0, 1]^3.
@@ -132,7 +135,7 @@ def _parse_bayes(lines: list[str]) -> BayesModel:
     form = None
     class_counts = None
     counts = np.zeros((3, 2, 256), dtype=np.int64)
-    seen = set()
+    table_sums = {}  # (attribute, class) -> exact sum of its value counts
     for ln in lines:
         parts = ln.split()
         key, n_fields = parts[0], len(parts)
@@ -152,13 +155,19 @@ def _parse_bayes(lines: list[str]) -> BayesModel:
             if len(values) != 256:
                 raise ValueError(f"count table needs 256 entries, got {len(values)}")
             counts[attr, cls] = values
-            seen.add((attr, cls))
+            table_sums[attr, cls] = sum(values)
         else:
             raise ValueError(f"malformed bayes line: {ln!r}")
-    if alpha is None or form is None or class_counts is None or len(seen) != 6:
+    if alpha is None or form is None or class_counts is None or len(table_sums) != 6:
         raise ValueError("incomplete bayes body")
     if form != "factorized":
         raise ValueError(f"unsupported likelihood form: {form!r}")
+    for (attr, cls), total in sorted(table_sums.items()):
+        if total != class_counts[cls]:
+            raise ValueError(
+                f"bayes counts {_ATTR_NAMES[attr]} {('skin', 'non_skin')[cls]} sum to "
+                f"{total}, not to the class count {class_counts[cls]}"
+            )
     return BayesModel(counts=counts, class_counts=class_counts, alpha=alpha)
 
 
@@ -213,7 +222,21 @@ def _parse_tree(lines: list[str]) -> TreeModel:
         counts.append((n_skin, n_non))
     if not attribute or open_splits:
         raise ValueError("tree body is incomplete")
-    return TreeModel(attribute, threshold, right, counts, config, n_samples)
+    model = TreeModel(attribute, threshold, right, counts, config, n_samples)
+    counts, splits = model.counts, np.flatnonzero(model.attribute >= 0)
+    # each count is below 2**63, so a difference cannot overflow where a sum could
+    differ = splits[(counts[splits] - counts[splits + 1] != counts[model.right[splits]]).any(1)]
+    if differ.size:
+        node = int(differ[0])
+        raise ValueError(
+            f"tree node {node} counts {counts[node].tolist()} are not the sum of its "
+            f"children's, {counts[node + 1].tolist()} and {counts[model.right[node]].tolist()}"
+        )
+    if n_samples != counts[0].sum():
+        raise ValueError(
+            f"tree samples {n_samples} differ from the root's total {counts[0].sum()}"
+        )
+    return model
 
 
 def _parse_mlp(lines: list[str]) -> MlpModel:

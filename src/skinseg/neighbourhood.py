@@ -14,10 +14,13 @@ are provided:
   can only grow.
 
 The refinement is a single synchronous pass: all likeliness values are
-read from the original map, never from partially refined output. Window
-sums cost about 4r additions per pixel and plane (separable box sums);
-the mask equals refine_brute_oracle bit for bit, and the refined
-probabilities may differ from the oracle's order of addition by ulps.
+read from the original map, never from partially refined output. It
+walks the map in bands of rows. Window sums are separable, and each
+pass sums its 2r + 1 terms by binary decomposition, in
+floor(log2(2r+1)) + popcount(2r+1) - 1 additions per pixel: at most
+2 log2(2r+1), and never more than 2r. The mask equals refine_brute_oracle
+bit for bit, and the refined probabilities may differ from the
+oracle's order of addition by ulps.
 """
 
 import enum
@@ -28,6 +31,7 @@ import numpy as np
 from .classifiers import PROB_SUM_TOL, ClassProbabilities
 
 _PAIR_CHECK_PIXELS = 32768  # pixels per block of the pair-sum check: 256 KiB temporaries
+_BAND_PIXELS = 65536  # output pixels per band of refine: about 3 MB of scratch at 1080p, r=7
 
 
 class Rule(enum.Enum):
@@ -172,23 +176,73 @@ def likeliness(
     return skin_sum / count, non_skin_sum / count
 
 
-def _box_sums(plane: np.ndarray, radius: int) -> np.ndarray:
-    """Sum of each pixel's clipped (2r+1)^2 window, centre included.
+def _run_sums(padded: np.ndarray, radius: int, out: np.ndarray, ping, pong) -> int:
+    """Sums of 2*radius + 1 consecutive rows: out[i] = padded[i : i + 2*radius + 1].sum(0).
 
-    Separable: a row pass then a column pass, each adding its source
-    shifted by 1..min(radius, n-1) both ways, so 4r adds per plane and
-    no padded copy. Each accumulator starts from the centre term.
+    padded has out.shape[0] + 2*radius rows; ping and pong have at least
+    as many. Binary decomposition: the block array of 2s rows is the one
+    of s rows plus itself shifted by s, written alternately to ping and
+    pong, and out adds the blocks that match the set bits of 2r + 1
+    (padded itself is the 1-row block), smallest first. Returns the
+    number of array additions, floor(log2(2r+1)) + popcount(2r+1) - 1,
+    which bounds the additions any one term passes through.
+    """
+    n, length = out.shape[0], 2 * radius + 1
+    if radius == 0:
+        np.copyto(out, padded[:n])
+        return 0
+    block, size, valid = padded, 1, padded.shape[0]  # block[i] sums padded[i : i + size]
+    total, offset, adds = padded[:n], 1, 0
+    while 2 * size <= length:
+        nxt = pong if block is ping else ping
+        valid -= size
+        np.add(block[:valid], block[size : size + valid], out=nxt[:valid])
+        block, size, adds = nxt, 2 * size, adds + 1
+        if length & size:
+            np.add(total, block[offset : offset + n], out=out)
+            total, offset, adds = out, offset + size, adds + 1
+    return adds
+
+
+def _window_scratch(rows: int, height: int, width: int, radius: int) -> tuple:
+    """The four flat buffers _window_sums needs for bands of up to `rows` rows."""
+    ry, rx = min(radius, height - 1), min(radius, width - 1)
+    return tuple(np.empty((rows + 2 * ry) * (width + 2 * rx)) for _ in range(4))
+
+
+def _window_sums(plane: np.ndarray, y0: int, y1: int, radius: int, out: np.ndarray, scratch):
+    """Clipped (2r+1)^2 window sums, centre included, of plane's rows y0:y1.
+
+    A column pass sums 2ry + 1 rows, then a row pass 2rx + 1 columns of
+    those sums (ry, rx: the radius clipped to the plane), each by
+    _run_sums over a zero-padded buffer. Every pixel's sum is added in
+    the same order whatever band y0:y1 holds it, and adding a zero is
+    exact, so a window whose only non-zero term is the centre sums to
+    that term exactly (refine's PAPER-lock test relies on it). scratch
+    comes from _window_scratch for at least y1 - y0 rows.
     """
     h, w = plane.shape
-    rows = plane.copy()
-    for d in range(1, min(radius, w - 1) + 1):
-        rows[:, d:] += plane[:, :-d]
-        rows[:, :-d] += plane[:, d:]
-    box = rows.copy()
-    for d in range(1, min(radius, h - 1) + 1):
-        box[d:] += rows[:-d]
-        box[:-d] += rows[d:]
-    return box
+    ry, rx = min(radius, h - 1), min(radius, w - 1)
+    n, top, bottom = y1 - y0, y0 - ry, y1 + ry
+    col_in, ping, pong, row_in = scratch
+
+    def view(buf, rows, cols):
+        return buf[: rows * cols].reshape(rows, cols)
+
+    if top >= 0 and bottom <= h:
+        src = plane[top:bottom]
+    else:  # rows past the plane's edges read as zeros
+        src = view(col_in, n + 2 * ry, w)
+        lo, hi = max(top, 0), min(bottom, h)
+        src[: lo - top] = 0.0
+        src[lo - top : hi - top] = plane[lo:hi]
+        src[hi - top :] = 0.0
+    padded = view(row_in, n, w + 2 * rx)
+    padded[:, :rx] = 0.0
+    padded[:, rx + w :] = 0.0
+    rows = n + 2 * ry
+    _run_sums(src, ry, padded[:, rx : rx + w], view(ping, rows, w), view(pong, rows, w))
+    _run_sums(padded.T, rx, out.T, view(ping, n, w + 2 * rx).T, view(pong, n, w + 2 * rx).T)
 
 
 def _extents(n: int, radius: int) -> np.ndarray:
@@ -250,19 +304,22 @@ def _products(own_skin, own_non, skin_sum, non_sum, count, cfg: NeighbourhoodCon
 
 
 def _tie_slack(height: int, width: int, radius: int) -> float:
-    """Factor of the bound on how far the box-sum products can stray.
+    """Factor of the bound on how far the window-sum products can stray.
 
-    Both the oracle's sum and _box_sums add non-negative terms, so each
-    lies within gamma_m * (exact sum) of the exact value, where m is its
-    number of additions and gamma_m = m*u / (1 - m*u), u = 2^-53
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    section 4.2). With ry, rx the radius clipped to the map:
+    Both the oracle's sum and _window_sums add non-negative terms, so each
+    lies within gamma_m * (exact sum) of the exact value, where m is the
+    most additions any one term passes through and gamma_m = m*u / (1 - m*u),
+    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., section 4.2). With ry, rx the radius clipped to the map:
 
     * the oracle adds up to (2ry+1)(2rx+1) - 1 terms to 0.0;
-    * the row pass adds 2rx terms, the column pass 2ry terms of those
-      rows, and the centre is subtracted once, so the box-sum neighbour
-      sum lies within gamma_(2ry+2rx+1) * box of the exact sum, where box
-      is the exact window sum including the centre.
+    * _run_sums takes a term through at most floor(log2 L) + popcount(L) - 1
+      additions for a run of L = 2r+1 (the doublings that build its block,
+      then the blocks added after it), which is at most 2r; so the column
+      pass takes at most 2ry, the row pass 2rx, and the centre is
+      subtracted once, and the window-sum neighbour sum lies within
+      gamma_(2ry+2rx+1) * box of the exact sum, where box is the exact
+      window sum including the centre.
 
     The two sums therefore differ by at most gamma_k * box, with
     k = (2ry+1)(2rx+1) + 2ry + 2rx (gamma_a + gamma_b <= gamma_(a+b)).
@@ -298,63 +355,71 @@ def refine(
     is at least the non-skin product. All likeliness values come from the
     original map in one synchronous pass.
 
-    Window sums are separable box sums, about 4r adds per pixel and
-    plane whatever the window's area, and a radius past the map's size
-    clips to it. Their order of addition differs from
-    refine_brute_oracle's, so every pixel whose decision could depend on
-    it (a skin/non-skin product pair closer than the error bound of
-    _tie_slack, or a PAPER-locked pixel whose neighbours sum to zero) is
-    re-summed in the oracle's order. The mask therefore equals the
-    oracle's bit for bit; the refined probabilities of the other pixels
-    may differ from oracle-order arithmetic in the last bits. The re-sum
-    costs (2r+1)^2 - 1 adds per pixel over the rows holding such pixels,
-    so a map where most pixels tie (a uniform 0.5 region) refines several
-    times slower than one with few ties.
+    The map is refined in bands of rows (the band height comes from a
+    fixed pixel budget, so the scratch buffers stay near cache size), and
+    only the two output planes and the mask are allocated at full size. Window sums
+    are separable, and each pass sums its 2r+1 terms by binary
+    decomposition: at most 2 log2(2r+1) additions per pixel and pass,
+    never more than 2r, and a radius past the map's size clips to it. Every
+    pixel's arithmetic is the same whatever the band height. The order of
+    addition differs from refine_brute_oracle's, so every pixel whose
+    decision could depend on it (a skin/non-skin product pair closer than
+    the error bound of _tie_slack, or a PAPER-locked pixel whose
+    neighbours sum to zero) is re-summed in the oracle's order. The mask
+    therefore equals the oracle's bit for bit; the refined probabilities
+    of the other pixels may differ from oracle-order arithmetic in the
+    last bits. The re-sum costs (2r+1)^2 - 1 adds per pixel over the rows
+    holding such pixels, so a map where most pixels tie (a uniform 0.5
+    region) refines several times slower than one with few ties.
     """
     height, width = pmap.height, pmap.width
-    skin_sum = _box_sums(pmap.p_skin, cfg.radius)
-    skin_sum -= pmap.p_skin
-    non_sum = _box_sums(pmap.p_non_skin, cfg.radius)
-    non_sum -= pmap.p_non_skin
+    band = max(1, _BAND_PIXELS // width)
+    scratch = _window_scratch(min(band, height), height, width, cfg.radius)
     ext_y, ext_x = _extents(height, cfg.radius), _extents(width, cfg.radius)
-    count = np.outer(ext_y, ext_x) - 1.0
-    skin_product, non_product = _products(
-        pmap.p_skin, pmap.p_non_skin, skin_sum, non_sum, count, cfg
-    )
+    tie_slack = _tie_slack(height, width, cfg.radius)
+    skin_product, non_product = np.empty((height, width)), np.empty((height, width))
+    mask = np.empty((height, width), dtype=bool)
+    for y0 in range(0, height, band):
+        y1 = min(y0 + band, height)
+        own_skin, own_non = pmap.p_skin[y0:y1], pmap.p_non_skin[y0:y1]
+        skin, non = skin_product[y0:y1], non_product[y0:y1]
+        _window_sums(pmap.p_skin, y0, y1, cfg.radius, skin, scratch)
+        skin -= own_skin
+        _window_sums(pmap.p_non_skin, y0, y1, cfg.radius, non, scratch)
+        non -= own_non
+        count = np.multiply.outer(ext_y[y0:y1], ext_x)
+        count -= 1.0
+        _products(own_skin, own_non, skin, non, count, cfg)
 
-    # pixels whose mask or lock could hang on the order of addition: products
-    # closer than _tie_slack allows, or locked with a zero skin sum (as
-    # skin_product == 0 there); re-sum them in the oracle's order
-    gap = np.subtract(skin_product, non_product)
-    np.abs(gap, out=gap)
-    slack = np.divide(1.0, count, out=count, where=count > 0)
-    slack += skin_product
-    slack += non_product
-    slack *= _tie_slack(height, width, cfg.radius)
-    resum = gap <= slack
-    del slack, count
-    if cfg.rule is Rule.PAPER:
-        resum = np.where(pmap.p_skin >= cfg.decision_threshold, skin_product == 0.0, resum)
-    ys, xs = np.nonzero(resum)
-    del resum
-    if ys.size:
-        exact_skin, exact_non = _oracle_order_sums(pmap, ys, xs, cfg.radius)
-        skin_product[ys, xs], non_product[ys, xs] = _products(
-            pmap.p_skin[ys, xs], pmap.p_non_skin[ys, xs], exact_skin, exact_non,
-            ext_y[ys] * ext_x[xs] - 1.0, cfg,
-        )
+        # pixels whose mask or lock could hang on the order of addition:
+        # products closer than _tie_slack allows, or locked with a zero skin
+        # sum (as the skin product is 0 there); re-sum them in the oracle's order
+        gap = np.subtract(skin, non)
+        np.abs(gap, out=gap)
+        slack = np.divide(1.0, count, out=count, where=count > 0)
+        slack += skin
+        slack += non
+        slack *= tie_slack
+        resum = gap <= slack
+        if cfg.rule is Rule.PAPER:
+            resum = np.where(own_skin >= cfg.decision_threshold, skin == 0.0, resum)
+        ys, xs = np.nonzero(resum)
+        if ys.size:
+            exact_skin, exact_non = _oracle_order_sums(pmap, ys + y0, xs, cfg.radius)
+            skin[ys, xs], non[ys, xs] = _products(
+                own_skin[ys, xs], own_non[ys, xs], exact_skin, exact_non,
+                ext_y[ys + y0] * ext_x[xs] - 1.0, cfg,
+            )
 
-    mask = SkinMask(pixels=skin_product >= non_product)
-    total = np.add(skin_product, non_product, out=gap)
-    del gap
-    degenerate = total == 0.0
-    total[degenerate] = 1.0
-    skin_product /= total
-    non_product /= total
-    del total
-    np.copyto(skin_product, pmap.p_skin, where=degenerate)
-    np.copyto(non_product, pmap.p_non_skin, where=degenerate)
-    return ProbabilityMap(skin_product, non_product), mask
+        np.greater_equal(skin, non, out=mask[y0:y1])
+        total = np.add(skin, non, out=gap)
+        degenerate = total == 0.0
+        total[degenerate] = 1.0
+        skin /= total
+        non /= total
+        np.copyto(skin, own_skin, where=degenerate)
+        np.copyto(non, own_non, where=degenerate)
+    return ProbabilityMap(skin_product, non_product), SkinMask(pixels=mask)
 
 
 def refine_brute_oracle(

@@ -468,6 +468,14 @@ def test_non_finite_mlp_weight_exits_2(workdir, mlp_model, noisy_disc, tmp_path,
                  "class_counts 9000000000000000000 9000000000000000000",
                  id="bayes-class-total-past-int64"),
     pytest.param("bayes", r"^seed .*$", "seed -1", id="bayes-negative-seed"),
+    pytest.param("bayes", r"^(counts h skin) \d+", r"\1 5000", id="bayes-table-off-class-count"),
+    pytest.param("bayes", r"^class_counts (\d+)", r"class_counts 1\1",
+                 id="bayes-class-count-off-tables"),
+    pytest.param("tree", r"^leaf .*$", "leaf 5000 1", id="tree-leaf-off-parent"),
+    pytest.param("tree", r"^split (\S+) (\S+) (\d+)", r"split \1 \2 1\3",
+                 id="tree-split-off-children"),
+    pytest.param("tree", r"^samples .*$", "samples -1", id="tree-negative-samples"),
+    pytest.param("tree", r"^samples (\d+)$", r"samples 1\1", id="tree-samples-off-root"),
 ])
 def test_malformed_model_body_exits_2(kind, pattern, repl, noisy_disc, tmp_path, capsys,
                                       request):

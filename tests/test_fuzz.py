@@ -1,13 +1,16 @@
-"""Seeded mutation check of the model loaders through the command line.
+"""Seeded mutation check of the model, image and dataset loaders through the command line.
 
 A valid model file of each kind is corrupted by token substitution,
 token deletion, token duplication and line deletion, then used for
 `segment --refine --prob-out` on a small image and for `eval` on a
-200-row dataset. Every case must either succeed with a well-formed mask
-or exit 2 with a message naming the model file; an exit 3 (an exception
-the loader did not turn into a ValueError) or a mask byte outside
-{0, 255} fails the test. The seed and case count are fixed, so the same
-files are generated on every run.
+200-row dataset. A valid P6 image and a valid dataset file are
+corrupted by byte flips and truncations, then read by
+`segment --refine --prob-out`, and by `train` and `eval`. Every case
+must either succeed (with a well-formed mask, for `segment`) or exit 2
+with a message naming the corrupted file; an exit 3 (an exception the
+loader did not turn into a ValueError) or a mask byte outside {0, 255}
+fails the test. The seed and case counts are fixed, so the same files
+are generated on every run.
 """
 
 import numpy as np
@@ -20,6 +23,7 @@ from conftest import surrogate_rows
 
 FUZZ_SEED = 20240601
 CASES_PER_KIND = 150
+BYTE_CASES = 150  # per corrupted image, and per corrupted dataset
 SUBSTITUTES = ("nan", "inf", "-0", "1e308", "-1", "256", "99999999999999999999")
 KINDS = ("threshold", "bayes", "tree", "mlp")
 
@@ -71,6 +75,60 @@ def _mutate(text, rng):
     else:
         lines[i] = " ".join(tokens)
     return "\n".join(lines) + "\n"
+
+
+def _corrupt_bytes(data, header_size, rng):
+    """One corruption of a file: a byte flipped (half the time within its
+    first header_size bytes) or the file cut short."""
+    data = bytearray(data)
+    if rng.random() < 0.25:
+        return bytes(data[: int(rng.integers(len(data)))])
+    end = header_size if rng.random() < 0.5 else len(data)
+    data[int(rng.integers(end))] ^= int(rng.integers(1, 256))
+    return bytes(data)
+
+
+def _run(argv, path, capsys, context):
+    """cli.main(argv): exit 0, or exit 2 naming path on stderr."""
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc in (0, 2), (*context, err)
+    if rc == 2:
+        assert str(path) in err, (*context, err)
+    return rc
+
+
+def test_corrupted_images_exit_0_or_2(small_dataset, small_image, fuzz_dir, capsys):
+    _trained_model("bayes", small_dataset, fuzz_dir)
+    model_path = fuzz_dir / "bayes.model"
+    good = small_image.read_bytes()
+    header_size = good.index(b"255\n") + 4
+    rng = np.random.default_rng([FUZZ_SEED, 10])
+    image_path, mask_path = fuzz_dir / "mutant.ppm", fuzz_dir / "mask.pgm"
+    for case in range(BYTE_CASES):
+        image_path.write_bytes(_corrupt_bytes(good, header_size, rng))
+        mask_path.unlink(missing_ok=True)
+        argv = ["segment", "--model", str(model_path), "--input", str(image_path),
+                "--output", str(mask_path), "--refine", "--prob-out",
+                str(fuzz_dir / "prob.pgm")]
+        if _run(argv, image_path, capsys, (case,)) == 0:
+            assert set(np.unique(read_pgm(mask_path.read_bytes())).tolist()) <= {0, 255}
+
+
+def test_corrupted_datasets_exit_0_or_2(small_dataset, fuzz_dir, capsys):
+    _trained_model("tree", small_dataset, fuzz_dir)
+    model_path = fuzz_dir / "tree.model"
+    good = small_dataset.read_bytes()
+    rng = np.random.default_rng([FUZZ_SEED, 11])
+    dataset_path = fuzz_dir / "mutant.txt"
+    for case in range(BYTE_CASES):
+        dataset_path.write_bytes(_corrupt_bytes(good, len(good), rng))
+        for argv in (
+            ["train", "--dataset", str(dataset_path), "--model", str(fuzz_dir / "out.model"),
+             "--kind", "tree"],
+            ["eval", "--dataset", str(dataset_path), "--model", str(model_path)],
+        ):
+            _run(argv, dataset_path, capsys, (case, argv[0]))
 
 
 @pytest.mark.parametrize("kind", KINDS)

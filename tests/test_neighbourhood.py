@@ -357,3 +357,71 @@ def test_refine_matches_oracle_at_larger_radii_on_tie_heavy_maps(monkeypatch):
                 assert np.array_equal(refined.p_non_skin[degenerate], q[degenerate])
                 kept.append(degenerate.sum())
     assert sum(resummed) > 0 and sum(kept) > 0
+
+
+def test_window_sums_match_clipped_sums():
+    """_window_sums equals a direct clipped np.sum on every shape up to 9x9.
+
+    The values are multiples of 2**-20 below 1, so every sum of at most
+    81 of them is exact in any order; radii reach past the map's sides.
+    A band of rows gives the bytes of the whole-map call on random values.
+    """
+    rng = np.random.default_rng(81)
+    for h in range(1, 10):
+        for w in range(1, 10):
+            for radius in (1, 2, 3, 4, 9, 12):
+                plane = rng.integers(0, 2**20, size=(h, w)) / 2.0**20
+                expected = np.array([[
+                    plane[max(y - radius, 0) : y + radius + 1,
+                          max(x - radius, 0) : x + radius + 1].sum()
+                    for x in range(w)] for y in range(h)])
+                out = np.empty((h, w))
+                scratch = neighbourhood._window_scratch(h, h, w, radius)
+                neighbourhood._window_sums(plane, 0, h, radius, out, scratch)
+                assert np.array_equal(out, expected), (h, w, radius)
+                plane = rng.random((h, w))
+                neighbourhood._window_sums(plane, 0, h, radius, out, scratch)
+                for y0 in range(h):
+                    row = np.empty((1, w))
+                    neighbourhood._window_sums(plane, y0, y0 + 1, radius, row, scratch)
+                    assert row.tobytes() == out[y0].tobytes(), (h, w, radius, y0)
+
+
+def test_window_sum_additions_stay_within_2r_per_pass():
+    # _tie_slack bounds the rounding error of each pass by 2r additions per
+    # term; the runs of consecutive integers are summed exactly
+    for radius in range(1, 4097):
+        length = 2 * radius + 1
+        padded = np.arange(length + 1, dtype=np.float64)[:, None]
+        out = np.empty((2, 1))
+        adds = neighbourhood._run_sums(padded, radius, out, np.empty_like(padded),
+                                       np.empty_like(padded))
+        assert adds == length.bit_length() - 1 + bin(length).count("1") - 1
+        assert adds <= 2 * radius, radius
+        assert out[:, 0].tolist() == [length * radius, length * (radius + 1)], radius
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_refine_bytes_do_not_depend_on_the_band_height(rows, monkeypatch):
+    """Bands of 1, 2 and 5 rows give the default band's bytes and the oracle's mask.
+
+    Heights 13 and 29 are not multiples of any of those bands, and
+    radius 7 reaches past a band's rows into the ones around it.
+    """
+    rng = np.random.default_rng(rows)
+    cases = []
+    for h, w in ((13, 11), (29, 6), (1, 9), (9, 1)):
+        for p in (rng.random((h, w)), rng.choice([0.0, 0.1, 0.5, 0.9, 1.0], size=(h, w))):
+            pm = ProbabilityMap.from_p_skin(p)
+            for rule in (Rule.SYMMETRIC, Rule.PAPER):
+                for radius in (1, 2, 3, 7):
+                    cfg = NeighbourhoodConfig(rule=rule, radius=radius)
+                    cases.append((pm, cfg, refine(pm, cfg)))
+    for pm, cfg, (default, default_mask) in cases:
+        monkeypatch.setattr(neighbourhood, "_BAND_PIXELS", rows * pm.width)
+        refined, mask = refine(pm, cfg)
+        context = (pm.height, pm.width, cfg)
+        assert refined.p_skin.tobytes() == default.p_skin.tobytes(), context
+        assert refined.p_non_skin.tobytes() == default.p_non_skin.tobytes(), context
+        assert mask.pixels.tobytes() == default_mask.pixels.tobytes(), context
+        assert np.array_equal(mask.pixels, refine_brute_oracle(pm, cfg).pixels), context
