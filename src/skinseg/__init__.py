@@ -53,7 +53,6 @@ from .neighbourhood import (
     NeighbourhoodConfig,
     ProbabilityMap,
     Rule,
-    SkinMask,
     likeliness,
     neighbour_sums,
     refine,
@@ -61,8 +60,8 @@ from .neighbourhood import (
 from .nn import MlpArchitecture, MlpModel, TrainConfig, forward, train
 from .raster import (
     Image,
-    MaskImage,
     PnmError,
+    SkinMask,
     downscale_half,
     read_pgm,
     read_ppm,

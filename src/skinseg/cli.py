@@ -152,6 +152,13 @@ def _load_image(path):
         raise DataError(f"bad image {path}: {exc}") from exc
 
 
+def _segment(image, path, model, **kwargs):
+    try:
+        return segment_image(image, model, **kwargs)
+    except ValueError as exc:
+        raise DataError(f"cannot segment image {path}: {exc}") from exc
+
+
 def _refine_config(rule, radius, tau) -> NeighbourhoodConfig:
     try:
         return NeighbourhoodConfig(
@@ -252,8 +259,6 @@ def cmd_eval(args) -> int:
         )
 
     _, test_raw = _split(samples, args.dataset, args.test_fraction, seed)
-    if not test_raw:
-        raise DataError("held-out split is empty")
     truth = test_raw.skin
     scores = score_rgb(saved.model, test_raw.channels[:, ::-1])
     matrix = confusion_from_flags(scores >= 0.5, truth)
@@ -291,11 +296,8 @@ def cmd_segment(args) -> int:
     saved = _load_model(args.model)
     image = _load_image(args.input)
 
-    try:
-        result = segment_image(image, saved.model, refine_cfg=refine_cfg,
-                               downscale=args.downscale)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    result = _segment(image, args.input, saved.model, refine_cfg=refine_cfg,
+                      downscale=args.downscale)
 
     try:
         with open(args.output, "wb") as fh:
@@ -309,7 +311,7 @@ def cmd_segment(args) -> int:
         except OSError as exc:
             raise DataError(f"cannot write probability map {args.prob_out}: {exc}") from exc
 
-    skin_pixels = int((result.mask.pixels == 255).sum())
+    skin_pixels = int(result.mask.pixels.sum())
     print(f"size: {image.width}x{image.height}")
     print(f"elapsed_seconds: {result.elapsed_seconds:.3f}")
     print(f"skin_pixels: {skin_pixels}")
@@ -327,16 +329,13 @@ def cmd_bench(args) -> int:
     def median_time(**kwargs) -> float:
         times = []
         for _ in range(5):
-            result = segment_image(image, saved.model, **kwargs)
+            result = _segment(image, args.input, saved.model, **kwargs)
             times.append(result.elapsed_seconds)
         return statistics.median(times)
 
-    try:
-        stage1 = median_time(refine_cfg=None, downscale=False)
-        full = median_time(refine_cfg=refine_cfg, downscale=False)
-        down = median_time(refine_cfg=refine_cfg, downscale=True)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    stage1 = median_time(refine_cfg=None, downscale=False)
+    full = median_time(refine_cfg=refine_cfg, downscale=False)
+    down = median_time(refine_cfg=refine_cfg, downscale=True)
 
     print("runs: 5")
     print(f"stage1_seconds: {stage1:.6f}")

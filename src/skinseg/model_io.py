@@ -286,7 +286,7 @@ def _parse_mlp(lines: list[str]) -> MlpModel:
     return MlpModel(arch=arch, weights=weights, biases=biases)
 
 
-# kind -> (model class, body writer, body parser): the only place a kind is named
+# kind -> (model class, body writer, body parser) for every kind a model file can hold
 _FORMATS = {
     "threshold": (ThresholdRange, _threshold_body, _parse_threshold),
     "bayes": (BayesModel, _bayes_body, _parse_bayes),

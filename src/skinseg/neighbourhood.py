@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import PROB_SUM_TOL, ClassProbabilities
+from .raster import SkinMask
 
 _PAIR_CHECK_PIXELS = 32768  # pixels per block of the pair-sum check: 256 KiB temporaries
 _BAND_PIXELS = 65536  # output pixels per band of refine: about 3 MB of scratch at 1080p, r=7
@@ -104,25 +105,6 @@ class ProbabilityMap:
 
     def pixel(self, x: int, y: int) -> ClassProbabilities:
         return ClassProbabilities(float(self.p_skin[y, x]), float(self.p_non_skin[y, x]))
-
-
-@dataclass(frozen=True)
-class SkinMask:
-    """Binary skin/non-skin raster; pixels is a (height, width) bool array."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        if self.pixels.ndim != 2 or self.pixels.dtype != bool:
-            raise ValueError("mask pixels must be a 2-d bool array")
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
 
 
 def neighbour_sums(pmap: ProbabilityMap, x: int, y: int, radius: int = 1):

@@ -2,9 +2,10 @@
 
 Supports binary netpbm only: P6 (colour) and P5 (greyscale), maxval 255.
 Writers emit the canonical header ``P6\\n<w> <h>\\n255\\n`` followed by the
-raw payload, so round-trips are byte-identical. Downscaling averages
-2x2 blocks (round-half-up, trailing odd row/column dropped); upscaling a
-mask is nearest-neighbour.
+raw payload, so round-trips are byte-identical. A skin mask is a bool
+``SkinMask`` in memory; only ``write_pgm`` encodes it, as 255 (skin) and
+0 (non-skin) bytes. Downscaling averages 2x2 blocks (round-half-up,
+trailing odd row/column dropped); upscaling a mask is nearest-neighbour.
 """
 
 from dataclasses import dataclass
@@ -55,26 +56,17 @@ class Image:
 
 
 @dataclass(frozen=True)
-class MaskImage:
-    """Single-channel mask raster; 255 = skin, 0 = non-skin."""
+class SkinMask:
+    """Binary skin/non-skin raster; pixels is a non-empty (height, width) bool array."""
 
     pixels: np.ndarray
 
     def __post_init__(self):
         p = self.pixels
-        if p.ndim != 2 or p.dtype != np.uint8:
-            raise ValueError(f"mask pixels must be (h, w) uint8, got {p.shape} {p.dtype}")
+        if p.ndim != 2 or p.dtype != bool:
+            raise ValueError(f"mask pixels must be (h, w) bool, got {p.shape} {p.dtype}")
         if p.shape[0] == 0 or p.shape[1] == 0:
             raise ValueError("mask dimensions must be positive")
-        if not np.isin(p, (0, 255)).all():
-            raise ValueError("mask values must be 0 or 255")
-
-    @classmethod
-    def from_bool(cls, skin: np.ndarray) -> "MaskImage":
-        return cls(pixels=np.where(skin, 255, 0).astype(np.uint8))
-
-    def to_bool(self) -> np.ndarray:
-        return self.pixels == 255
 
     @property
     def height(self) -> int:
@@ -162,9 +154,9 @@ def write_ppm(img: Image) -> bytes:
     return header + img.pixels.tobytes()
 
 
-def write_pgm(mask: MaskImage) -> bytes:
-    header = f"P5\n{mask.width} {mask.height}\n255\n".encode("ascii")
-    return header + mask.pixels.tobytes()
+def write_pgm(mask: SkinMask) -> bytes:
+    """P5 bytes for a mask: 255 = skin, 0 = non-skin."""
+    return write_gray_pgm(mask.pixels.view(np.uint8) * 255)
 
 
 def write_gray_pgm(gray: np.ndarray) -> bytes:
@@ -195,7 +187,7 @@ def downscale_half(img: Image) -> Image:
     return Image(pixels=((blocks + 2) // 4).astype(np.uint8))
 
 
-def upscale_mask_2x(mask: MaskImage, target_w: int, target_h: int) -> MaskImage:
+def upscale_mask_2x(mask: SkinMask, target_w: int, target_h: int) -> SkinMask:
     """Nearest-neighbour 2x upscale of a mask to the original image size.
 
     The target is exactly double in each axis, or one longer where
@@ -208,4 +200,4 @@ def upscale_mask_2x(mask: MaskImage, target_w: int, target_h: int) -> MaskImage:
         raise ValueError(f"target height {target_h} incompatible with mask height {mask.height}")
     ys = np.minimum(np.arange(target_h) // 2, mask.height - 1)
     xs = np.minimum(np.arange(target_w) // 2, mask.width - 1)
-    return MaskImage(pixels=mask.pixels[np.ix_(ys, xs)])
+    return SkinMask(pixels=mask.pixels[np.ix_(ys, xs)])

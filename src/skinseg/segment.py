@@ -2,9 +2,10 @@
 
 Glues the per-pixel classifiers to raster images: compute a skin
 probability for every pixel (stage 1), optionally run the neighbourhood
-refinement (stage 2), and emit a binary mask. The half-resolution path
-downscales first and resizes the mask back to the input geometry, which
-cuts the classified pixel count to a quarter.
+refinement (stage 2), and emit a bool ``SkinMask`` (only the PGM writer
+turns it into 255/0 bytes). The half-resolution path downscales first
+and resizes the mask back to the input geometry, which cuts the
+classified pixel count to a quarter.
 
 Every classifier is a pure function of a pixel's 8-bit RGB triple, so
 stage 1 converts and scores each distinct colour of the image once and
@@ -27,15 +28,19 @@ from .classifiers import (
     tree_predict_batch,
 )
 from .colorspace import rgb_to_hsv_array
-from .neighbourhood import NeighbourhoodConfig, ProbabilityMap, SkinMask, refine
+from .neighbourhood import NeighbourhoodConfig, ProbabilityMap, refine
 from .nn import MlpModel, mlp_predict_batch
-from .raster import Image, MaskImage, downscale_half, upscale_mask_2x
+from .raster import Image, SkinMask, downscale_half, upscale_mask_2x
 
 
 @dataclass(frozen=True)
 class SegmentResult:
-    mask: MaskImage
-    probabilities: ProbabilityMap  # final map at the working resolution
+    """A segmentation: the bool mask at the input image's size, the final
+    probability map at the working (possibly halved) resolution, and the
+    wall-clock time the pipeline took."""
+
+    mask: SkinMask
+    probabilities: ProbabilityMap
     elapsed_seconds: float
 
 
@@ -97,11 +102,10 @@ def segment_image(
         mask = _decide(pmap)
     else:
         pmap, mask = refine(pmap, refine_cfg)
-    mask_img = MaskImage.from_bool(mask.pixels)
     if downscale:
-        mask_img = upscale_mask_2x(mask_img, image.width, image.height)
+        mask = upscale_mask_2x(mask, image.width, image.height)
     elapsed = time.perf_counter() - start
-    return SegmentResult(mask=mask_img, probabilities=pmap, elapsed_seconds=elapsed)
+    return SegmentResult(mask=mask, probabilities=pmap, elapsed_seconds=elapsed)
 
 
 def probability_rendering(pmap: ProbabilityMap) -> np.ndarray:

@@ -418,6 +418,20 @@ def test_bench_reports_all_legs(workdir, threshold_model, tmp_path, capsys):
         assert key in out
 
 
+@pytest.mark.parametrize("command", ["segment", "bench"])
+@pytest.mark.parametrize("w, h", [(1, 1), (1, 5), (5, 1)])
+def test_image_too_small_to_halve_exits_2_naming_it(command, w, h, workdir, threshold_model,
+                                                    tmp_path, capsys):
+    image = _flat_image(tmp_path / f"tiny-{w}x{h}.ppm", SKIN_TONE, w=w, h=h)
+    argv = [command, "--model", str(threshold_model), "--input", str(image)]
+    if command == "segment":
+        argv += ["--output", str(tmp_path / "mask.pgm"), "--downscale"]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"cannot segment image {image}: " in err
+
+
 def test_dataset_stats(workdir, surrogate_file, surrogate_samples, capsys):
     rc = cli.main(["dataset-stats", "--dataset", str(surrogate_file)])
     out = capsys.readouterr().out

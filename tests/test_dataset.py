@@ -132,6 +132,10 @@ def test_train_size_arithmetic():
     assert train_size(2, 0.5) == 1
     # train side is floored, so the test side picks up the remainder
     assert train_size(7, 0.3) == 4  # 7*0.7 = 4.9 -> 4, test gets 3
+    # for any fraction in (0, 1) the floor keeps at least one row on the test side
+    for n in range(2, 65):
+        for f in (1e-9, 0.3, 0.5, 1 - 1e-9):
+            assert n - train_size(n, f) >= 1, (n, f)
 
 
 def test_split_config_validation():

@@ -5,7 +5,10 @@ token deletion, token duplication and line deletion, then used for
 `segment --refine --prob-out` on a small image and for `eval` on a
 200-row dataset. A valid P6 image and a valid dataset file are
 corrupted by byte flips and truncations, then read by
-`segment --refine --prob-out`, and by `train` and `eval`. Every case
+`segment --refine --prob-out`, and by `train` and `eval`. The image's
+width, height and maxval header tokens are also replaced, one at a time,
+by every substitute value and by 0, 1 and 2. Every corrupted image is
+segmented both at full size and with `--downscale`. Every case
 must either succeed (with a well-formed mask, for `segment`) or exit 2
 with a message naming the corrupted file; an exit 3 (an exception the
 loader did not turn into a ValueError) or a mask byte outside {0, 255}
@@ -17,7 +20,7 @@ import numpy as np
 import pytest
 
 from skinseg import cli
-from skinseg.raster import Image, read_pgm, write_ppm
+from skinseg.raster import Image, read_pgm, read_ppm, write_ppm
 
 from conftest import surrogate_rows
 
@@ -25,6 +28,7 @@ FUZZ_SEED = 20240601
 CASES_PER_KIND = 150
 BYTE_CASES = 150  # per corrupted image, and per corrupted dataset
 SUBSTITUTES = ("nan", "inf", "-0", "1e308", "-1", "256", "99999999999999999999")
+HEADER_VALUES = SUBSTITUTES + ("0", "1", "2")  # 1 leaves an image too small to halve
 KINDS = ("threshold", "bayes", "tree", "mlp")
 
 
@@ -88,6 +92,18 @@ def _corrupt_bytes(data, header_size, rng):
     return bytes(data)
 
 
+def _header_mutants(good):
+    """The image with its width, height or maxval token replaced by each
+    of HEADER_VALUES in turn."""
+    header_size = good.index(b"255\n") + 4
+    fields = good[:header_size].split()[1:]
+    for i in range(len(fields)):
+        for value in HEADER_VALUES:
+            mutant = list(fields)
+            mutant[i] = value.encode("ascii")
+            yield b"P6\n%s %s\n%s\n" % tuple(mutant) + good[header_size:]
+
+
 def _run(argv, path, capsys, context):
     """cli.main(argv): exit 0, or exit 2 naming path on stderr."""
     rc = cli.main(argv)
@@ -113,6 +129,39 @@ def test_corrupted_images_exit_0_or_2(small_dataset, small_image, fuzz_dir, caps
                 str(fuzz_dir / "prob.pgm")]
         if _run(argv, image_path, capsys, (case,)) == 0:
             assert set(np.unique(read_pgm(mask_path.read_bytes())).tolist()) <= {0, 255}
+
+
+def _segment_mutants(mutants, model_path, fuzz_dir, capsys, downscale):
+    """segment --refine --prob-out on each mutant image: exit 0 with a mask
+    of the image's size holding only 0 and 255, or exit 2 naming the image."""
+    image_path, mask_path = fuzz_dir / "mutant.ppm", fuzz_dir / "mask.pgm"
+    for case, data in enumerate(mutants):
+        image_path.write_bytes(data)
+        mask_path.unlink(missing_ok=True)
+        argv = ["segment", "--model", str(model_path), "--input", str(image_path),
+                "--output", str(mask_path), "--refine", "--prob-out",
+                str(fuzz_dir / "prob.pgm")] + (["--downscale"] if downscale else [])
+        if _run(argv, image_path, capsys, (case, downscale)) == 0:
+            mask = read_pgm(mask_path.read_bytes())
+            assert mask.shape == read_ppm(data).pixels.shape[:2], case
+            assert set(np.unique(mask).tolist()) <= {0, 255}, case
+
+
+def test_corrupted_images_downscaled_exit_0_or_2(small_dataset, small_image, fuzz_dir, capsys):
+    _trained_model("bayes", small_dataset, fuzz_dir)
+    good = small_image.read_bytes()
+    header_size = good.index(b"255\n") + 4
+    rng = np.random.default_rng([FUZZ_SEED, 10])  # the images of the full-size test above
+    mutants = (_corrupt_bytes(good, header_size, rng) for _ in range(BYTE_CASES))
+    _segment_mutants(mutants, fuzz_dir / "bayes.model", fuzz_dir, capsys, downscale=True)
+
+
+@pytest.mark.parametrize("downscale", [False, True], ids=["full", "downscale"])
+def test_substituted_image_header_tokens_exit_0_or_2(downscale, small_dataset, small_image,
+                                                     fuzz_dir, capsys):
+    _trained_model("bayes", small_dataset, fuzz_dir)
+    mutants = _header_mutants(small_image.read_bytes())
+    _segment_mutants(mutants, fuzz_dir / "bayes.model", fuzz_dir, capsys, downscale)
 
 
 def test_corrupted_datasets_exit_0_or_2(small_dataset, fuzz_dir, capsys):

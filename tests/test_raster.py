@@ -7,12 +7,12 @@ import pytest
 
 from skinseg.raster import (
     Image,
-    MaskImage,
     PnmDepthError,
     PnmError,
     PnmHeaderError,
     PnmMagicError,
     PnmTruncatedError,
+    SkinMask,
     downscale_half,
     read_pgm,
     read_ppm,
@@ -93,18 +93,24 @@ def test_read_ppm_returns_writable_copy():
 
 def test_pgm_mask_round_trip():
     rng = np.random.default_rng(8)
-    mask = MaskImage.from_bool(rng.random((7, 5)) < 0.5)
+    mask = SkinMask(pixels=rng.random((7, 5)) < 0.5)
     again = read_pgm(write_pgm(mask))
-    assert np.array_equal(again, mask.pixels)
-    zeros = MaskImage(pixels=np.zeros((3, 3), dtype=np.uint8))
+    assert np.array_equal(again, np.where(mask.pixels, 255, 0))
+    zeros = SkinMask(pixels=np.zeros((3, 3), dtype=bool))
     assert read_pgm(write_pgm(zeros)).sum() == 0
+    flags = np.array([[True, False, True], [False, False, True]])
+    assert write_pgm(SkinMask(pixels=flags)) == b"P5\n3 2\n255\n" + bytes([255, 0, 255, 0, 0, 255])
 
 
-def test_mask_image_validation_and_bool_round_trip():
-    with pytest.raises(ValueError):
-        MaskImage(pixels=np.full((2, 2), 7, dtype=np.uint8))
-    flags = np.array([[True, False], [False, True]])
-    assert np.array_equal(MaskImage.from_bool(flags).to_bool(), flags)
+def test_skin_mask_validation():
+    for bad in (
+        np.ones((2, 2), dtype=np.uint8),
+        np.ones((2, 2, 1), dtype=bool),
+        np.zeros((0, 3), dtype=bool),
+        np.zeros((3, 0), dtype=bool),
+    ):
+        with pytest.raises(ValueError):
+            SkinMask(pixels=bad)
 
 
 def test_write_gray_pgm_parses_back():
@@ -177,14 +183,14 @@ def test_downscale_matches_exact_mean_oracle():
 
 
 def test_upscale_single_pixel_mask():
-    mask = MaskImage(pixels=np.full((1, 1), 255, dtype=np.uint8))
+    mask = SkinMask(pixels=np.ones((1, 1), dtype=bool))
     up = upscale_mask_2x(mask, 2, 2)
     assert up.pixels.shape == (2, 2)
-    assert np.all(up.to_bool())
+    assert np.all(up.pixels)
 
 
 def test_upscale_checkerboard_blocks():
-    board = MaskImage.from_bool(np.array([[True, False], [False, True]]))
+    board = SkinMask(pixels=np.array([[True, False], [False, True]]))
     up = upscale_mask_2x(board, 4, 4)
     expect = np.array(
         [
@@ -194,11 +200,11 @@ def test_upscale_checkerboard_blocks():
             [False, False, True, True],
         ]
     )
-    assert np.array_equal(up.to_bool(), expect)
+    assert np.array_equal(up.pixels, expect)
 
 
 def test_upscale_odd_targets_repeat_last_line():
-    mask = MaskImage.from_bool(np.array([[True, False], [False, True]]))
+    mask = SkinMask(pixels=np.array([[True, False], [False, True]]))
     up = upscale_mask_2x(mask, 5, 5)
     expect = np.array(
         [
@@ -209,11 +215,11 @@ def test_upscale_odd_targets_repeat_last_line():
             [False, False, True, True, True],
         ]
     )
-    assert np.array_equal(up.to_bool(), expect)
+    assert np.array_equal(up.pixels, expect)
 
 
 def test_upscale_rejects_incompatible_targets():
-    mask = MaskImage.from_bool(np.zeros((3, 3), dtype=bool))
+    mask = SkinMask(pixels=np.zeros((3, 3), dtype=bool))
     for bad_w, bad_h in ((5, 6), (8, 6), (6, 5), (6, 8)):
         with pytest.raises(ValueError):
             upscale_mask_2x(mask, bad_w, bad_h)
@@ -222,7 +228,7 @@ def test_upscale_rejects_incompatible_targets():
 
 
 def test_constant_mask_survives_scale_cycle():
-    mask = MaskImage.from_bool(np.ones((4, 4), dtype=bool))
+    mask = SkinMask(pixels=np.ones((4, 4), dtype=bool))
     up = upscale_mask_2x(mask, 8, 8)
-    assert np.all(up.to_bool())
+    assert np.all(up.pixels)
     assert up.pixels.shape == (8, 8)
