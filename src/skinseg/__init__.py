@@ -9,19 +9,14 @@ from .classifiers import (
     bayes_fit,
     bayes_predict,
     bayes_predict_batch,
-    threshold_classify,
     threshold_scores,
     tree_fit,
-    tree_predict,
     tree_predict_batch,
 )
 from .colorspace import (
     HsvPixel,
-    RgbPixel,
     YcbcrPixel,
-    rgb_to_hsv,
     rgb_to_hsv_array,
-    rgb_to_ycbcr,
     rgb_to_ycbcr_array,
 )
 from .dataset import (
@@ -41,7 +36,6 @@ from .metrics import (
     ConfusionMatrix,
     MetricsReport,
     RocCurve,
-    confusion,
     confusion_from_flags,
     format_report,
     parse_report,
@@ -54,10 +48,9 @@ from .neighbourhood import (
     ProbabilityMap,
     Rule,
     likeliness,
-    neighbour_sums,
     refine,
 )
-from .nn import MlpArchitecture, MlpModel, TrainConfig, forward, train
+from .nn import MlpArchitecture, MlpModel, TrainConfig, train
 from .raster import (
     Image,
     PnmError,

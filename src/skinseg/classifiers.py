@@ -5,15 +5,16 @@ Bayes model counting per-attribute values over the 256-value HSV domain,
 and a CART decision tree with Gini splits, stored as a preorder table of
 node arrays. One helper builds every (attribute x value) count table:
 the Bayes per-class tables and each tree node's split search. Every
-classifier emits a ClassProbabilities pair summing to 1; fitted models
-are immutable and safe for concurrent prediction.
+classifier scores (N, 3) pixel rows as (N,) skin probabilities, the
+non-skin probability being the complement; fitted models are immutable
+and safe for concurrent prediction.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .colorspace import HsvPixel, RgbPixel, YcbcrPixel, rgb_to_ycbcr, rgb_to_ycbcr_array
+from .colorspace import HsvPixel, YcbcrPixel, rgb_to_ycbcr_array
 from .dataset import HsvSample, HsvSamples, Label, hsv_arrays
 
 DOMAIN_SIZE = 256  # each HSV attribute is quantized onto 0-255
@@ -55,10 +56,6 @@ class ClassProbabilities:
         return Label.SKIN if self.p_skin >= self.p_non_skin else Label.NON_SKIN
 
 
-SKIN = ClassProbabilities(1.0, 0.0)
-NON_SKIN = ClassProbabilities(0.0, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Colour range threshold baseline
 # ---------------------------------------------------------------------------
@@ -76,21 +73,10 @@ class ThresholdRange:
             if lo > hi:
                 raise ValueError(f"lower {chan}={lo} exceeds upper {chan}={hi}")
 
-    def contains(self, p: YcbcrPixel) -> bool:
-        return (
-            self.lower.y <= p.y <= self.upper.y
-            and self.lower.cr <= p.cr <= self.upper.cr
-            and self.lower.cb <= p.cb <= self.upper.cb
-        )
-
-
-def threshold_classify(p: RgbPixel, box: ThresholdRange = ThresholdRange()) -> ClassProbabilities:
-    """Classify skin iff the pixel's YCbCr triple lies inside the box."""
-    return SKIN if box.contains(rgb_to_ycbcr(p)) else NON_SKIN
-
 
 def threshold_scores(rgb: np.ndarray, box: ThresholdRange = ThresholdRange()) -> np.ndarray:
-    """Vectorized threshold_classify: (N, 3) RGB rows -> (N,) skin scores in {0, 1}."""
+    """(N, 3) RGB rows -> (N,) skin scores: 1 where the row's YCbCr triple lies
+    inside the box, else 0."""
     ycbcr = rgb_to_ycbcr_array(rgb)
     lo = np.array([box.lower.y, box.lower.cr, box.lower.cb])
     hi = np.array([box.upper.y, box.upper.cr, box.upper.cb])
@@ -340,13 +326,8 @@ def tree_fit(train: HsvSamples | list[HsvSample], cfg: TreeConfig = TreeConfig()
     return TreeModel(attribute, threshold, right, counts, cfg, len(train))
 
 
-def tree_predict(model: TreeModel, p: HsvPixel) -> ClassProbabilities:
-    """The class frequencies of the leaf the pixel reaches."""
-    n_skin, n_non = model.counts[model.route([(p.h, p.s, p.v)])[0]].tolist()
-    return ClassProbabilities(n_skin / (n_skin + n_non), n_non / (n_skin + n_non))
-
-
 def tree_predict_batch(model: TreeModel, hsv: np.ndarray) -> np.ndarray:
-    """Vectorized tree_predict: (N, 3) uint8 HSV rows -> (N,) p_skin."""
+    """(N, 3) uint8 HSV rows -> (N,) p_skin: the skin frequency of the leaf
+    each row reaches."""
     p_skin = model.counts[:, 0] / model.counts.sum(axis=1)
     return p_skin[model.route(hsv)]

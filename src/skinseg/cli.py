@@ -99,7 +99,7 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--input", required=True)
     p_bench.add_argument("--rule", choices=["paper", "symmetric"], default="symmetric")
     p_bench.add_argument("--radius", type=int, default=1)
-    p_bench.add_argument("--tau", type=float, default=0.5)
+    p_bench.add_argument("--tau", type=float, default=None)
 
     p_stats = sub.add_parser("dataset-stats", help="row and class counts plus split sizes")
     p_stats.add_argument("--dataset", required=True)
@@ -160,6 +160,8 @@ def _segment(image, path, model, **kwargs):
 
 
 def _refine_config(rule, radius, tau) -> NeighbourhoodConfig:
+    if tau is not None and rule != "paper":
+        raise UsageError("--tau only applies to --rule paper")
     try:
         return NeighbourhoodConfig(
             radius=1 if radius is None else radius,

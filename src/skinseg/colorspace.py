@@ -1,12 +1,12 @@
-"""Colour space conversions for 8-bit RGB pixels.
+"""Colour space conversions for arrays of 8-bit RGB triples.
 
-All conversions are pure functions over value types and are bit-exact:
-hue is quantized onto a single 0-255 domain (not the 0-179 half-degree
-convention), rounding is round-half-up everywhere, and clamping happens
-after rounding. Because every input channel is an 8-bit integer, all
-quantities are exact rationals; the quantization is therefore done in
-integer arithmetic so that half-way cases can never be lost to floating
-point noise. Array variants mirror the scalar functions elementwise.
+Both conversions are pure functions and bit-exact: hue is quantized onto
+a single 0-255 domain (not the 0-179 half-degree convention), rounding
+is round-half-up everywhere, and clamping happens after rounding.
+Because every input channel is an 8-bit integer, all quantities are
+exact rationals; the quantization is therefore done in integer
+arithmetic so that half-way cases can never be lost to floating point
+noise. The pixel dataclasses hold one quantized triple each.
 """
 
 from dataclasses import dataclass
@@ -16,27 +16,11 @@ import numpy as np
 HSV_BLOCK = 8192  # triples per block of rgb_to_hsv_array: 64 KiB int64 temporaries
 
 
-def round_half_up(x: float) -> int:
-    """Round to the nearest integer with halves going toward +infinity."""
-    return int(np.floor(x + 0.5))
-
-
 def _check_channel(name, value):
     if not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
     if not 0 <= value <= 255:
         raise ValueError(f"{name} out of range 0-255: {value}")
-
-
-@dataclass(frozen=True)
-class RgbPixel:
-    r: int
-    g: int
-    b: int
-
-    def __post_init__(self):
-        for name in ("r", "g", "b"):
-            _check_channel(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -65,41 +49,6 @@ class YcbcrPixel:
             _check_channel(name, getattr(self, name))
 
 
-def rgb_to_hsv(p: RgbPixel) -> HsvPixel:
-    """Convert an RGB pixel to quantized HSV.
-
-    Hue is computed in degrees [0, 360) with the h = 0 convention at zero
-    chroma, saturation as chroma/max (0 when max = 0), value as max/255.
-    Each channel is scaled onto 0-255 and rounded half-up.
-    """
-    max_c = max(p.r, p.g, p.b)
-    min_c = min(p.r, p.g, p.b)
-    chroma = max_c - min_c
-
-    # Hue in degrees times chroma, kept integral: H*C = 60*delta (+ sector offset).
-    if chroma == 0:
-        h = 0
-    else:
-        if max_c == p.r:
-            hue_c = 60 * (p.g - p.b)
-            if hue_c < 0:
-                hue_c += 360 * chroma
-        elif max_c == p.g:
-            hue_c = 60 * (p.b - p.r) + 120 * chroma
-        else:
-            hue_c = 60 * (p.r - p.g) + 240 * chroma
-        # round_half_up(255 * (H*C) / (360*C))
-        h = (510 * hue_c + 360 * chroma) // (720 * chroma)
-
-    if max_c == 0:
-        s = 0
-    else:
-        # round_half_up(255 * chroma / max)
-        s = (510 * chroma + max_c) // (2 * max_c)
-
-    return HsvPixel(h=h, s=s, v=max_c)
-
-
 # BT.601 full-range numerators over a common denominator of 1e6:
 #   Y  = (299 R + 587 G + 114 B) / 1000
 #   Cr = 713 (701 R - 587 G - 114 B) / 1e6 + 128
@@ -107,38 +56,15 @@ def rgb_to_hsv(p: RgbPixel) -> HsvPixel:
 _YCBCR_DEN = 1_000_000
 
 
-def _quantize_ratio(num: int, den: int) -> int:
-    """round_half_up(num/den) via integer floor division, then clamp to 0-255."""
-    q = (2 * num + den) // (2 * den)
-    return min(255, max(0, q))
-
-
-def rgb_to_ycbcr(p: RgbPixel) -> YcbcrPixel:
-    """Convert an RGB pixel to full-range BT.601 YCbCr.
-
-    Y = 0.299 R + 0.587 G + 0.114 B, Cr = (R - Y) * 0.713 + 128,
-    Cb = (B - Y) * 0.564 + 128; each rounded half-up and clamped to 0-255.
-    """
-    y_num = 299 * p.r + 587 * p.g + 114 * p.b  # over 1000
-    cr_num = 713 * (701 * p.r - 587 * p.g - 114 * p.b) + 128 * _YCBCR_DEN
-    cb_num = 564 * (886 * p.b - 299 * p.r - 587 * p.g) + 128 * _YCBCR_DEN
-    return YcbcrPixel(
-        y=_quantize_ratio(y_num, 1000),
-        cr=_quantize_ratio(cr_num, _YCBCR_DEN),
-        cb=_quantize_ratio(cb_num, _YCBCR_DEN),
-    )
-
-
-def normalize_hsv(p: HsvPixel) -> tuple[float, float, float]:
-    """Scale each quantized HSV channel onto [0, 1] by dividing by 255."""
-    return (p.h / 255.0, p.s / 255.0, p.v / 255.0)
-
-
 def rgb_to_hsv_array(rgb: np.ndarray) -> np.ndarray:
-    """Elementwise rgb_to_hsv over an array of RGB triples.
+    """Convert RGB triples to quantized HSV.
 
-    Converts HSV_BLOCK triples at a time, so the integer temporaries stay
-    small however many triples there are.
+    Hue is computed in degrees [0, 360) with the h = 0 convention at zero
+    chroma, saturation as chroma/max (0 when max = 0), value as max/255.
+    Each channel is scaled onto 0-255 and rounded half-up; when several
+    channels share the maximum, the hue sector is chosen in the order r,
+    g, b. Converts HSV_BLOCK triples at a time, so the integer
+    temporaries stay small however many triples there are.
 
     Args:
         rgb: integer array with trailing axis of size 3 (..., 3), values 0-255.
@@ -166,7 +92,8 @@ def _hsv_block(rgb: np.ndarray, out: np.ndarray) -> None:
     min_c = np.minimum(np.minimum(r, g), b)
     chroma = max_c - min_c
 
-    # Sector priority mirrors the scalar function: r, then g, then b.
+    # Hue in degrees times chroma, kept integral: H*C = 60*delta (+ sector
+    # offset); sector priority r, then g, then b.
     mask_r = max_c == r
     mask_g = (max_c == g) & ~mask_r
     hue_c = np.where(
@@ -175,6 +102,7 @@ def _hsv_block(rgb: np.ndarray, out: np.ndarray) -> None:
         np.where(mask_g, 60 * (b - r) + 120 * chroma, 60 * (r - g) + 240 * chroma),
     )
     safe_c = np.where(chroma == 0, 1, chroma)
+    # round half up of 255 * (H*C) / (360*C), and of 255 * chroma / max below
     h = np.where(chroma == 0, 0, (510 * hue_c + 360 * safe_c) // (720 * safe_c))
 
     safe_m = np.where(max_c == 0, 1, max_c)
@@ -186,7 +114,12 @@ def _hsv_block(rgb: np.ndarray, out: np.ndarray) -> None:
 
 
 def rgb_to_ycbcr_array(rgb: np.ndarray) -> np.ndarray:
-    """Elementwise rgb_to_ycbcr over an array of RGB triples, output order (y, cr, cb)."""
+    """Convert RGB triples to full-range BT.601 YCbCr, output order (y, cr, cb).
+
+    Y = 0.299 R + 0.587 G + 0.114 B, Cr = (R - Y) * 0.713 + 128,
+    Cb = (B - Y) * 0.564 + 128; each rounded half-up and clamped to 0-255,
+    as a uint8 array of the input's shape.
+    """
     rgb = np.asarray(rgb)
     if rgb.shape[-1] != 3:
         raise ValueError(f"expected trailing axis of size 3, got shape {rgb.shape}")
@@ -202,7 +135,7 @@ def rgb_to_ycbcr_array(rgb: np.ndarray) -> np.ndarray:
     for i, (num, den) in enumerate(
         ((y_num, 1000), (cr_num, _YCBCR_DEN), (cb_num, _YCBCR_DEN))
     ):
-        out[..., i] = np.clip((2 * num + den) // (2 * den), 0, 255)
+        out[..., i] = np.clip((2 * num + den) // (2 * den), 0, 255)  # num/den half up
     return out
 
 

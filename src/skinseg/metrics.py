@@ -70,29 +70,8 @@ class RocCurve:
         return tuple(zip(self.fpr.tolist(), self.tpr.tolist()))
 
 
-def confusion(predicted: Sequence[Label], actual: Sequence[Label]) -> ConfusionMatrix:
-    """Exact label counts; raises on length mismatch."""
-    if len(predicted) != len(actual):
-        raise ValueError(
-            f"label sequences differ in length: {len(predicted)} vs {len(actual)}"
-        )
-    tp = fp = fn = tn = 0
-    for pred, true in zip(predicted, actual):
-        if true is Label.SKIN:
-            if pred is Label.SKIN:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if pred is Label.SKIN:
-                fp += 1
-            else:
-                tn += 1
-    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
-
-
 def confusion_from_flags(pred_skin: np.ndarray, true_skin: np.ndarray) -> ConfusionMatrix:
-    """confusion over boolean skin-flag arrays (vectorized)."""
+    """Exact confusion counts over boolean skin-flag arrays; raises on shape mismatch."""
     pred_skin = np.asarray(pred_skin, dtype=bool)
     true_skin = np.asarray(true_skin, dtype=bool)
     if pred_skin.shape != true_skin.shape:

@@ -103,33 +103,6 @@ class ProbabilityMap:
     def width(self) -> int:
         return self.p_skin.shape[1]
 
-    def pixel(self, x: int, y: int) -> ClassProbabilities:
-        return ClassProbabilities(float(self.p_skin[y, x]), float(self.p_non_skin[y, x]))
-
-
-def neighbour_sums(pmap: ProbabilityMap, x: int, y: int, radius: int = 1):
-    """Sums of p_skin and p_non_skin over the window around (x, y).
-
-    The window is the (2*radius+1)^2 square minus the centre, clipped to
-    the map; returns (skin_sum, non_skin_sum, count) where count is the
-    number of in-bounds neighbours actually summed.
-    """
-    if not (0 <= x < pmap.width and 0 <= y < pmap.height):
-        raise ValueError(f"centre ({x}, {y}) outside {pmap.width}x{pmap.height} map")
-    skin_sum = 0.0
-    non_sum = 0.0
-    count = 0
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            if dx == 0 and dy == 0:
-                continue
-            nx, ny = x + dx, y + dy
-            if 0 <= nx < pmap.width and 0 <= ny < pmap.height:
-                skin_sum += pmap.p_skin[ny, nx]
-                non_sum += pmap.p_non_skin[ny, nx]
-                count += 1
-    return skin_sum, non_sum, count
-
 
 def likeliness(
     skin_sum: float,

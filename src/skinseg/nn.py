@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifiers import ClassProbabilities
 from .colorspace import normalize_hsv_array
 from .dataset import HsvSample, HsvSamples, Label, hsv_arrays
 
@@ -141,12 +140,6 @@ def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     for a, out in zip(np.array_split(x, n_blocks), np.array_split(probs, n_blocks)):
         out[:] = _forward_cached(model, a)[0]
     return probs
-
-
-def forward(model: MlpModel, x) -> ClassProbabilities:
-    """Single input (3-vector in [0, 1]^3) -> class probabilities."""
-    probs = forward_batch(model, np.asarray(x, dtype=np.float64).reshape(1, INPUT_DIM))[0]
-    return ClassProbabilities(float(probs[0]), float(probs[1]))
 
 
 def one_hot(label: Label) -> np.ndarray:

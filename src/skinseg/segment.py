@@ -71,9 +71,14 @@ def stage1_probabilities(image: Image, model) -> ProbabilityMap:
     Each distinct colour is scored once; the scores are the ones the
     model gives that colour, gathered back to every pixel holding it.
     """
-    rgb = image.pixels.reshape(-1, 3).astype(np.uint32)
-    codes, inverse = np.unique((rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2],
-                               return_inverse=True)
+    # 24-bit codes built in place from the uint8 channels: no (N, 3) uint32
+    # copy of the frame; rebinding codes frees the full-size array
+    px = image.pixels.reshape(-1, 3)
+    codes = px[:, 0].astype(np.uint32)
+    for channel in (1, 2):
+        codes <<= 8
+        codes |= px[:, channel]
+    codes, inverse = np.unique(codes, return_inverse=True)
     colours = np.stack([codes >> 16, (codes >> 8) & 0xFF, codes & 0xFF], axis=1).astype(np.uint8)
     p_colour = score_rgb(model, colours)
     return ProbabilityMap.from_p_skin(p_colour[inverse].reshape(image.height, image.width))

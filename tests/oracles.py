@@ -1,0 +1,181 @@
+"""Per-pixel scalar references for the library's array paths.
+
+Each function here computes one pixel (or one label pair) at a time in
+straight-line code, and the tests compare the batch paths in
+``skinseg`` against it element by element, the way ``refine`` is
+compared against ``refine_brute_oracle``. Nothing in ``skinseg``
+imports this module.
+"""
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from skinseg.classifiers import ClassProbabilities, ThresholdRange, TreeModel
+from skinseg.colorspace import _YCBCR_DEN, HsvPixel, YcbcrPixel, _check_channel
+from skinseg.dataset import Label
+from skinseg.metrics import ConfusionMatrix
+from skinseg.neighbourhood import ProbabilityMap
+from skinseg.nn import INPUT_DIM, MlpModel, forward_batch
+
+SKIN = ClassProbabilities(1.0, 0.0)
+NON_SKIN = ClassProbabilities(0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Colour conversions
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RgbPixel:
+    r: int
+    g: int
+    b: int
+
+    def __post_init__(self):
+        for name in ("r", "g", "b"):
+            _check_channel(name, getattr(self, name))
+
+
+def rgb_to_hsv(p: RgbPixel) -> HsvPixel:
+    """Convert an RGB pixel to quantized HSV.
+
+    Hue is computed in degrees [0, 360) with the h = 0 convention at zero
+    chroma, saturation as chroma/max (0 when max = 0), value as max/255.
+    Each channel is scaled onto 0-255 and rounded half-up.
+    """
+    max_c = max(p.r, p.g, p.b)
+    min_c = min(p.r, p.g, p.b)
+    chroma = max_c - min_c
+
+    # Hue in degrees times chroma, kept integral: H*C = 60*delta (+ sector offset).
+    if chroma == 0:
+        h = 0
+    else:
+        if max_c == p.r:
+            hue_c = 60 * (p.g - p.b)
+            if hue_c < 0:
+                hue_c += 360 * chroma
+        elif max_c == p.g:
+            hue_c = 60 * (p.b - p.r) + 120 * chroma
+        else:
+            hue_c = 60 * (p.r - p.g) + 240 * chroma
+        # round half up of 255 * (H*C) / (360*C)
+        h = (510 * hue_c + 360 * chroma) // (720 * chroma)
+
+    if max_c == 0:
+        s = 0
+    else:
+        # round half up of 255 * chroma / max
+        s = (510 * chroma + max_c) // (2 * max_c)
+
+    return HsvPixel(h=h, s=s, v=max_c)
+
+
+def _quantize_ratio(num: int, den: int) -> int:
+    """Round num/den half up via integer floor division, then clamp to 0-255."""
+    q = (2 * num + den) // (2 * den)
+    return min(255, max(0, q))
+
+
+def rgb_to_ycbcr(p: RgbPixel) -> YcbcrPixel:
+    """Convert an RGB pixel to full-range BT.601 YCbCr.
+
+    Y = 0.299 R + 0.587 G + 0.114 B, Cr = (R - Y) * 0.713 + 128,
+    Cb = (B - Y) * 0.564 + 128; each rounded half-up and clamped to 0-255.
+    """
+    y_num = 299 * p.r + 587 * p.g + 114 * p.b  # over 1000
+    cr_num = 713 * (701 * p.r - 587 * p.g - 114 * p.b) + 128 * _YCBCR_DEN
+    cb_num = 564 * (886 * p.b - 299 * p.r - 587 * p.g) + 128 * _YCBCR_DEN
+    return YcbcrPixel(
+        y=_quantize_ratio(y_num, 1000),
+        cr=_quantize_ratio(cr_num, _YCBCR_DEN),
+        cb=_quantize_ratio(cb_num, _YCBCR_DEN),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Stage-1 classifiers
+# ---------------------------------------------------------------------------
+
+def contains(box: ThresholdRange, p: YcbcrPixel) -> bool:
+    return (
+        box.lower.y <= p.y <= box.upper.y
+        and box.lower.cr <= p.cr <= box.upper.cr
+        and box.lower.cb <= p.cb <= box.upper.cb
+    )
+
+
+def threshold_classify(p: RgbPixel, box: ThresholdRange = ThresholdRange()) -> ClassProbabilities:
+    """Classify skin iff the pixel's YCbCr triple lies inside the box."""
+    return SKIN if contains(box, rgb_to_ycbcr(p)) else NON_SKIN
+
+
+def tree_predict(model: TreeModel, p: HsvPixel) -> ClassProbabilities:
+    """The class frequencies of the leaf the pixel reaches."""
+    n_skin, n_non = model.counts[model.route([(p.h, p.s, p.v)])[0]].tolist()
+    return ClassProbabilities(n_skin / (n_skin + n_non), n_non / (n_skin + n_non))
+
+
+def forward(model: MlpModel, x) -> ClassProbabilities:
+    """Single input (3-vector in [0, 1]^3) -> class probabilities."""
+    probs = forward_batch(model, np.asarray(x, dtype=np.float64).reshape(1, INPUT_DIM))[0]
+    return ClassProbabilities(float(probs[0]), float(probs[1]))
+
+
+# ---------------------------------------------------------------------------
+# Neighbourhood sums
+# ---------------------------------------------------------------------------
+
+def pixel(pmap: ProbabilityMap, x: int, y: int) -> ClassProbabilities:
+    return ClassProbabilities(float(pmap.p_skin[y, x]), float(pmap.p_non_skin[y, x]))
+
+
+def neighbour_sums(pmap: ProbabilityMap, x: int, y: int, radius: int = 1):
+    """Sums of p_skin and p_non_skin over the window around (x, y).
+
+    The window is the (2*radius+1)^2 square minus the centre, clipped to
+    the map; returns (skin_sum, non_skin_sum, count) where count is the
+    number of in-bounds neighbours actually summed.
+    """
+    if not (0 <= x < pmap.width and 0 <= y < pmap.height):
+        raise ValueError(f"centre ({x}, {y}) outside {pmap.width}x{pmap.height} map")
+    skin_sum = 0.0
+    non_sum = 0.0
+    count = 0
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            if dx == 0 and dy == 0:
+                continue
+            nx, ny = x + dx, y + dy
+            if 0 <= nx < pmap.width and 0 <= ny < pmap.height:
+                skin_sum += pmap.p_skin[ny, nx]
+                non_sum += pmap.p_non_skin[ny, nx]
+                count += 1
+    return skin_sum, non_sum, count
+
+
+# ---------------------------------------------------------------------------
+# Metrics
+# ---------------------------------------------------------------------------
+
+def confusion(predicted: Sequence[Label], actual: Sequence[Label]) -> ConfusionMatrix:
+    """Exact label counts; raises on length mismatch."""
+    if len(predicted) != len(actual):
+        raise ValueError(
+            f"label sequences differ in length: {len(predicted)} vs {len(actual)}"
+        )
+    tp = fp = fn = tn = 0
+    for pred, true in zip(predicted, actual):
+        if true is Label.SKIN:
+            if pred is Label.SKIN:
+                tp += 1
+            else:
+                fn += 1
+        else:
+            if pred is Label.SKIN:
+                fp += 1
+            else:
+                tn += 1
+    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)

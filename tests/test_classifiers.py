@@ -18,14 +18,14 @@ from skinseg.classifiers import (
     bayes_fit,
     bayes_predict,
     bayes_predict_batch,
-    threshold_classify,
     threshold_scores,
     tree_fit,
-    tree_predict,
     tree_predict_batch,
 )
-from skinseg.colorspace import HsvPixel, RgbPixel, YcbcrPixel
+from skinseg.colorspace import HsvPixel, YcbcrPixel, rgb_to_ycbcr_array
 from skinseg.dataset import HsvSample, HsvSamples, Label, hsv_arrays
+
+from oracles import RgbPixel, threshold_classify, tree_predict
 
 
 def _hsv(h, s, v, skin=True):
@@ -58,18 +58,18 @@ def test_threshold_box_defaults_and_contains():
     box = ThresholdRange()
     assert (box.lower.y, box.lower.cr, box.lower.cb) == (0, 147, 60)
     assert (box.upper.y, box.upper.cr, box.upper.cb) == (255, 180, 127)
-    assert box.contains(YcbcrPixel(100, 160, 90))
-    assert not box.contains(YcbcrPixel(100, 140, 90))  # Cr below 147
-    assert not box.contains(YcbcrPixel(100, 160, 130))  # Cb above 127
+    # RGB triples chosen for their exact YCbCr conversions
+    rgb = np.array([[145, 90, 33], [117, 104, 33], [145, 76, 103]], dtype=np.uint8)
+    assert rgb_to_ycbcr_array(rgb).tolist() == [[100, 160, 90], [100, 140, 90], [100, 160, 130]]
+    # inside; Cr below 147; Cb above 127
+    assert threshold_scores(rgb, box).tolist() == [1.0, 0.0, 0.0]
 
 
 def test_threshold_classify_known_pixels():
-    # white -> YCrCb (255, 128, 128): Cr below range and Cb above
-    assert threshold_classify(RgbPixel(255, 255, 255)).label is Label.NON_SKIN
+    # white -> YCrCb (255, 128, 128): Cr below range and Cb above;
     # a warm skin tone lands inside the box: (210,140,120) -> (159, 165, 106)
-    assert threshold_classify(RgbPixel(210, 140, 120)).label is Label.SKIN
-    out = threshold_classify(RgbPixel(210, 140, 120))
-    assert (out.p_skin, out.p_non_skin) == (1.0, 0.0)
+    rgb = np.array([[255, 255, 255], [210, 140, 120]], dtype=np.uint8)
+    assert threshold_scores(rgb).tolist() == [0.0, 1.0]
 
 
 def test_threshold_scores_matches_scalar():
@@ -228,12 +228,20 @@ def test_bayes_batch_matches_scalar():
     ]
     train[0] = _hsv(0, 0, 0)
     train[1] = _hsv(1, 1, 1, skin=False)
-    model = bayes_fit(train, alpha=1.0)
     hsv = rng.integers(0, 256, size=(400, 3), dtype=np.uint8)
-    batch = bayes_predict_batch(model, hsv)
-    for i in range(hsv.shape[0]):
-        single = bayes_predict(model, HsvPixel(int(hsv[i, 0]), int(hsv[i, 1]), int(hsv[i, 2])))
-        assert batch[i] == pytest.approx(single.p_skin, abs=1e-12)
+    # at alpha = 0 most pixels hold a value each class never saw, so both
+    # scores vanish and the prediction falls back to the skin prior
+    for alpha in (1.0, 0.0):
+        model = bayes_fit(train, alpha=alpha)
+        batch = bayes_predict_batch(model, hsv)
+        fallbacks = 0
+        for i in range(hsv.shape[0]):
+            single = bayes_predict(model, HsvPixel(int(hsv[i, 0]), int(hsv[i, 1]), int(hsv[i, 2])))
+            assert batch[i] == pytest.approx(single.p_skin, abs=1e-12)
+            if single.fallback:
+                assert batch[i] == model.priors[0]
+                fallbacks += 1
+        assert 0 < fallbacks < hsv.shape[0] if alpha == 0.0 else fallbacks == 0
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +379,9 @@ def test_tree_recovers_training_labels_when_consistent():
         label = seen.setdefault(key, bool(rng.integers(0, 2)))
         train.append(_hsv(*key, skin=label))
     model = tree_fit(train)
-    for s in train:
-        out = tree_predict(model, HsvPixel(s.h, s.s, s.v))
-        assert out.label is s.label
+    p_skin = tree_predict_batch(model, hsv_arrays(train)[0])
+    for s, p in zip(train, p_skin):
+        assert ClassProbabilities(p, 1.0 - p).label is s.label
 
 
 def test_tree_leaf_counts_sum_to_training_size():
@@ -400,8 +408,8 @@ def test_tree_single_leaf_probabilities():
     train = [_hsv(1, 1, 1)] * 3 + [_hsv(1, 1, 1, skin=False)]
     model = tree_fit(train)  # identical tuples, mixed labels: no split possible
     assert model.attribute.tolist() == [-1]
-    out = tree_predict(model, HsvPixel(9, 9, 9))
-    assert (out.p_skin, out.p_non_skin) == (0.75, 0.25)
+    p_skin = tree_predict_batch(model, np.array([[9, 9, 9]], dtype=np.uint8))
+    assert (p_skin[0], 1.0 - p_skin[0]) == (0.75, 0.25)
 
 
 def test_tree_max_depth_and_min_samples():
@@ -558,12 +566,11 @@ def test_probability_contract_across_classifiers():
     train[1] = _hsv(1, 1, 1, skin=False)
     bayes = bayes_fit(train, alpha=1.0)
     tree = tree_fit(train)
-    for _ in range(100):
-        pixel = HsvPixel(int(rng.integers(0, 256)), int(rng.integers(0, 256)),
-                         int(rng.integers(0, 256)))
-        for out in (bayes_predict(bayes, pixel), tree_predict(tree, pixel)):
-            assert abs(out.p_skin + out.p_non_skin - 1.0) < 1e-9
-        rgb = RgbPixel(int(rng.integers(0, 256)), int(rng.integers(0, 256)),
-                       int(rng.integers(0, 256)))
-        out = threshold_classify(rgb)
-        assert out.p_skin + out.p_non_skin == 1.0
+    hsv = rng.integers(0, 256, size=(100, 3), dtype=np.uint8)
+    rgb = rng.integers(0, 256, size=(100, 3), dtype=np.uint8)
+    for p_skin in (bayes_predict_batch(bayes, hsv), tree_predict_batch(tree, hsv)):
+        assert p_skin.shape == (100,) and np.all((0.0 <= p_skin) & (p_skin <= 1.0))
+    for pixel in hsv:
+        out = bayes_predict(bayes, HsvPixel(*(int(c) for c in pixel)))
+        assert abs(out.p_skin + out.p_non_skin - 1.0) < 1e-9
+    assert set(threshold_scores(rgb).tolist()) <= {0.0, 1.0}

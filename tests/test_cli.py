@@ -635,14 +635,23 @@ def test_usage_errors_exit_1(workdir, surrogate_file, bayes_model, capsys):
          "--seed", "-1"],
         ["dataset-stats", "--dataset", str(surrogate_file), "--seed", "0"],  # no such flag
         *(["segment", "--model", str(bayes_model), "--input", "x.ppm", "--output", "y.pgm",
-           "--refine", *bad] for bad in (["--radius", "0"], ["--tau", "0"], ["--tau", "nan"])),
+           "--refine", *bad] for bad in (["--radius", "0"], ["--rule", "paper", "--tau", "0"],
+                                         ["--rule", "paper", "--tau", "nan"])),
         *(["bench", "--model", str(bayes_model), "--input", "x.ppm", *bad]
-          for bad in (["--radius", "0"], ["--tau", "0"], ["--tau", "nan"])),
+          for bad in (["--radius", "0"], ["--rule", "paper", "--tau", "0"],
+                      ["--rule", "paper", "--tau", "nan"])),
     )
-    for argv in cases:
+    tau_unused = (  # the symmetric rule never reads the decision threshold
+        ["segment", "--model", str(bayes_model), "--input", "x.ppm", "--output", "y.pgm",
+         "--refine", "--tau", "0.1"],
+        ["bench", "--model", str(bayes_model), "--input", "x.ppm", "--tau", "0.9"],
+    )
+    for argv in cases + tau_unused:
         assert cli.main(argv) == 1, argv
         captured = capsys.readouterr()
         assert "error:" in captured.err
+        if argv in tau_unused:
+            assert "--tau only applies to --rule paper" in captured.err
 
 
 def test_data_errors_exit_2(workdir, surrogate_file, bayes_model, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Colour conversion tests against exact rational oracles."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,16 +9,13 @@ import pytest
 from skinseg.colorspace import (
     HSV_BLOCK,
     HsvPixel,
-    RgbPixel,
     YcbcrPixel,
-    normalize_hsv,
     normalize_hsv_array,
-    rgb_to_hsv,
     rgb_to_hsv_array,
-    rgb_to_ycbcr,
     rgb_to_ycbcr_array,
-    round_half_up,
 )
+
+from oracles import RgbPixel, rgb_to_hsv, rgb_to_ycbcr
 
 
 def _q(value: Fraction) -> int:
@@ -26,12 +24,11 @@ def _q(value: Fraction) -> int:
     return (2 * n + d) // (2 * d)
 
 
-def hsv_oracle(r: int, g: int, b: int) -> tuple[int, int, int]:
-    """Independent HSV quantization in exact Fraction arithmetic.
+def hsv_exact(r: int, g: int, b: int) -> tuple[Fraction, Fraction]:
+    """Unrounded (h, s) on the 0-255 scale, in exact Fraction arithmetic.
 
     Hue in degrees with the usual sector formulas (max priority r, g, b),
-    wrapped into [0, 360); h = round(H/360*255), s = round(C/max*255),
-    v = max, all round-half-up.
+    wrapped into [0, 360), then H/360*255; s = C/max*255 (0 when max = 0).
     """
     mx, mn = max(r, g, b), min(r, g, b)
     c = mx - mn
@@ -45,63 +42,93 @@ def hsv_oracle(r: int, g: int, b: int) -> tuple[int, int, int]:
         h_deg = Fraction(60 * (b - r), c) + 120
     else:
         h_deg = Fraction(60 * (r - g), c) + 240
-    h = _q(h_deg * 255 / 360)
-    s = 0 if mx == 0 else _q(Fraction(255 * c, mx))
-    return h, s, mx
+    return h_deg * 255 / 360, Fraction(0) if mx == 0 else Fraction(255 * c, mx)
+
+
+def hsv_oracle(r: int, g: int, b: int) -> tuple[int, int, int]:
+    """Independent HSV quantization: hsv_exact rounded half-up, v = max."""
+    h, s = hsv_exact(r, g, b)
+    return _q(h), _q(s), max(r, g, b)
+
+
+def ycbcr_exact(r: int, g: int, b: int) -> tuple[Fraction, Fraction, Fraction]:
+    """Unrounded, unclamped full-range BT.601 (y, cr, cb) as exact rationals."""
+    y = Fraction(299, 1000) * r + Fraction(587, 1000) * g + Fraction(114, 1000) * b
+    cr = (r - y) * Fraction(713, 1000) + 128
+    cb = (b - y) * Fraction(564, 1000) + 128
+    return y, cr, cb
 
 
 def ycbcr_oracle(r: int, g: int, b: int) -> tuple[int, int, int]:
     """Full-range BT.601 with exact rationals, round-half-up, clamp after."""
-    y = Fraction(299, 1000) * r + Fraction(587, 1000) * g + Fraction(114, 1000) * b
-    cr = (r - y) * Fraction(713, 1000) + 128
-    cb = (b - y) * Fraction(564, 1000) + 128
-    return tuple(min(255, max(0, _q(x))) for x in (y, cr, cb))
+    return tuple(min(255, max(0, _q(x))) for x in ycbcr_exact(r, g, b))
 
 
 def test_round_half_up():
-    assert round_half_up(0.5) == 1
-    assert round_half_up(1.5) == 2
-    assert round_half_up(-0.5) == 0
-    assert round_half_up(2.49) == 2
-    assert round_half_up(2.51) == 3
+    # exact halves go up, values either side of a half go to the nearest
+    # integer, in every rounded channel of both conversions
+    rng = np.random.default_rng(61)
+    rgb = np.concatenate([
+        rng.integers(0, 256, size=(3000, 3), dtype=np.uint8),
+        # (0, 255, 255): H = 180 deg -> 127.5 -> 128; (2, 1, 0): H = 30 deg
+        # -> 21.25 -> 21; (2, 1, 1): s = 255 * 1/2 = 127.5 -> 128
+        np.array([[0, 255, 255], [2, 1, 0], [2, 1, 1]], dtype=np.uint8),
+    ])
+    hsv, ycbcr = rgb_to_hsv_array(rgb), rgb_to_ycbcr_array(rgb)
+    got = np.concatenate([hsv[:, :2], ycbcr], axis=1).tolist()  # h, s, y, cr, cb
+    halves = below = above = 0
+    for trip, values in zip(rgb.tolist(), got):
+        for exact, value in zip((*hsv_exact(*trip), *ycbcr_exact(*trip)), values):
+            if not 0 <= exact <= 255:
+                continue  # clamped; covered by the oracle comparisons
+            frac = exact - math.floor(exact)
+            halves += frac == Fraction(1, 2)
+            below += 0 < frac < Fraction(1, 2)
+            above += frac > Fraction(1, 2)
+            assert value == _q(exact)
+    assert halves > 0 and below > 0 and above > 0
+    assert hsv[-3:].tolist() == [[128, 255, 255], [21, 255, 2], [0, 128, 2]]
 
 
 def test_pixel_validation():
     with pytest.raises(ValueError):
-        RgbPixel(256, 0, 0)
+        HsvPixel(256, 0, 0)
     with pytest.raises(ValueError):
-        RgbPixel(-1, 0, 0)
+        YcbcrPixel(-1, 0, 0)
     with pytest.raises(ValueError):
         HsvPixel(0, 300, 0)
     with pytest.raises(ValueError):
         YcbcrPixel(0, 0, -5)
     with pytest.raises(ValueError):
-        RgbPixel(1.5, 0, 0)
+        HsvPixel(1.5, 0, 0)
 
 
 def test_hsv_known_values():
-    assert rgb_to_hsv(RgbPixel(255, 0, 0)) == HsvPixel(0, 255, 255)
-    assert rgb_to_hsv(RgbPixel(0, 0, 0)) == HsvPixel(0, 0, 0)
-    assert rgb_to_hsv(RgbPixel(128, 128, 128)) == HsvPixel(0, 0, 128)
-    # H = 180 deg -> 180/360*255 = 127.5, round-half-up -> 128
-    assert rgb_to_hsv(RgbPixel(0, 255, 255)) == HsvPixel(128, 255, 255)
-    # pure green/blue land on 85.0 and 170.0 exactly
-    assert rgb_to_hsv(RgbPixel(0, 255, 0)) == HsvPixel(85, 255, 255)
-    assert rgb_to_hsv(RgbPixel(0, 0, 255)) == HsvPixel(170, 255, 255)
+    rgb = np.array([[255, 0, 0], [0, 0, 0], [128, 128, 128],
+                    [0, 255, 255], [0, 255, 0], [0, 0, 255]], dtype=np.uint8)
+    assert rgb_to_hsv_array(rgb).tolist() == [
+        [0, 255, 255],
+        [0, 0, 0],
+        [0, 0, 128],
+        # H = 180 deg -> 180/360*255 = 127.5, round-half-up -> 128
+        [128, 255, 255],
+        # pure green/blue land on 85.0 and 170.0 exactly
+        [85, 255, 255],
+        [170, 255, 255],
+    ]
 
 
 def test_ycbcr_known_values():
-    assert rgb_to_ycbcr(RgbPixel(0, 0, 0)) == YcbcrPixel(0, 128, 128)
-    assert rgb_to_ycbcr(RgbPixel(255, 255, 255)) == YcbcrPixel(255, 128, 128)
-    assert rgb_to_ycbcr(RgbPixel(255, 0, 0)) == YcbcrPixel(76, 255, 85)
+    rgb = np.array([[0, 0, 0], [255, 255, 255], [255, 0, 0]], dtype=np.uint8)
+    assert rgb_to_ycbcr_array(rgb).tolist() == [[0, 128, 128], [255, 128, 128], [76, 255, 85]]
 
 
 def test_hsv_matches_oracle_on_random_sample():
     rng = np.random.default_rng(1234)
     triples = rng.integers(0, 256, size=(5000, 3))
-    for r, g, b in triples:
-        p = rgb_to_hsv(RgbPixel(int(r), int(g), int(b)))
-        assert (p.h, p.s, p.v) == hsv_oracle(int(r), int(g), int(b))
+    hsv = rgb_to_hsv_array(triples)
+    for (r, g, b), p in zip(triples, hsv):
+        assert tuple(int(x) for x in p) == hsv_oracle(int(r), int(g), int(b))
 
 
 def test_hsv_matches_oracle_on_boundary_cases():
@@ -111,35 +138,40 @@ def test_hsv_matches_oracle_on_boundary_cases():
             for c in (0, 77, 255):
                 cases.append((a, b, c))
     # every permutation, to hit all sector/tie branches
-    for r, g, b in cases:
-        for trip in {(r, g, b), (g, b, r), (b, r, g), (r, b, g), (g, r, b), (b, g, r)}:
-            p = rgb_to_hsv(RgbPixel(*trip))
-            assert (p.h, p.s, p.v) == hsv_oracle(*trip)
+    trips = sorted({
+        trip
+        for r, g, b in cases
+        for trip in ((r, g, b), (g, b, r), (b, r, g), (r, b, g), (g, r, b), (b, g, r))
+    })
+    hsv = rgb_to_hsv_array(np.array(trips, dtype=np.uint8))
+    for trip, p in zip(trips, hsv):
+        assert tuple(int(x) for x in p) == hsv_oracle(*trip)
 
 
 def test_ycbcr_matches_oracle_on_random_sample():
     rng = np.random.default_rng(99)
     triples = rng.integers(0, 256, size=(5000, 3))
-    for r, g, b in triples:
-        p = rgb_to_ycbcr(RgbPixel(int(r), int(g), int(b)))
-        assert (p.y, p.cr, p.cb) == ycbcr_oracle(int(r), int(g), int(b))
+    ycbcr = rgb_to_ycbcr_array(triples)
+    for (r, g, b), p in zip(triples, ycbcr):
+        assert tuple(int(x) for x in p) == ycbcr_oracle(int(r), int(g), int(b))
 
 
 def test_greyscale_properties():
-    for value in range(0, 256, 5):
-        hsv = rgb_to_hsv(RgbPixel(value, value, value))
-        assert hsv.s == 0 and hsv.v == value and hsv.h == 0
-        ycbcr = rgb_to_ycbcr(RgbPixel(value, value, value))
-        assert ycbcr.cr == 128 and ycbcr.cb == 128
+    grey = np.repeat(np.arange(0, 256, 5, dtype=np.uint8)[:, None], 3, axis=1)
+    hsv = rgb_to_hsv_array(grey)
+    assert np.all(hsv[:, 1] == 0) and np.array_equal(hsv[:, 2], grey[:, 0])
+    assert np.all(hsv[:, 0] == 0)
+    ycbcr = rgb_to_ycbcr_array(grey)
+    assert np.all(ycbcr[:, 1] == 128) and np.all(ycbcr[:, 2] == 128)
 
 
 def test_permutation_invariance_of_s_and_v():
     rng = np.random.default_rng(7)
-    for r, g, b in rng.integers(0, 256, size=(300, 3)):
-        base = rgb_to_hsv(RgbPixel(int(r), int(g), int(b)))
-        for perm in ((g, b, r), (b, r, g)):
-            other = rgb_to_hsv(RgbPixel(int(perm[0]), int(perm[1]), int(perm[2])))
-            assert other.s == base.s and other.v == base.v
+    rgb = rng.integers(0, 256, size=(300, 3))
+    base = rgb_to_hsv_array(rgb)
+    for perm in ((1, 2, 0), (2, 0, 1)):  # (g, b, r) and (b, r, g)
+        other = rgb_to_hsv_array(rgb[:, perm])
+        assert np.array_equal(other[:, 1:], base[:, 1:])
 
 
 def test_channel_bounds_on_large_random_sample():
@@ -155,6 +187,7 @@ def test_channel_bounds_on_large_random_sample():
 
 
 def test_array_paths_match_scalar():
+    """The array conversions against the scalar oracles, triple by triple."""
     rng = np.random.default_rng(55)
     rgb = rng.integers(0, 256, size=(2000, 3), dtype=np.uint8)
     hsv = rgb_to_hsv_array(rgb)
@@ -190,9 +223,7 @@ def test_array_shape_validation():
 
 
 def test_normalize_hsv():
-    assert normalize_hsv(HsvPixel(0, 0, 0)) == (0.0, 0.0, 0.0)
-    assert normalize_hsv(HsvPixel(255, 255, 255)) == (1.0, 1.0, 1.0)
-    assert normalize_hsv(HsvPixel(51, 102, 204)) == (0.2, 0.4, 0.8)
-    arr = normalize_hsv_array(np.array([[51, 102, 204]], dtype=np.uint8))
-    assert np.allclose(arr, [[0.2, 0.4, 0.8]])
+    hsv = np.array([[0, 0, 0], [255, 255, 255], [51, 102, 204]], dtype=np.uint8)
+    arr = normalize_hsv_array(hsv)
+    assert arr.tolist() == [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.2, 0.4, 0.8]]
     assert arr.dtype == np.float64

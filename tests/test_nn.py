@@ -15,7 +15,6 @@ from skinseg.nn import (
     adam_step,
     backward,
     cross_entropy_loss,
-    forward,
     forward_batch,
     init_model,
     mlp_predict_batch,
@@ -24,6 +23,8 @@ from skinseg.nn import (
     train,
     _forward_cached,
 )
+
+from oracles import forward
 
 
 def _sample(h, s, v, skin=True):
@@ -83,8 +84,8 @@ def test_zero_model_is_uniform():
         weights=[np.zeros((3, 4)), np.zeros((4, 2))],
         biases=[np.zeros(4), np.zeros(2)],
     )
-    out = forward(model, [0.3, 0.9, 0.1])
-    assert out.p_skin == 0.5 and out.p_non_skin == 0.5
+    out = forward_batch(model, np.array([[0.3, 0.9, 0.1]]))[0]
+    assert out[0] == 0.5 and out[1] == 0.5
 
 
 def test_forward_matches_straightline_oracle():
@@ -104,9 +105,9 @@ def test_forward_matches_straightline_oracle():
     exp = [math.exp(z - shift) for z in z1]
     expect = [e / sum(exp) for e in exp]
 
-    got = forward(model, x)
-    assert got.p_skin == pytest.approx(expect[0], abs=1e-12)
-    assert got.p_non_skin == pytest.approx(expect[1], abs=1e-12)
+    got = forward_batch(model, x[None])[0]
+    assert got[0] == pytest.approx(expect[0], abs=1e-12)
+    assert got[1] == pytest.approx(expect[1], abs=1e-12)
 
 
 @pytest.mark.parametrize("n_rows", [1, FORWARD_BLOCK_ROWS + 1, 2 * FORWARD_BLOCK_ROWS + 7])
