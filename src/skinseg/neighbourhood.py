@@ -1,9 +1,9 @@
 """Neighbourhood likeliness refinement of per-pixel probability maps.
 
-Stage 2 of the segmentation: every pixel's class probabilities are
-multiplied by a likeliness derived from the surrounding window and
-renormalized, then thresholded into a binary mask. Two likeliness rules
-are provided:
+Stage 2 of the segmentation: a map is one plane of skin probabilities
+p, the non-skin ones being 1 - p. Both class probabilities of every
+pixel are multiplied by a likeliness derived from the surrounding window
+and renormalized, then thresholded into a mask. Two rules are provided:
 
 * ``symmetric`` (default): both classes are weighted by their
   neighbourhood mean probability, which removes isolated skin noise and
@@ -28,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import PROB_SUM_TOL, ClassProbabilities
+from .classifiers import ClassProbabilities
 from .raster import SkinMask
 
-_PAIR_CHECK_PIXELS = 32768  # pixels per block of the pair-sum check: 256 KiB temporaries
 _BAND_PIXELS = 65536  # output pixels per band of refine: about 3 MB of scratch at 1080p, r=7
 
 
@@ -63,37 +62,26 @@ class NeighbourhoodConfig:
 
 
 class ProbabilityMap:
-    """Per-pixel (p_skin, p_non_skin) raster; every pair sums to 1."""
+    """Per-pixel P(skin) raster; P(non-skin) is derived as 1 - p_skin."""
 
-    def __init__(self, p_skin: np.ndarray, p_non_skin: np.ndarray):
+    def __init__(self, p_skin: np.ndarray):
         p_skin = np.asarray(p_skin, dtype=np.float64)
-        p_non_skin = np.asarray(p_non_skin, dtype=np.float64)
-        if p_skin.ndim != 2 or p_skin.shape != p_non_skin.shape:
+        if p_skin.ndim != 2 or p_skin.size == 0:
+            raise ValueError(f"probability plane must be non-empty and 2-d, got {p_skin.shape}")
+        if not 0.0 <= p_skin.min() <= p_skin.max() <= 1.0:  # also catches NaN
             raise ValueError(
-                f"probability planes must be matching 2-d arrays, "
-                f"got {p_skin.shape} and {p_non_skin.shape}"
+                f"probabilities must lie in [0, 1], got {p_skin.min():g}..{p_skin.max():g}"
             )
-        if p_skin.size == 0:
-            raise ValueError("probability map must be non-empty")
-        for plane in (p_skin, p_non_skin):  # reductions: no full-size temporaries
-            if not 0.0 <= plane.min() <= plane.max() <= 1.0:  # also catches NaN
-                raise ValueError(
-                    f"probabilities must lie in [0, 1], got {plane.min():g}..{plane.max():g}"
-                )
-        rows = max(1, _PAIR_CHECK_PIXELS // p_skin.shape[1])
-        dev = np.max([
-            np.abs(p_skin[r : r + rows] + p_non_skin[r : r + rows] - 1.0).max()
-            for r in range(0, p_skin.shape[0], rows)
-        ])
-        if not dev <= PROB_SUM_TOL:  # also catches NaN
-            raise ValueError(f"pixel pairs must sum to 1 (max deviation {dev:g})")
         self.p_skin = p_skin
-        self.p_non_skin = p_non_skin
 
     @classmethod
     def from_p_skin(cls, p_skin: np.ndarray) -> "ProbabilityMap":
-        p_skin = np.asarray(p_skin, dtype=np.float64)
-        return cls(p_skin, 1.0 - p_skin)
+        return cls(p_skin)
+
+    @property
+    def p_non_skin(self) -> np.ndarray:
+        """1 - p_skin, computed afresh on every read: a new full-size array."""
+        return 1.0 - self.p_skin
 
     @property
     def height(self) -> int:
@@ -165,7 +153,8 @@ def _window_scratch(rows: int, height: int, width: int, radius: int) -> tuple:
     return tuple(np.empty((rows + 2 * ry) * (width + 2 * rx)) for _ in range(4))
 
 
-def _window_sums(plane: np.ndarray, y0: int, y1: int, radius: int, out: np.ndarray, scratch):
+def _window_sums(plane: np.ndarray, y0: int, y1: int, radius: int, out: np.ndarray, scratch,
+                 complement: bool = False):
     """Clipped (2r+1)^2 window sums, centre included, of plane's rows y0:y1.
 
     A column pass sums 2ry + 1 rows, then a row pass 2rx + 1 columns of
@@ -173,8 +162,10 @@ def _window_sums(plane: np.ndarray, y0: int, y1: int, radius: int, out: np.ndarr
     _run_sums over a zero-padded buffer. Every pixel's sum is added in
     the same order whatever band y0:y1 holds it, and adding a zero is
     exact, so a window whose only non-zero term is the centre sums to
-    that term exactly (refine's PAPER-lock test relies on it). scratch
-    comes from _window_scratch for at least y1 - y0 rows.
+    that term exactly (refine's PAPER-lock test relies on it). With
+    complement, the sums are those of 1 - plane, taken before the zero
+    padding, so cells past the plane's edges still read 0. scratch comes
+    from _window_scratch for at least y1 - y0 rows.
     """
     h, w = plane.shape
     ry, rx = min(radius, h - 1), min(radius, w - 1)
@@ -184,13 +175,16 @@ def _window_sums(plane: np.ndarray, y0: int, y1: int, radius: int, out: np.ndarr
     def view(buf, rows, cols):
         return buf[: rows * cols].reshape(rows, cols)
 
-    if top >= 0 and bottom <= h:
+    if top >= 0 and bottom <= h and not complement:
         src = plane[top:bottom]
     else:  # rows past the plane's edges read as zeros
         src = view(col_in, n + 2 * ry, w)
         lo, hi = max(top, 0), min(bottom, h)
         src[: lo - top] = 0.0
-        src[lo - top : hi - top] = plane[lo:hi]
+        if complement:
+            np.subtract(1.0, plane[lo:hi], out=src[lo - top : hi - top])
+        else:
+            src[lo - top : hi - top] = plane[lo:hi]
         src[hi - top :] = 0.0
     padded = view(row_in, n, w + 2 * rx)
     padded[:, :rx] = 0.0
@@ -210,30 +204,32 @@ def _oracle_order_sums(pmap: ProbabilityMap, ys: np.ndarray, xs: np.ndarray, rad
     """Neighbour sums of the pixels (ys, xs), added in refine_brute_oracle's order.
 
     Works on the rows that hold those pixels, over the columns they
-    span: one shifted add per plane for each (dy, dx) of the oracle's
+    span: one shifted add per class for each (dy, dx) of the oracle's
     loop, so re-summing every pixel costs about what (2r+1)^2 - 1
-    full-frame shifted adds do. Neighbours outside the map come from a
-    zero border, and adding 0.0 leaves a non-negative sum unchanged, so
-    each sum is the oracle's bit for bit.
+    full-frame shifted adds do. The non-skin terms are 1 - p_skin of the
+    rows read, and neighbours outside the map come from a zero border
+    (not 1 - 0); adding 0.0 leaves a non-negative sum unchanged, so each
+    sum is the oracle's bit for bit.
     """
     h, w = pmap.p_skin.shape
     ry, rx = min(radius, h - 1), min(radius, w - 1)
     rows, row_of = np.unique(ys, return_inverse=True)
     x0, x1 = int(xs.min()), int(xs.max()) + 1
     c0, c1 = max(x0 - rx, 0), min(x1 + rx, w)  # the columns the windows reach
-    sums = []
-    for plane in (pmap.p_skin, pmap.p_non_skin):
-        acc = np.zeros((rows.size, x1 - x0))
-        for dy in range(-ry, ry + 1):
-            src = rows + dy
-            inside = (src >= 0) & (src < h)
-            band = np.zeros((rows.size, x1 - x0 + 2 * rx))  # column j is x0 - rx + j
-            band[inside, c0 - x0 + rx : c1 - x0 + rx] = plane[src[inside], c0:c1]
-            for dx in range(-rx, rx + 1):
-                if dx or dy:
-                    acc += band[:, rx + dx : rx + dx + x1 - x0]
-        sums.append(acc[row_of, xs - x0])
-    return sums
+    skin_acc, non_acc = np.zeros((rows.size, x1 - x0)), np.zeros((rows.size, x1 - x0))
+    for dy in range(-ry, ry + 1):
+        src = rows + dy
+        inside = (src >= 0) & (src < h)
+        skin = np.zeros((rows.size, x1 - x0 + 2 * rx))  # column j is x0 - rx + j
+        non = np.zeros_like(skin)
+        read = pmap.p_skin[src[inside], c0:c1]
+        skin[inside, c0 - x0 + rx : c1 - x0 + rx] = read
+        non[inside, c0 - x0 + rx : c1 - x0 + rx] = 1.0 - read
+        for dx in range(-rx, rx + 1):
+            if dx or dy:
+                skin_acc += skin[:, rx + dx : rx + dx + x1 - x0]
+                non_acc += non[:, rx + dx : rx + dx + x1 - x0]
+    return skin_acc[row_of, xs - x0], non_acc[row_of, xs - x0]
 
 
 def _products(own_skin, own_non, skin_sum, non_sum, count, cfg: NeighbourhoodConfig):
@@ -282,11 +278,11 @@ def _tie_slack(height: int, width: int, radius: int) -> float:
     and own * box / count = product + own^2 / count, so the skin and
     non-skin products each move by at most
     (gamma_k + gamma_2 + gamma_2) * (product + own^2 / count) to first
-    order. Summed over both classes, with own_skin^2 + own_non^2 <= 1 to
-    within the pair tolerance, the products can stray by at most
-    slack * (skin_product + non_product + 1 / count), where slack is
+    order. Summed over both classes, with own_skin^2 + own_non^2 <= 1 up
+    to the rounding of own_non = 1 - own_skin, the products can stray by at
+    most slack * (skin_product + non_product + 1 / count), where slack is
     twice that first-order factor: the doubling covers the second-order
-    terms, the pair tolerance and the roundings of the test itself.
+    terms, that rounding and the roundings of the test itself.
     """
     u = 2.0 ** -53
     ry, rx = min(radius, height - 1), min(radius, width - 1)
@@ -303,16 +299,16 @@ def refine(
 ) -> tuple[ProbabilityMap, SkinMask]:
     """Refine a probability map and threshold it into a mask.
 
-    For every pixel the refined pair is proportional to
-    (own_skin * skin_likeliness, own_non_skin * non_skin_likeliness),
-    renormalized to sum to 1 (pixels where both products vanish keep
-    their original pair). The mask marks skin wherever the skin product
-    is at least the non-skin product. All likeliness values come from the
-    original map in one synchronous pass.
+    For every pixel the refined p_skin is own_skin * skin_likeliness over
+    that plus own_non_skin * non_skin_likeliness, own_non_skin = 1 - own_skin
+    (pixels where both products vanish keep their own p_skin). The mask
+    marks skin wherever the skin product is at least the non-skin product.
+    All likeliness values come from the original map in one synchronous pass.
 
     The map is refined in bands of rows (the band height comes from a
     fixed pixel budget, so the scratch buffers stay near cache size), and
-    only the two output planes and the mask are allocated at full size. Window sums
+    only the output plane and the mask are allocated at full size, as the
+    1 - p_skin terms are taken one band at a time. Window sums
     are separable, and each pass sums its 2r+1 terms by binary
     decomposition: at most 2 log2(2r+1) additions per pixel and pass,
     never more than 2r, and a radius past the map's size clips to it. Every
@@ -332,15 +328,16 @@ def refine(
     scratch = _window_scratch(min(band, height), height, width, cfg.radius)
     ext_y, ext_x = _extents(height, cfg.radius), _extents(width, cfg.radius)
     tie_slack = _tie_slack(height, width, cfg.radius)
-    skin_product, non_product = np.empty((height, width)), np.empty((height, width))
+    skin_product = np.empty((height, width))
+    non_band = np.empty((min(band, height), width))
     mask = np.empty((height, width), dtype=bool)
     for y0 in range(0, height, band):
         y1 = min(y0 + band, height)
-        own_skin, own_non = pmap.p_skin[y0:y1], pmap.p_non_skin[y0:y1]
-        skin, non = skin_product[y0:y1], non_product[y0:y1]
+        own_skin, own_non = pmap.p_skin[y0:y1], 1.0 - pmap.p_skin[y0:y1]
+        skin, non = skin_product[y0:y1], non_band[: y1 - y0]
         _window_sums(pmap.p_skin, y0, y1, cfg.radius, skin, scratch)
         skin -= own_skin
-        _window_sums(pmap.p_non_skin, y0, y1, cfg.radius, non, scratch)
+        _window_sums(pmap.p_skin, y0, y1, cfg.radius, non, scratch, complement=True)
         non -= own_non
         count = np.multiply.outer(ext_y[y0:y1], ext_x)
         count -= 1.0
@@ -371,10 +368,8 @@ def refine(
         degenerate = total == 0.0
         total[degenerate] = 1.0
         skin /= total
-        non /= total
         np.copyto(skin, own_skin, where=degenerate)
-        np.copyto(non, own_non, where=degenerate)
-    return ProbabilityMap(skin_product, non_product), SkinMask(pixels=mask)
+    return ProbabilityMap(skin_product), SkinMask(pixels=mask)
 
 
 def refine_brute_oracle(
@@ -400,10 +395,10 @@ def refine_brute_oracle(
                     ny, nx = y + dy, x + dx
                     if 0 <= nx < width and 0 <= ny < height:
                         skin_sum += pmap.p_skin[ny, nx]
-                        non_sum += pmap.p_non_skin[ny, nx]
+                        non_sum += 1.0 - pmap.p_skin[ny, nx]
                         count += 1
             own_skin = pmap.p_skin[y, x]
-            own_non = pmap.p_non_skin[y, x]
+            own_non = 1.0 - own_skin
             if count == 0:
                 like_skin, like_non = own_skin, own_non
             elif cfg.rule is Rule.PAPER and own_skin >= cfg.decision_threshold:

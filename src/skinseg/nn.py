@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .colorspace import normalize_hsv_array
-from .dataset import HsvSample, HsvSamples, Label, hsv_arrays
+from .dataset import HsvSample, HsvSamples, hsv_arrays
 
 INPUT_DIM = 3
 OUTPUT_DIM = 2
@@ -140,10 +140,6 @@ def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     for a, out in zip(np.array_split(x, n_blocks), np.array_split(probs, n_blocks)):
         out[:] = _forward_cached(model, a)[0]
     return probs
-
-
-def one_hot(label: Label) -> np.ndarray:
-    return np.array([1.0, 0.0]) if label is Label.SKIN else np.array([0.0, 1.0])
 
 
 def cross_entropy_loss(probs, target_one_hot) -> float:

@@ -36,8 +36,8 @@ from .raster import Image, SkinMask, downscale_half, upscale_mask_2x
 @dataclass(frozen=True)
 class SegmentResult:
     """A segmentation: the bool mask at the input image's size, the final
-    probability map at the working (possibly halved) resolution, and the
-    wall-clock time the pipeline took."""
+    probability map (one p_skin plane) at the working (possibly halved)
+    resolution, and the wall-clock time the pipeline took."""
 
     mask: SkinMask
     probabilities: ProbabilityMap
@@ -81,11 +81,13 @@ def stage1_probabilities(image: Image, model) -> ProbabilityMap:
     codes, inverse = np.unique(codes, return_inverse=True)
     colours = np.stack([codes >> 16, (codes >> 8) & 0xFF, codes & 0xFF], axis=1).astype(np.uint8)
     p_colour = score_rgb(model, colours)
-    return ProbabilityMap.from_p_skin(p_colour[inverse].reshape(image.height, image.width))
+    return ProbabilityMap(p_colour[inverse].reshape(image.height, image.width))
 
 
 def _decide(pmap: ProbabilityMap) -> SkinMask:
-    return SkinMask(pmap.p_skin >= pmap.p_non_skin)
+    # p >= 1 - p exactly when p >= 0.5: 1 - p is exact for p >= 0.5 (Sterbenz),
+    # and rounds to at least 0.5 > p below it
+    return SkinMask(pmap.p_skin >= 0.5)
 
 
 def segment_image(
@@ -97,8 +99,8 @@ def segment_image(
     """Run the full pipeline and time it.
 
     With refine_cfg=None only stage 1 runs and the mask is the pointwise
-    p_skin >= p_non_skin decision. With downscale=True the image is
-    halved first and the mask is scaled back to the input size.
+    p_skin >= p_non_skin (= 1 - p_skin) decision. With downscale=True the
+    image is halved first and the mask is scaled back to the input size.
     """
     start = time.perf_counter()
     work = downscale_half(image) if downscale else image

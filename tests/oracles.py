@@ -129,7 +129,8 @@ def forward(model: MlpModel, x) -> ClassProbabilities:
 # ---------------------------------------------------------------------------
 
 def pixel(pmap: ProbabilityMap, x: int, y: int) -> ClassProbabilities:
-    return ClassProbabilities(float(pmap.p_skin[y, x]), float(pmap.p_non_skin[y, x]))
+    p = float(pmap.p_skin[y, x])
+    return ClassProbabilities(p, 1.0 - p)
 
 
 def neighbour_sums(pmap: ProbabilityMap, x: int, y: int, radius: int = 1):
@@ -151,7 +152,7 @@ def neighbour_sums(pmap: ProbabilityMap, x: int, y: int, radius: int = 1):
             nx, ny = x + dx, y + dy
             if 0 <= nx < pmap.width and 0 <= ny < pmap.height:
                 skin_sum += pmap.p_skin[ny, nx]
-                non_sum += pmap.p_non_skin[ny, nx]
+                non_sum += 1.0 - pmap.p_skin[ny, nx]
                 count += 1
     return skin_sum, non_sum, count
 

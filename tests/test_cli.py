@@ -599,16 +599,87 @@ def pinned_dataset(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def pinned_models(pinned_dataset, tmp_path_factory):
+    """Model file of each kind trained with default flags (mlp: 3 epochs) on pinned_dataset."""
+    folder = tmp_path_factory.mktemp("pinned_models")
+    models = {}
+    for kind in sorted(PINNED_DIGESTS):
+        models[kind] = folder / f"{kind}.model"
+        extra = ["--epochs", "3"] if kind == "mlp" else []
+        assert cli.main(["train", "--dataset", str(pinned_dataset), "--model",
+                         str(models[kind]), "--kind", kind, *extra]) == 0
+    return models
+
+
 @pytest.mark.parametrize("kind", sorted(PINNED_DIGESTS))
-def test_trained_model_and_report_bytes_are_pinned(kind, pinned_dataset, tmp_path):
-    model, report = tmp_path / f"{kind}.model", tmp_path / f"{kind}.report"
-    extra = ["--epochs", "3"] if kind == "mlp" else []
-    assert cli.main(["train", "--dataset", str(pinned_dataset), "--model", str(model),
-                     "--kind", kind, *extra]) == 0
+def test_trained_model_and_report_bytes_are_pinned(kind, pinned_dataset, pinned_models, tmp_path):
+    model, report = pinned_models[kind], tmp_path / f"{kind}.report"
     assert cli.main(["eval", "--dataset", str(pinned_dataset), "--model", str(model),
                      "--output", str(report)]) == 0
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (model, report))
     assert digests == PINNED_DIGESTS[kind]
+
+
+SEGMENT_FLAG_SETS = (
+    [],
+    ["--refine"],
+    ["--refine", "--rule", "paper", "--radius", "3"],
+    ["--refine", "--radius", "7", "--downscale"],
+)
+
+# SHA-256 of the segment mask followed by its --prob-out map, for each
+# pinned model on _pinned_scene() under each of SEGMENT_FLAG_SETS
+PINNED_SEGMENT_DIGESTS = {
+    "threshold": (
+        "7a7083bd8cf94af8c90df85be040de3dc259eebf6640112431c9f18fcc828896",
+        "cddda5e495242b8caf5550b736ef396a982a0c4f9b255f373ef4995d68479ea2",
+        "7a7083bd8cf94af8c90df85be040de3dc259eebf6640112431c9f18fcc828896",
+        "38664fe9c576bb42cb6c9dc6b4ee52b55c4cd4d9803c33364d00664f7d8270c2",
+    ),
+    "bayes": (
+        "5366976590e205567bcb59e17dc0c3a80d18ca6db0cd6841e4feb5af43e83dd8",
+        "562a3f4ab4d948aa954a4bba8684147c56e6d4e9615122b4483ae424e2c24abb",
+        "5252e2e23fe1ac90b497ad115345d2e01b6cba1a39a2d32c7ce0fcc569d96617",
+        "2bb6eae7ded9c8d0e4d140fbc22652dc5289b07706ddc48a015fc9eb5ddeb1f1",
+    ),
+    "tree": (
+        "f5a37100719922422fc35151d011cb522d6e8038b9b86f143ddff52f0ac42808",
+        "ed302a1607e4822991ab7027cf7add23712b9b5b730f2996470fc2ce7ef17911",
+        "22833990e288b950e7e9630c03fac1a0d5c7212451a83d547410648158f4e8f4",
+        "080a88415da27515e001981184122e9de84095c1122932f4739f8a070a0e630b",
+    ),
+    "mlp": (
+        "2a3530066f7b022875a5055c8d7a867bc07db9a1098679d9a1ea6c6bed90ba12",
+        "4e9e86476378a4714d0f0e6890da01dbd845799c0b9663fd3db8e204abb3829b",
+        "b63adf0cb34126a7c419239a6d5af62d9f3b72dcfca0a21d2ae5aae79f91061f",
+        "c67aa14dda6b4c9aca6897feea9e11cb799948789fce2709ae81aa2e7e80477e",
+    ),
+}
+
+
+def _pinned_scene():
+    """40x32 seeded frame: colour noise with a jittered skin-tone ellipse and specks."""
+    rng = np.random.default_rng(1212)
+    h, w = 32, 40
+    pixels = rng.integers(0, 256, size=(h, w, 3))
+    yy, xx = np.mgrid[0:h, 0:w]
+    blob = ((yy - 15) / 11.0) ** 2 + ((xx - 22) / 14.0) ** 2 <= 1.0
+    blob |= rng.random((h, w)) < 0.04
+    pixels[blob] = np.array(SKIN_TONE) + rng.integers(-30, 31, size=(int(blob.sum()), 3))
+    return np.clip(pixels, 0, 255).astype(np.uint8)
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_SEGMENT_DIGESTS))
+def test_segment_mask_and_prob_bytes_are_pinned(kind, pinned_models, tmp_path):
+    image = _write_ppm(tmp_path / "scene.ppm", _pinned_scene())
+    mask, prob = tmp_path / "mask.pgm", tmp_path / "prob.pgm"
+    digests = []
+    for flags in SEGMENT_FLAG_SETS:
+        assert cli.main(["segment", "--model", str(pinned_models[kind]), "--input", str(image),
+                         "--output", str(mask), "--prob-out", str(prob), *flags]) == 0
+        digests.append(hashlib.sha256(mask.read_bytes() + prob.read_bytes()).hexdigest())
+    assert tuple(digests) == PINNED_SEGMENT_DIGESTS[kind]
 
 
 def test_usage_errors_exit_1(workdir, surrogate_file, bayes_model, capsys):

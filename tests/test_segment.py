@@ -15,6 +15,7 @@ from skinseg.classifiers import (
 )
 from skinseg.colorspace import rgb_to_hsv_array
 from skinseg.dataset import to_hsv_samples
+from skinseg.neighbourhood import ProbabilityMap
 from skinseg.nn import FORWARD_BLOCK_ROWS, MlpArchitecture, init_model, mlp_predict_batch
 from skinseg.raster import Image
 
@@ -83,3 +84,16 @@ def test_stage1_matches_per_pixel_path(models, kind, make_pixels, monkeypatch):
     expected = PER_PIXEL[kind](model, flat).reshape(pixels.shape[:2])
     assert np.array_equal(pmap.p_skin, expected)
     assert np.array_equal(pmap.p_non_skin, 1.0 - expected)
+
+
+def test_decide_is_the_pointwise_class_comparison():
+    # _decide tests p >= 0.5; it must agree with p >= 1 - p on every double
+    # in [0, 1], the neighbours of 0.5 included
+    rng = np.random.default_rng(5)
+    edges = [0.0, 1.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+             2.0**-1074, np.nextafter(1.0, 0.0)]
+    p = np.concatenate([edges, rng.random(100_000),
+                        0.5 + rng.integers(-2000, 2001, size=4001) * 2.0**-55])
+    mask = segment._decide(ProbabilityMap(p.reshape(1, -1))).pixels
+    assert np.array_equal(mask[0], p >= 1.0 - p)
+    assert mask[0, :5].tolist() == [False, True, True, False, True]
