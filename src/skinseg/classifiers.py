@@ -2,12 +2,12 @@
 
 Three models are provided: a fixed YCbCr box threshold baseline, a naive
 Bayes model counting per-attribute values over the 256-value HSV domain,
-and a CART decision tree with Gini splits, stored as a preorder table of
-node arrays. One helper builds every (attribute x value) count table:
-the Bayes per-class tables and each tree node's split search. Every
-classifier scores (N, 3) pixel rows as (N,) skin probabilities, the
-non-skin probability being the complement; fitted models are immutable
-and safe for concurrent prediction.
+and a CART decision tree with Gini splits, grown one depth at a time
+(all open nodes of a depth searched by one count per attribute) and
+stored as a preorder table of node arrays. Every classifier scores
+(N, 3) pixel rows as (N,) skin probabilities, the non-skin probability
+being the complement; fitted models are immutable and safe for
+concurrent prediction.
 """
 
 from dataclasses import dataclass
@@ -211,6 +211,10 @@ class TreeModel:
     pixel to the right child, node right[i]. counts[i] holds the skin
     and non-skin training samples that reached node i; the arrays are
     coerced to int64, float64, int64 and (n, 2) int64.
+
+    A table that is not laid out this way raises ValueError: the arrays
+    must hold n >= 1 nodes, and every split i needs i + 1 < right[i] < n.
+    Children then always come after their parent, so routing ends.
     """
 
     attribute: np.ndarray
@@ -224,6 +228,23 @@ class TreeModel:
         for name, dtype in (("attribute", np.int64), ("threshold", np.float64),
                             ("right", np.int64), ("counts", np.int64)):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        attribute, right = self.attribute, self.right
+        n = attribute.size
+        shapes = (attribute.shape, self.threshold.shape, right.shape, self.counts.shape)
+        if n == 0 or shapes != ((n,), (n,), (n,), (n, 2)):
+            raise ValueError(f"tree arrays must hold n >= 1 nodes with (n, 2) counts, "
+                             f"got shapes {shapes}")
+        if ((attribute < -1) | (attribute > 2)).any():
+            raise ValueError("tree attributes must be -1 (leaf), 0, 1 or 2")
+        leaf = attribute < 0
+        bad = np.flatnonzero(np.where(leaf, right != 0,
+                                      (right <= np.arange(1, n + 1)) | (right >= n)))
+        if bad.size:
+            i = int(bad[0])
+            if leaf[i]:
+                raise ValueError(f"tree leaf {i} has right child {int(right[i])}, not 0")
+            raise ValueError(f"tree split {i} has right child {int(right[i])}, which must lie "
+                             f"after its left child {i + 1} and before node {n}")
 
     def depth(self) -> int:
         level, nodes = 0, np.zeros(1, dtype=np.int64)
@@ -258,72 +279,152 @@ class TreeModel:
         return node
 
 
+def _is_open(counts: np.ndarray, depth: int, cfg: TreeConfig) -> np.ndarray:
+    """Which nodes of (skin, non-skin) counts at this depth may still split."""
+    below_max = cfg.max_depth is None or depth < cfg.max_depth
+    return (counts > 0).all(axis=1) & (counts.sum(axis=1) >= cfg.min_samples_split) & below_max
+
+
+def _best_splits(cols: np.ndarray, slot: np.ndarray, counts: np.ndarray) -> tuple:
+    """The first best Gini split of each of S open nodes at one depth.
+
+    cols is (3, m) uint16, each row's 2 * value + skin per attribute;
+    slot is each row's node, 0 to S - 1; counts is the nodes' (S, 2)
+    (skin, non-skin) totals. For each attribute one bincount over
+    (node, value, skin) gives every cell's counts, and only the cells
+    present in some node are scored: a cumsum in (node, value) order,
+    less the rows of the nodes before, gives each cell's left side. The
+    Gini gain of "split after this cell" is evaluated in float64 in a
+    fixed order of operations, so equal splits score equal; a cell whose
+    left side holds the whole node gets -inf. The first maximum per node
+    wins, and a later attribute only when strictly greater: ties go to
+    the lowest attribute, then the lowest value.
+
+    Returns per node the gain, the attribute, the value v (rows at or
+    below it go left), the next value present in the node, and the left
+    side's (skin, non-skin) counts.
+    """
+    n_nodes = len(counts)
+    n_skin, n_non = counts[:, 0], counts[:, 1]
+    n = n_skin + n_non
+    parent_q = (n_skin * n_skin + n_non * n_non) / n
+    before = (np.cumsum(counts, axis=0) - counts)[:, ::-1]  # earlier nodes' (non-skin, skin)
+    base = slot * (2 * DOMAIN_SIZE)
+    key = np.empty_like(base)
+    best = np.full(n_nodes, -np.inf)
+    attribute, value, next_value = (np.zeros(n_nodes, dtype=np.int64) for _ in range(3))
+    left_counts = np.zeros((n_nodes, 2), dtype=np.int64)
+    for attr in range(3):
+        np.add(base, cols[attr], out=key)
+        table = np.bincount(key, minlength=n_nodes * 2 * DOMAIN_SIZE).reshape(-1, 2)
+        cells = np.flatnonzero(table[:, 0] + table[:, 1])
+        cell_node = cells // DOMAIN_SIZE
+        left = np.cumsum(table[cells], axis=0) - before[cell_node]  # (non-skin, skin)
+        left_n, cell_n = left[:, 0] + left[:, 1], n[cell_node]
+        whole = np.flatnonzero(left_n == cell_n)  # each node's last cell
+        n_left = left_n.astype(np.float64)
+        n_left[whole] = 1.0
+        n_right = cell_n - n_left
+        skin_left = left[:, 1].astype(np.float64)
+        skin_right = n_skin[cell_node] - skin_left
+        non_left = n_left - skin_left
+        non_right = n_right - skin_right
+        q = (skin_left**2 + non_left**2) / n_left + (skin_right**2 + non_right**2) / n_right
+        gains = (q - parent_q[cell_node]) / cell_n
+        gains[whole] = -np.inf
+        peak = np.maximum.reduceat(gains, np.r_[0, whole[:-1] + 1])
+        hit = np.flatnonzero(gains == peak[cell_node])
+        first = hit[np.diff(cell_node[hit], prepend=-1) > 0]
+        better = np.flatnonzero(peak > best)
+        at = first[better]  # never a node's last cell, whose gain is -inf
+        best[better], attribute[better] = peak[better], attr
+        value[better] = cells[at] % DOMAIN_SIZE
+        next_value[better] = cells[at + 1] % DOMAIN_SIZE
+        left_counts[better] = left[at, ::-1]
+    return best, attribute, value, next_value, left_counts
+
+
+def _preorder(levels: list) -> tuple:
+    """Renumber per-depth (attribute, threshold, counts) node records into
+    one preorder table (attribute, threshold, right, counts).
+
+    The children of the j-th split node of one depth are nodes 2j and
+    2j + 1 of the next; the last depth holds only leaves. Subtree sizes
+    are summed from the deepest depth up; then, from the root down, a
+    left child sits right after its parent and a right child after the
+    left child's subtree.
+    """
+    sizes = [np.ones(levels[-1][0].size, dtype=np.int64)]
+    for attribute, _, _ in reversed(levels[:-1]):
+        below, size = sizes[-1], np.ones(attribute.size, dtype=np.int64)
+        size[attribute >= 0] += below[0::2] + below[1::2]
+        sizes.append(size)
+    sizes.reverse()
+    n_nodes = int(sizes[0][0])
+    attribute, threshold = np.empty(n_nodes, dtype=np.int64), np.empty(n_nodes)
+    right, counts = np.zeros(n_nodes, dtype=np.int64), np.empty((n_nodes, 2), dtype=np.int64)
+    at = np.zeros(1, dtype=np.int64)  # the preorder index of each node of the depth
+    for (attr, thr, cnt), below in zip(levels, sizes[1:]):
+        attribute[at], threshold[at], counts[at] = attr, thr, cnt
+        split = at[attr >= 0]
+        right[split] = split + 1 + below[0::2]
+        at = np.stack((split + 1, right[split]), axis=1).ravel()
+    attribute[at], threshold[at], counts[at] = levels[-1]
+    return attribute, threshold, right, counts
+
+
 def tree_fit(train: HsvSamples | list[HsvSample], cfg: TreeConfig = TreeConfig()) -> TreeModel:
-    """Grow a CART tree on quantized HSV samples.
+    """Grow a CART tree on quantized HSV samples, one depth at a time.
 
     A node becomes a leaf when it is pure, holds fewer than
     min_samples_split samples, sits at max_depth, or no candidate split
-    reduces the Gini impurity. Nodes are appended in preorder: a left
-    child right after its parent, a right child once the left subtree
-    is complete.
+    reduces the Gini impurity. Each depth searches all its open nodes
+    together (_best_splits): a split goes after the first best value,
+    with ties to the lowest attribute, then the lowest threshold, and
+    the threshold is the midpoint of that value and the next value
+    present at the node. The rows of each split node then move to its
+    two children, and the rows of leaves drop out.
 
-    Each node's split is read off two (attribute x value) count tables,
-    of its rows and of its skin rows: cumulative sums along the value
-    axis give both sides of "split after value v" for every candidate.
-    A candidate with an empty side is masked (denominator 1, gain -inf).
-    A value absent from the node repeats the candidate of the value
-    below it, so the first maximum of the C-ordered gain table is a
-    present value, with ties to the lowest attribute, then the lowest
-    threshold. The threshold is the midpoint of v and the next value
-    present at the node.
+    The nodes are stored in preorder: a left child right after its
+    parent, a right child once the left subtree is complete.
     """
     if not train:
         raise ValueError("training set is empty")
     values, skin = hsv_arrays(train)
-    attribute, threshold, right, counts = [], [], [], []
-    stack = [(np.arange(len(train)), 0, None)]  # rows, depth, parent if a right child
-    while stack:
-        idx, depth, parent = stack.pop()
-        node = len(attribute)
-        if parent is not None:
-            right[parent] = node
-        rows, rows_skin = values[idx], skin[idx]
-        n = int(idx.size)
-        n_skin = int(rows_skin.sum())
-        n_non = n - n_skin
-        attribute.append(-1)
-        threshold.append(0.0)
-        right.append(0)
-        counts.append((n_skin, n_non))
-        if (
-            n_skin == 0
-            or n_non == 0
-            or n < cfg.min_samples_split
-            or (cfg.max_depth is not None and depth >= cfg.max_depth)
-        ):
-            continue
-        table = _value_table(rows)
-        cum_total = np.cumsum(table, axis=1)
-        empty_side = (cum_total == 0) | (cum_total == n)
-        n_left = np.where(empty_side, 1, cum_total).astype(np.float64)
-        n_right = n - n_left
-        skin_left = np.cumsum(_value_table(rows[rows_skin]), axis=1).astype(np.float64)
-        skin_right = n_skin - skin_left
-        non_left = n_left - skin_left
-        non_right = n_right - skin_right
-        q = (skin_left**2 + non_left**2) / n_left + (skin_right**2 + non_right**2) / n_right
-        parent_q = (n_skin * n_skin + n_non * n_non) / n
-        gains = (q - parent_q) / n
-        gains[empty_side] = -np.inf
-        attr, value = divmod(int(np.argmax(gains)), DOMAIN_SIZE)  # first max
-        if gains[attr, value] <= 0.0:
-            continue
-        next_value = value + 1 + int(np.argmax(table[attr, value + 1 :] > 0))
-        attribute[node], threshold[node] = attr, (value + next_value) / 2.0
-        left_mask = rows[:, attr] <= threshold[node]
-        stack.append((idx[~left_mask], depth + 1, node))
-        stack.append((idx[left_mask], depth + 1, None))
-    return TreeModel(attribute, threshold, right, counts, cfg, len(train))
+    cols = values.T.astype(np.uint16, order="C")  # one row per attribute: 2 * value + skin
+    cols <<= 1
+    cols |= skin
+    slot = np.zeros(len(train), dtype=np.intp)  # each row's open node at this depth
+    n_skin = int(skin.sum())
+    counts = np.array([[n_skin, len(train) - n_skin]], dtype=np.int64)
+    is_open = _is_open(counts, 0, cfg)
+    levels = []  # per depth: attribute, threshold and counts of its nodes
+    while True:
+        attribute, threshold = np.full(len(counts), -1, dtype=np.int64), np.zeros(len(counts))
+        levels.append((attribute, threshold, counts))
+        nodes = np.flatnonzero(is_open)
+        if nodes.size == 0:
+            break
+        gain, attr, value, next_value, left = _best_splits(cols, slot, counts[nodes])
+        split = gain > 0.0
+        if not split.any():
+            break
+        attribute[nodes[split]] = attr[split]
+        threshold[nodes[split]] = (value[split] + next_value[split]) / 2.0
+        counts = np.stack((left[split], counts[nodes[split]] - left[split]), axis=1).reshape(-1, 2)
+        is_open = _is_open(counts, len(levels), cfg)
+        # each row goes to its open child's slot, or drops out (-1)
+        target = np.full((nodes.size, 2), -1, dtype=np.intp)  # (left, right) slot per node
+        target[split] = np.where(is_open, np.cumsum(is_open) - 1, -1).reshape(-1, 2)
+        cut = np.full((3, nodes.size), 2 * DOMAIN_SIZE - 1, dtype=np.uint16)  # no row above
+        cut[attr[split], np.flatnonzero(split)] = 2 * value[split] + 1
+        go_right = cols[0] > cut[0, slot]
+        go_right |= cols[1] > cut[1, slot]
+        go_right |= cols[2] > cut[2, slot]
+        slot = target.ravel()[2 * slot + go_right]
+        keep = slot >= 0
+        cols, slot = cols[:, keep], slot[keep]
+    return TreeModel(*_preorder(levels), cfg, len(train))
 
 
 def tree_predict_batch(model: TreeModel, hsv: np.ndarray) -> np.ndarray:

@@ -553,6 +553,106 @@ def test_tree_fit_matches_per_attribute_split_search():
         assert (got.config, got.n_samples) == (want.config, want.n_samples), case
 
 
+def _assert_same_tree(got, want, context):
+    for name in ("attribute", "threshold", "right", "counts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), (context, name)
+    assert (got.config, got.n_samples) == (want.config, want.n_samples), context
+
+
+def _level_widths(model):
+    """The number of nodes at each depth of a tree."""
+    widths, nodes = [], np.zeros(1, dtype=np.int64)
+    while nodes.size:
+        widths.append(int(nodes.size))
+        nodes = nodes[model.attribute[nodes] >= 0]
+        nodes = np.concatenate((nodes + 1, model.right[nodes]))
+    return widths
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", range(3))
+def test_tree_fit_matches_per_attribute_split_search_on_deep_trees(seed):
+    # 2,000-5,000 rows with labels mostly at random, so the trees grow
+    # dozens of depths with many nodes open at each; from all 256 values
+    # per attribute down to 12, where tuples repeat with mixed labels
+    rng = np.random.default_rng([909, seed])
+    n = int(rng.integers(2000, 5001))
+    high = (256, 40, 12)[seed]
+    channels = rng.integers(0, high, (n, 3), dtype=np.uint8)
+    skin = (channels[:, 0] < high // 3) ^ (rng.random(n) < 0.4)
+    for cfg in (TreeConfig(), TreeConfig(min_samples_split=7), TreeConfig(max_depth=17)):
+        train = HsvSamples(channels, skin)
+        got = tree_fit(train, cfg)
+        _assert_same_tree(got, _per_attribute_tree_fit(train, cfg), cfg)
+        assert got.depth() >= 15 and max(_level_widths(got)) >= 50, cfg
+
+
+def _edge_case_sets():
+    rng = np.random.default_rng(910)
+    channels = rng.integers(0, 256, (300, 3), dtype=np.uint8)
+    skin = rng.random(300) < 0.5
+    constant = channels.copy()
+    constant[:, 1] = 77
+    return {
+        "max_depth=0": (channels, skin, TreeConfig(max_depth=0)),
+        "min_samples_split > n": (channels, skin, TreeConfig(min_samples_split=301)),
+        "min_samples_split = n": (channels, skin, TreeConfig(min_samples_split=300)),
+        "single class": (channels, np.ones(300, dtype=bool), TreeConfig()),
+        "one row": (channels[:1], skin[:1], TreeConfig()),
+        "identical tuples, mixed labels": (np.full((40, 3), 9, dtype=np.uint8),
+                                           np.arange(40) % 3 == 0, TreeConfig()),
+        "constant attribute": (constant, skin, TreeConfig()),
+        "constant attribute, max_depth=3": (constant, skin, TreeConfig(max_depth=3)),
+    }
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", list(_edge_case_sets()))
+def test_tree_fit_edge_cases_match_per_attribute_split_search(case):
+    channels, skin, cfg = _edge_case_sets()[case]
+    train = HsvSamples(channels, skin)
+    _assert_same_tree(tree_fit(train, cfg), _per_attribute_tree_fit(train, cfg), case)
+
+
+_LEAF_COUNTS = [[1, 1], [1, 0], [0, 1]]
+MALFORMED_TREES = {
+    "right child is the root": ([0, -1], [10.0, 0.0], [0, 0], [[1, 1], [1, 0]]),
+    "split in the last row": ([-1, 0], [0.0, 10.0], [0, 0], [[1, 1], [1, 0]]),
+    "split in the last row, right past the end": ([-1, 0], [0.0, 10.0], [0, 2],
+                                                  [[1, 1], [1, 0]]),
+    "right child is the left child": ([0, -1, -1], [1.0, 0.0, 0.0], [1, 0, 0], _LEAF_COUNTS),
+    "right child past the end": ([0, -1, -1], [1.0, 0.0, 0.0], [3, 0, 0], _LEAF_COUNTS),
+    "right child before its parent": ([0, 1, -1, -1, -1], [1.0, 2.0, 0.0, 0.0, 0.0],
+                                      [4, 0, 0, 0, 0], [[2, 1], [1, 1], [1, 0], [0, 1], [1, 0]]),
+    "leaf with a right child": ([0, -1, -1], [1.0, 0.0, 0.0], [2, 2, 0], _LEAF_COUNTS),
+    "attribute 3": ([3, -1, -1], [1.0, 0.0, 0.0], [2, 0, 0], _LEAF_COUNTS),
+    "attribute -2": ([-2, -1, -1], [1.0, 0.0, 0.0], [2, 0, 0], _LEAF_COUNTS),
+    "no nodes": ([], [], [], np.zeros((0, 2))),
+    "flat counts": ([-1], [0.0], [0], [1, 1]),
+    "counts of three classes": ([-1], [0.0], [0], [[1, 1, 1]]),
+    "a threshold too many": ([-1], [0.0, 1.0], [0], [[1, 1]]),
+    "a right child too few": ([0, -1, -1], [1.0, 0.0, 0.0], [2, 0], _LEAF_COUNTS),
+    "2-d arrays": ([[-1]], [[0.0]], [[0]], [[[1, 1]]]),
+}
+
+
+@pytest.mark.parametrize("arrays", list(MALFORMED_TREES.values()), ids=list(MALFORMED_TREES))
+def test_tree_model_rejects_tables_that_are_not_preorder_trees(arrays):
+    with pytest.raises(ValueError, match="tree"):
+        TreeModel(*arrays, TreeConfig(), 2)
+
+
+def test_tree_model_accepts_preorder_tables():
+    stump = TreeModel([-1], [0.0], [0], [[3, 4]], TreeConfig(), 7)
+    assert stump.depth() == 0
+    # root splits on h; its left child on s; nodes 2, 3 and 4 are leaves
+    model = TreeModel([0, 1, -1, -1, -1], [1.5, 2.5, 0.0, 0.0, 0.0], [4, 3, 0, 0, 0],
+                      [[2, 2], [2, 1], [2, 0], [0, 1], [0, 1]], TreeConfig(), 4)
+    assert model.depth() == 2
+    hsv = np.array([[1, 2, 0], [1, 3, 0], [2, 0, 0]], dtype=np.uint8)
+    assert model.route(hsv).tolist() == [2, 3, 4]
+
 def test_probability_contract_across_classifiers():
     rng = np.random.default_rng(5)
     train = [

@@ -12,14 +12,19 @@ segmented both at full size and with `--downscale`. Every case
 must either succeed (with a well-formed mask, for `segment`) or exit 2
 with a message naming the corrupted file; an exit 3 (an exception the
 loader did not turn into a ValueError) or a mask byte outside {0, 255}
-fails the test. The seed and case counts are fixed, so the same files
-are generated on every run.
+fails the test. The node lines of a valid tree file are also
+reordered, and each reordered file must end the same way within a
+deadline, so a tree whose routing would not end fails too. The seed and
+case counts are fixed, so the same files are generated on every run.
 """
+
+import contextlib
+import signal
 
 import numpy as np
 import pytest
 
-from skinseg import cli
+from skinseg import cli, model_io
 from skinseg.raster import Image, read_pgm, read_ppm, write_ppm
 
 from conftest import surrogate_rows
@@ -30,6 +35,8 @@ BYTE_CASES = 150  # per corrupted image, and per corrupted dataset
 SUBSTITUTES = ("nan", "inf", "-0", "1e308", "-1", "256", "99999999999999999999")
 HEADER_VALUES = SUBSTITUTES + ("0", "1", "2")  # 1 leaves an image too small to halve
 KINDS = ("threshold", "bayes", "tree", "mlp")
+REORDER_CASES = 60
+DEADLINE_SECONDS = 30
 
 
 @pytest.fixture(scope="module")
@@ -204,3 +211,55 @@ def test_mutated_model_files_exit_0_or_2(kind, small_dataset, small_image, fuzz_
                 assert str(model_path) in err, context
             elif argv[0] == "segment":
                 assert set(np.unique(read_pgm(mask_path.read_bytes())).tolist()) <= {0, 255}
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError inside the block once it has run for seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _reorder_tree_lines(text, right, rng):
+    """The tree file with its node lines reordered: a split's right child
+    moved to just before the split, or two node lines swapped."""
+    lines = text.splitlines()
+    first = next(i for i, ln in enumerate(lines) if ln.startswith(("leaf ", "split ")))
+    splits = np.flatnonzero(right)
+    if rng.random() < 0.5:
+        node = int(splits[int(rng.integers(splits.size))])
+        lines.insert(first + node, lines.pop(first + int(right[node])))
+    else:
+        i, j = first + rng.choice(right.size, size=2, replace=False)
+        lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+def test_reordered_tree_lines_exit_0_or_2(small_dataset, small_image, fuzz_dir, capsys):
+    # the format stores no child index: a node after a split is its left
+    # child and a node after a leaf the right child of the latest open
+    # split, so a right child written before its parent is read as some
+    # other preorder, which must load as a valid tree or be refused
+    good = _trained_model("tree", small_dataset, fuzz_dir)
+    capsys.readouterr()
+    right = model_io.model_from_text(good).model.right
+    rng = np.random.default_rng([FUZZ_SEED, 12])
+    model_path, mask_path = fuzz_dir / "reordered.model", fuzz_dir / "mask.pgm"
+    for case in range(REORDER_CASES):
+        model_path.write_text(_reorder_tree_lines(good, right, rng), encoding="ascii")
+        for argv in (
+            ["segment", "--model", str(model_path), "--input", str(small_image),
+             "--output", str(mask_path), "--refine", "--prob-out", str(fuzz_dir / "prob.pgm")],
+            ["eval", "--dataset", str(small_dataset), "--model", str(model_path)],
+        ):
+            with _deadline(DEADLINE_SECONDS):
+                _run(argv, model_path, capsys, (case, argv[0]))
