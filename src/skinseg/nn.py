@@ -14,11 +14,12 @@ moment vectors of the same length, in place once per batch. Adam's
 hyperparameters are the module constants ADAM_LR = 0.001,
 ADAM_BETA1 = 0.9, ADAM_BETA2 = 0.999 and ADAM_EPS = 1e-7.
 
-Inference keeps no backprop cache across the batch: forward_batch
-walks the rows in blocks of at most FORWARD_BLOCK_ROWS and holds only
-the current block's activations, so its working memory does not grow
-with the batch. Only training keeps every row's activations, for
-backward.
+Inference keeps no backprop cache: forward_batch walks the rows in
+blocks of at most FORWARD_BLOCK_ROWS and holds only the current block's
+activations, feature-major ((width, rows), one row of the array per
+unit), so its working memory does not grow with the batch and a row's
+score does not depend on the batch it came in. Training keeps every
+row's activations, row-major, for backward.
 """
 
 from dataclasses import dataclass, field
@@ -33,9 +34,13 @@ OUTPUT_DIM = 2
 
 _LOG_CLAMP = 1e-12
 
-# rows per forward_batch block: a block's forward cache (119 float64
-# columns) stays under 8 MB, and the per-block call overhead stays small
+# rows per forward_batch block: a block's widest activation (32 float64
+# units x 8192 rows) is 2 MB, and each numpy call spans a whole block
 FORWARD_BLOCK_ROWS = 8192
+
+# forward_batch zero-pads a ragged last block to a multiple of this many
+# rows (FORWARD_BLOCK_ROWS is one), so BLAS never sees a ragged edge tile
+_TAIL_ROWS = 16
 
 ADAM_LR = 0.001
 ADAM_BETA1 = 0.9
@@ -127,19 +132,44 @@ def _forward_cached(model: MlpModel, x: np.ndarray):
 def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """(N, 3) inputs in [0, 1] -> (N, 2) softmax probabilities.
 
-    Runs _forward_cached over blocks of at most FORWARD_BLOCK_ROWS rows
-    and drops each block's cache before the next. The blocks are
-    balanced so that none has a single row unless the batch does: numpy
-    multiplies a one-row matrix with a matrix-vector kernel that can
-    round differently, and a row's result must not depend on where the
-    batch was cut.
+    Each block of at most FORWARD_BLOCK_ROWS rows is a transposed view
+    of x, (3, rows), and every layer computes W.T @ a, so a block's
+    activations are (width, rows) and each numpy call runs along a
+    whole block. The last block, if its row count is not a multiple of
+    _TAIL_ROWS, is copied into a zero-padded buffer that is, and the
+    padding columns are dropped before the softmax. BLAS computes the
+    columns of a ragged edge tile differently from those of a full
+    one, so without the padding the last bits of a row's score would
+    depend on where the batch ends; with it a row scores the same
+    alone or in any batch, as _forward_cached scores it in a batch of
+    two or more rows.
+    The result is the transpose of a (2, N) array.
     """
-    x = np.asarray(x, dtype=np.float64)
-    probs = np.empty((x.shape[0], OUTPUT_DIM))
-    n_blocks = max(1, -(-x.shape[0] // FORWARD_BLOCK_ROWS))
-    for a, out in zip(np.array_split(x, n_blocks), np.array_split(probs, n_blocks)):
-        out[:] = _forward_cached(model, a)[0]
-    return probs
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    probs = np.empty((OUTPUT_DIM, x.shape[0]))
+    # (fan_out, fan_in) views of the weights and column views of the biases
+    layers = [(w.T, b[:, None]) for w, b in zip(model.weights, model.biases)]
+    for start in range(0, x.shape[0], FORWARD_BLOCK_ROWS):
+        block = x[start : start + FORWARD_BLOCK_ROWS]
+        rows = block.shape[0]
+        if rows % _TAIL_ROWS:
+            block = np.concatenate([block, np.zeros((-rows % _TAIL_ROWS, INPUT_DIM))])
+        a = block.T
+        for w_t, b in layers[:-1]:
+            a = w_t @ a
+            a += b
+            np.maximum(a, 0.0, out=a)
+        w_t, b = layers[-1]
+        z = w_t @ a
+        z += b
+        z0, z1 = z[0, :rows], z[1, :rows]
+        mx = np.maximum(z0, z1)
+        e0 = np.exp(z0 - mx)
+        e1 = np.exp(z1 - mx)
+        total = e0 + e1
+        np.divide(e0, total, out=probs[0, start : start + rows])
+        np.divide(e1, total, out=probs[1, start : start + rows])
+    return probs.T
 
 
 def cross_entropy_loss(probs, target_one_hot) -> float:
@@ -250,9 +280,10 @@ def train(
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = perm[start : start + cfg.batch_size]
+            batch_targets = targets[batch]
             probs, cache = _forward_cached(model, x[batch])
-            loss_sum += _batch_mean_loss(probs, targets[batch]) * batch.size
-            grads = backward(model, cache, targets[batch])
+            loss_sum += _batch_mean_loss(probs, batch_targets) * batch.size
+            grads = backward(model, cache, batch_targets)
             adam_step(state, model.params, np.concatenate(grads, axis=None))
         history.append(loss_sum / n)
     return model, history

@@ -109,7 +109,7 @@ def test_forward_matches_straightline_oracle():
     assert got[1] == pytest.approx(expect[1], abs=1e-12)
 
 
-@pytest.mark.parametrize("n_rows", [1, FORWARD_BLOCK_ROWS + 1, 2 * FORWARD_BLOCK_ROWS + 7])
+@pytest.mark.parametrize("n_rows", [FORWARD_BLOCK_ROWS + 1, 2 * FORWARD_BLOCK_ROWS + 7])
 def test_forward_batch_matches_cached_pass(n_rows):
     model = init_model(MlpArchitecture(), np.random.Generator(np.random.PCG64(4)))
     rng = np.random.default_rng(n_rows)
@@ -117,6 +117,25 @@ def test_forward_batch_matches_cached_pass(n_rows):
         b[:] = rng.normal(scale=0.1, size=b.shape)
     x = rng.random((n_rows, 3))
     assert np.array_equal(forward_batch(model, x), _forward_cached(model, x)[0])
+
+
+def test_forward_batch_scores_a_row_the_same_in_any_batch():
+    # every row of a small, ragged or block-straddling batch equals, bit for
+    # bit, the same row scored inside one large batch
+    model = init_model(MlpArchitecture(), np.random.Generator(np.random.PCG64(4)))
+    rng = np.random.default_rng(7)
+    for b in model.biases:
+        b[:] = rng.normal(scale=0.1, size=b.shape)
+    x = rng.random((3 * FORWARD_BLOCK_ROWS, 3))
+    reference = forward_batch(model, x)
+    sizes = [*range(1, 71), FORWARD_BLOCK_ROWS - 1, FORWARD_BLOCK_ROWS + 1,
+             FORWARD_BLOCK_ROWS + 15, FORWARD_BLOCK_ROWS + 17]
+    for n in sizes:
+        # an odd stride puts the batch's rows at other offsets than in x
+        start = (37 * n) % (x.shape[0] - n)
+        got = forward_batch(model, x[start : start + n])
+        assert got.shape == (n, 2)
+        assert np.array_equal(got, reference[start : start + n]), n
 
 
 def test_loss_values():

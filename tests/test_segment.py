@@ -86,6 +86,18 @@ def test_stage1_matches_per_pixel_path(models, kind, make_pixels, monkeypatch):
     assert np.array_equal(pmap.p_non_skin, 1.0 - expected)
 
 
+@pytest.mark.parametrize("kind", ["threshold", "bayes", "tree", "mlp"])
+def test_one_colour_image_scores_as_in_a_mixed_batch(models, kind):
+    # a uniform image's one colour is scored alone; it must get the score
+    # that colour gets among many others
+    colours = np.random.default_rng(13).integers(0, 256, size=(40, 3), dtype=np.uint8)
+    mixed = PER_PIXEL[kind](models[kind], colours)
+    for colour, expected in zip(colours, mixed):
+        pixels = np.broadcast_to(colour, (4, 5, 3)).copy()
+        pmap = segment.stage1_probabilities(Image(pixels=pixels), models[kind])
+        assert np.array_equal(pmap.p_skin, np.full((4, 5), expected))
+
+
 def test_decide_is_the_pointwise_class_comparison():
     # _decide tests p >= 0.5; it must agree with p >= 1 - p on every double
     # in [0, 1], the neighbours of 0.5 included
