@@ -210,10 +210,17 @@ def _oracle_order_sums(pmap: ProbabilityMap, ys: np.ndarray, xs: np.ndarray, rad
     rows read, and neighbours outside the map come from a zero border
     (not 1 - 0); adding 0.0 leaves a non-negative sum unchanged, so each
     sum is the oracle's bit for bit.
+
+    ys must be non-decreasing and non-empty, as np.nonzero gives them, so
+    each row's pixels form one run.
     """
     h, w = pmap.p_skin.shape
     ry, rx = min(radius, h - 1), min(radius, w - 1)
-    rows, row_of = np.unique(ys, return_inverse=True)
+    new_row = np.empty(ys.size, dtype=bool)
+    new_row[0] = True
+    np.not_equal(ys[1:], ys[:-1], out=new_row[1:])
+    rows = ys[new_row]
+    row_of = np.cumsum(new_row) - 1
     x0, x1 = int(xs.min()), int(xs.max()) + 1
     c0, c1 = max(x0 - rx, 0), min(x1 + rx, w)  # the columns the windows reach
     skin_acc, non_acc = np.zeros((rows.size, x1 - x0)), np.zeros((rows.size, x1 - x0))

@@ -11,7 +11,8 @@ Every classifier is a pure function of a pixel's 8-bit RGB triple, so
 stage 1 converts and scores each distinct colour of the image once and
 gathers the scores back to the pixels. Scoring then costs in
 proportion to the distinct colours; finding them is one sort of the
-pixels' 24-bit codes.
+pixels' 24-bit codes, each packed with its pixel index into one 64-bit
+key (see _distinct_colours).
 """
 
 import time
@@ -65,20 +66,62 @@ def score_rgb(model, rgb: np.ndarray) -> np.ndarray:
     return predict(model, rgb_to_hsv_array(rgb))
 
 
+def _distinct_colours(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct colours of (..., 3) uint8 pixels (at least one), and each pixel's among them.
+
+    Returns (colours, inverse): the distinct 24-bit RGB codes as uint32 in
+    ascending order, and per pixel (in pixel order) the int32 index of its
+    code, so colours[inverse] is every pixel's code. That is what
+    np.unique(codes, return_inverse=True) gives, in less time and memory.
+    """
+    # 24-bit codes built in place from the uint8 channels: no (N, 3) uint32
+    # copy of the frame; each full-frame temporary below is dropped once
+    # used, so at most two uint64 arrays of the frame's length are held
+    px = pixels.reshape(-1, 3)
+    n = px.shape[0]
+    codes = px[:, 0].astype(np.uint32)
+    for channel in (1, 2):
+        codes <<= 8
+        codes |= px[:, channel]
+    # each code carries its pixel index in the low s bits, so every key is
+    # unique and one plain value sort orders the pixels by colour: with no
+    # equal keys, any sort kernel numpy dispatches gives the same order, and
+    # no stable argsort (np.unique's main cost) is needed
+    s = max(1, (n - 1).bit_length())  # 24 + s <= 64 below 2**40 pixels
+    keys = codes.astype(np.uint64)
+    del codes
+    keys <<= s
+    pixel = np.arange(n, dtype=np.uint64)
+    keys |= pixel
+    keys.sort()
+    # the index buffer takes back each sorted key's pixel index
+    np.bitwise_and(keys, np.uint64((1 << s) - 1), out=pixel)
+    pixel = pixel.view(np.int64)
+    keys >>= s  # now the sorted codes
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    colours = keys[first].astype(np.uint32)
+    del keys
+    # slots are below 2**24, so int32 holds them; summed in place, as
+    # np.cumsum(first, dtype=np.int32) would also make an int32 copy of first
+    slot = first.astype(np.int32)
+    del first
+    np.cumsum(slot, out=slot)
+    slot -= 1
+    inverse = np.empty(n, dtype=np.int32)
+    inverse[pixel] = slot
+    return colours, inverse
+
+
 def stage1_probabilities(image: Image, model) -> ProbabilityMap:
     """Per-pixel P(colour = skin) for the whole image, as a 2-d map.
 
     Each distinct colour is scored once; the scores are the ones the
     model gives that colour, gathered back to every pixel holding it.
+    The colours are scored in ascending code order, one batch.
     """
-    # 24-bit codes built in place from the uint8 channels: no (N, 3) uint32
-    # copy of the frame; rebinding codes frees the full-size array
-    px = image.pixels.reshape(-1, 3)
-    codes = px[:, 0].astype(np.uint32)
-    for channel in (1, 2):
-        codes <<= 8
-        codes |= px[:, channel]
-    codes, inverse = np.unique(codes, return_inverse=True)
+    codes, inverse = _distinct_colours(image.pixels)
     colours = np.stack([codes >> 16, (codes >> 8) & 0xFF, codes & 0xFF], axis=1).astype(np.uint8)
     p_colour = score_rgb(model, colours)
     return ProbabilityMap(p_colour[inverse].reshape(image.height, image.width))

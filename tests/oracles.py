@@ -3,8 +3,9 @@
 Each function here computes one pixel (or one label pair) at a time in
 straight-line code, and the tests compare the batch paths in
 ``skinseg`` against it element by element, the way ``refine`` is
-compared against ``refine_brute_oracle``. Nothing in ``skinseg``
-imports this module.
+compared against ``refine_brute_oracle``. The one array reference,
+``distinct_colours``, finds an image's distinct colours with
+``np.unique``. Nothing in ``skinseg`` imports this module.
 """
 
 from dataclasses import dataclass
@@ -122,6 +123,22 @@ def forward(model: MlpModel, x) -> ClassProbabilities:
     """Single input (3-vector in [0, 1]^3) -> class probabilities."""
     probs = forward_batch(model, np.asarray(x, dtype=np.float64).reshape(1, INPUT_DIM))[0]
     return ClassProbabilities(float(probs[0]), float(probs[1]))
+
+
+# ---------------------------------------------------------------------------
+# Distinct colours
+# ---------------------------------------------------------------------------
+
+def distinct_colours(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(colours, inverse) of (..., 3) uint8 pixels by np.unique.
+
+    colours are the distinct 24-bit RGB codes (R in the high byte) as
+    uint32, ascending; inverse is each pixel's index into them, in pixel
+    order.
+    """
+    px = pixels.reshape(-1, 3).astype(np.uint32)
+    codes = (px[:, 0] << 16) | (px[:, 1] << 8) | px[:, 2]
+    return np.unique(codes, return_inverse=True)
 
 
 # ---------------------------------------------------------------------------

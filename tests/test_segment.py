@@ -19,6 +19,8 @@ from skinseg.neighbourhood import ProbabilityMap
 from skinseg.nn import FORWARD_BLOCK_ROWS, MlpArchitecture, init_model, mlp_predict_batch
 from skinseg.raster import Image
 
+from oracles import distinct_colours
+
 
 @pytest.fixture(scope="module")
 def models(surrogate_samples):
@@ -109,3 +111,70 @@ def test_decide_is_the_pointwise_class_comparison():
     mask = segment._decide(ProbabilityMap(p.reshape(1, -1))).pixels
     assert np.array_equal(mask[0], p >= 1.0 - p)
     assert mask[0, :5].tolist() == [False, True, True, False, True]
+
+
+def _colour_cases():
+    """(name, pixels) cases for the distinct-colour pass.
+
+    The pixel counts cross the widths where the packed pixel index gains a
+    bit (n - 1 = 2**k); each count comes as one row and as one column.
+    """
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 3, 4, 5, 255, 256, 257, 65536, 65537):
+        # few colours, so most pixels repeat one another
+        flat = rng.integers(0, 4, size=(n, 3), dtype=np.uint8) * np.uint8(85)
+        yield f"1x{n}", flat.reshape(1, n, 3)
+        yield f"{n}x1", flat.reshape(n, 1, 3)
+        if n >= 2:
+            ends = flat.copy()
+            ends[0], ends[-1] = 0x00, 0xFF
+            yield f"black-first-white-last-{n}", ends.reshape(1, n, 3)
+            yield f"white-first-black-last-{n}", ends[::-1].reshape(n, 1, 3)
+    yield "one-colour", np.full((37, 41, 3), (12, 200, 7), dtype=np.uint8)
+    # i * odd is one-to-one mod 2**24: 77,100 distinct codes in scrambled
+    # order, 0x000000 first; the last one is not hit by any other i
+    codes = np.arange(300 * 257, dtype=np.uint64) * np.uint64(2654435761) % np.uint64(1 << 24)
+    codes[-1] = 0xFFFFFF
+    every = np.stack([codes >> 16, (codes >> 8) & 0xFF, codes & 0xFF], axis=1)
+    yield "all-distinct", every.astype(np.uint8).reshape(300, 257, 3)
+
+
+def _codes(rgb):
+    """24-bit code of each (N, 3) uint8 RGB row, in row order."""
+    rgb = rgb.astype(np.uint32)
+    return (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
+
+
+COLOUR_CASES = dict(_colour_cases())
+
+
+@pytest.mark.parametrize("case", COLOUR_CASES)
+def test_distinct_colours_match_unique_and_stage1_matches_per_pixel(models, case, monkeypatch):
+    pixels = COLOUR_CASES[case]
+    colours, inverse = segment._distinct_colours(pixels)
+    expected_colours, expected_inverse = distinct_colours(pixels)
+    assert colours.dtype == np.uint32 and inverse.dtype == np.int32
+    assert np.array_equal(colours, expected_colours)
+    assert np.array_equal(inverse, expected_inverse)
+    if case == "all-distinct":
+        assert colours.size == pixels.shape[0] * pixels.shape[1]
+
+    batches = []
+
+    def recording(model, rgb):
+        batches.append(rgb.copy())
+        return real(model, rgb)
+
+    real = segment.score_rgb
+    monkeypatch.setattr(segment, "score_rgb", recording)
+    flat = pixels.reshape(-1, 3)
+    for kind, model in models.items():
+        batches.clear()
+        pmap = segment.stage1_probabilities(Image(pixels=pixels), model)
+        # one batch: every distinct colour once, in strictly ascending order
+        [rgb] = batches
+        codes = _codes(rgb)
+        assert np.all(codes[1:] > codes[:-1]), kind
+        assert np.array_equal(codes, expected_colours), kind
+        expected = PER_PIXEL[kind](model, flat).reshape(pixels.shape[:2])
+        assert pmap.p_skin.tobytes() == expected.tobytes(), kind
