@@ -7,21 +7,18 @@ from .classifiers import (
     TreeConfig,
     TreeModel,
     bayes_fit,
-    bayes_predict,
     bayes_predict_batch,
     threshold_scores,
     tree_fit,
     tree_predict_batch,
 )
 from .colorspace import (
-    HsvPixel,
     YcbcrPixel,
     rgb_to_hsv_array,
     rgb_to_ycbcr_array,
 )
 from .dataset import (
     DatasetError,
-    HsvSample,
     HsvSamples,
     Label,
     RawSample,

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colorspace import HsvPixel, YcbcrPixel, rgb_to_ycbcr_array
-from .dataset import HsvSample, HsvSamples, Label, hsv_arrays
+from .colorspace import YcbcrPixel, rgb_to_ycbcr_array
+from .dataset import HsvSamples, Label, hsv_arrays
 
 DOMAIN_SIZE = 256  # each HSV attribute is quantized onto 0-255
 
@@ -31,16 +31,10 @@ def _value_table(hsv: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassProbabilities:
-    """Per-pixel (p_skin, p_non_skin) pair; the two must sum to 1.
-
-    fallback marks results where a degenerate zero-score situation was
-    resolved by falling back to the class priors (only possible for the
-    Bayes model at smoothing alpha = 0).
-    """
+    """Per-pixel (p_skin, p_non_skin) pair; the two must sum to 1."""
 
     p_skin: float
     p_non_skin: float
-    fallback: bool = False
 
     def __post_init__(self):
         if not (0.0 <= self.p_skin <= 1.0 and 0.0 <= self.p_non_skin <= 1.0):
@@ -121,7 +115,7 @@ class BayesModel:
         return (self.counts + self.alpha) / denom
 
 
-def bayes_fit(train: HsvSamples | list[HsvSample], alpha: float = 1.0) -> BayesModel:
+def bayes_fit(train: HsvSamples, alpha: float = 1.0) -> BayesModel:
     """Count per-attribute values for each class and store priors.
 
     Raises ValueError when the training set is empty, a class is absent
@@ -139,35 +133,13 @@ def bayes_fit(train: HsvSamples | list[HsvSample], alpha: float = 1.0) -> BayesM
     return BayesModel(counts=counts, class_counts=class_counts, alpha=float(alpha))
 
 
-def _bayes_scores(model: BayesModel, h: int, s: int, v: int) -> tuple[float, float]:
-    tables = model.likelihood_tables()
-    priors = model.priors
-    scores = []
-    for cls in range(2):
-        score = priors[cls]
-        for attr, value in enumerate((h, s, v)):
-            score = score * tables[attr, cls, value]
-        scores.append(float(score))
-    return scores[0], scores[1]
-
-
-def bayes_predict(model: BayesModel, p: HsvPixel) -> ClassProbabilities:
-    """Posterior from prior times per-attribute likelihoods, normalized.
-
-    The shared evidence term cancels in the normalization. If both class
-    scores vanish (possible only at alpha = 0) the priors are returned
-    with the fallback flag set.
-    """
-    score_skin, score_non = _bayes_scores(model, p.h, p.s, p.v)
-    total = score_skin + score_non
-    if total == 0.0:
-        priors = model.priors
-        return ClassProbabilities(float(priors[0]), float(priors[1]), fallback=True)
-    return ClassProbabilities(score_skin / total, score_non / total)
-
-
 def bayes_predict_batch(model: BayesModel, hsv: np.ndarray) -> np.ndarray:
-    """Vectorized bayes_predict: (N, 3) uint8 HSV rows -> (N,) p_skin."""
+    """(N, 3) uint8 HSV rows -> (N,) p_skin: each row's posterior.
+
+    The prior times the per-attribute likelihoods of each class,
+    normalized; the shared evidence term cancels. Rows where both class
+    scores vanish (possible only at alpha = 0) get the skin prior.
+    """
     hsv = np.asarray(hsv, dtype=np.int64)
     tables = model.likelihood_tables()
     priors = model.priors
@@ -373,7 +345,7 @@ def _preorder(levels: list) -> tuple:
     return attribute, threshold, right, counts
 
 
-def tree_fit(train: HsvSamples | list[HsvSample], cfg: TreeConfig = TreeConfig()) -> TreeModel:
+def tree_fit(train: HsvSamples, cfg: TreeConfig = TreeConfig()) -> TreeModel:
     """Grow a CART tree on quantized HSV samples, one depth at a time.
 
     A node becomes a leaf when it is pure, holds fewer than

@@ -6,7 +6,7 @@ is round-half-up everywhere, and clamping happens after rounding.
 Because every input channel is an 8-bit integer, all quantities are
 exact rationals; the quantization is therefore done in integer
 arithmetic so that half-way cases can never be lost to floating point
-noise. The pixel dataclasses hold one quantized triple each.
+noise. ``YcbcrPixel`` holds one quantized triple (a threshold box corner).
 """
 
 from dataclasses import dataclass
@@ -21,19 +21,6 @@ def _check_channel(name, value):
         raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
     if not 0 <= value <= 255:
         raise ValueError(f"{name} out of range 0-255: {value}")
-
-
-@dataclass(frozen=True)
-class HsvPixel:
-    """Quantized HSV: hue scaled from [0, 360) onto [0, 255], s and v from [0, 1]."""
-
-    h: int
-    s: int
-    v: int
-
-    def __post_init__(self):
-        for name in ("h", "s", "v"):
-            _check_channel(name, getattr(self, name))
 
 
 @dataclass(frozen=True)

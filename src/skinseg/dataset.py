@@ -5,10 +5,10 @@ base-10 integers ``B G R label`` with label 1 = skin, 2 = non-skin.
 
 A dataset is held as columns: an (N, 3) uint8 channel array and an (N,)
 bool skin vector. ``RawSamples`` (B, G, R channels) and ``HsvSamples``
-(H, S, V) wrap the pair as read-only sequences whose items are
-``RawSample``/``HsvSample`` objects built on access. Every function here
-that takes samples also takes a plain list of sample objects, which is
-turned into columns once on entry.
+(H, S, V) wrap the pair; every function here takes and returns these
+column views. A slice or an integer index array gives another view.
+``RawSamples`` also builds ``RawSample`` objects on demand, one for an
+int index and one per row when iterated; ``HsvSamples`` has no items.
 
 ``load_uci`` reads the file's bytes and parses them in blocks of about
 1 MiB, cut at a newline, one vectorised pass per block. That fast path
@@ -47,18 +47,6 @@ class Label(enum.Enum):
     SKIN = 1
     NON_SKIN = 2
 
-    @classmethod
-    def from_code(cls, code: int) -> "Label":
-        if code == 1:
-            return cls.SKIN
-        if code == 2:
-            return cls.NON_SKIN
-        raise ValueError(f"label code must be 1 or 2, got {code}")
-
-    @property
-    def code(self) -> int:
-        return self.value
-
 
 class DatasetError(ValueError):
     """Raised for malformed dataset files; message names the offending line."""
@@ -72,24 +60,12 @@ class RawSample:
     label: Label
 
 
-@dataclass(frozen=True)
-class HsvSample:
-    h: int
-    s: int
-    v: int
-    label: Label
+class _Columns:
+    """An (N, 3) uint8 channel array and an (N,) bool skin vector.
 
-
-class _Samples(Sequence):
-    """Read-only rows over an (N, 3) uint8 channel array and an (N,) bool skin vector.
-
-    The arrays are held as given, not copied. Indexing with an int builds
-    one sample object; a slice or an integer index array gives another
-    view of the selected rows.
+    The arrays are held as given, not copied. A slice or an integer
+    index array gives another view of the selected rows.
     """
-
-    sample: type
-    fields: tuple[str, str, str]
 
     def __init__(self, channels: np.ndarray, skin: np.ndarray):
         if skin.dtype != bool or skin.ndim != 1 \
@@ -99,47 +75,41 @@ class _Samples(Sequence):
         self.channels = channels
         self.skin = skin
 
-    @classmethod
-    def of(cls, samples):
-        """The samples as this kind of view; a plain sequence is converted once."""
-        if isinstance(samples, cls):
-            return samples
-        channels = np.array([[getattr(s, f) for f in cls.fields] for s in samples],
-                            dtype=np.uint8)
-        skin = np.array([s.label is Label.SKIN for s in samples], dtype=bool)
-        return cls(channels.reshape(-1, 3), skin)
-
     def __len__(self) -> int:
         return self.skin.shape[0]
 
     def __getitem__(self, index):
+        return type(self)(self.channels[index], self.skin[index])
+
+
+class RawSamples(_Columns):
+    """A dataset as read from disk: B, G, R channels and the skin flags.
+
+    An int index builds one RawSample; iterating builds one per row.
+    """
+
+    @classmethod
+    def of(cls, samples):
+        """The samples as columns; a list of RawSample is converted once."""
+        if isinstance(samples, cls):
+            return samples
+        channels = np.array([(s.b, s.g, s.r) for s in samples], dtype=np.uint8)
+        skin = np.array([s.label is Label.SKIN for s in samples], dtype=bool)
+        return cls(channels.reshape(-1, 3), skin)
+
+    def __getitem__(self, index):
         if isinstance(index, (slice, np.ndarray)):
-            return type(self)(self.channels[index], self.skin[index])
-        a, b, c = self.channels[index].tolist()
-        return self.sample(a, b, c, Label.SKIN if self.skin[index] else Label.NON_SKIN)
+            return super().__getitem__(index)
+        b, g, r = self.channels[index].tolist()
+        return RawSample(b, g, r, Label.SKIN if self.skin[index] else Label.NON_SKIN)
 
-    def __iter__(self) -> Iterator:
-        for (a, b, c), skin in zip(self.channels.tolist(), self.skin.tolist()):
-            yield self.sample(a, b, c, Label.SKIN if skin else Label.NON_SKIN)
-
-    def __eq__(self, other):
-        if not isinstance(other, (_Samples, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and list(self) == list(other)
+    def __iter__(self) -> Iterator[RawSample]:
+        for (b, g, r), skin in zip(self.channels.tolist(), self.skin.tolist()):
+            yield RawSample(b, g, r, Label.SKIN if skin else Label.NON_SKIN)
 
 
-class RawSamples(_Samples):
-    """A dataset as read from disk: B, G, R channels and the skin flags."""
-
-    sample = RawSample
-    fields = ("b", "g", "r")
-
-
-class HsvSamples(_Samples):
+class HsvSamples(_Columns):
     """Quantized H, S, V channels and the skin flags."""
-
-    sample = HsvSample
-    fields = ("h", "s", "v")
 
 
 @dataclass(frozen=True)
@@ -152,13 +122,13 @@ class SplitConfig:
             raise ValueError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
 
 
-def parse_uci(lines: Iterable[str]) -> list[RawSample]:
-    """Parse the dataset text format into samples, preserving order.
+def parse_uci(lines: Iterable[str]) -> RawSamples:
+    """Parse the dataset text format into columns, preserving order.
 
     Empty (all-whitespace) lines are skipped. Any malformed line raises
     DatasetError naming its 1-based line number.
     """
-    samples = []
+    channels, skin = [], []
     for lineno, line in enumerate(lines, start=1):
         fields = line.split()
         if not fields:
@@ -174,20 +144,21 @@ def parse_uci(lines: Iterable[str]) -> list[RawSample]:
                 raise DatasetError(f"line {lineno}: {name} out of range 0-255: {value}")
         if code not in (1, 2):
             raise DatasetError(f"line {lineno}: label must be 1 or 2, got {code}")
-        samples.append(RawSample(b=b, g=g, r=r, label=Label.from_code(code)))
-    return samples
+        channels.append((b, g, r))
+        skin.append(code == 1)
+    return RawSamples(np.array(channels, dtype=np.uint8).reshape(-1, 3),
+                      np.array(skin, dtype=bool))
 
 
 # each value 0-255 as three ASCII bytes, right-aligned and padded with spaces
 _DIGITS = np.array([list(f"{v:>3}".encode("ascii")) for v in range(256)], dtype=np.uint8)
 
 
-def serialize_blocks(samples: RawSamples | list[RawSample]) -> Iterator[bytes]:
+def serialize_blocks(samples: RawSamples) -> Iterator[bytes]:
     """serialize_uci's bytes, RENDER_BLOCK rows at a time."""
-    raw = RawSamples.of(samples)
-    for start in range(0, len(raw), RENDER_BLOCK):
-        channels = raw.channels[start : start + RENDER_BLOCK]
-        skin = raw.skin[start : start + RENDER_BLOCK]
+    for start in range(0, len(samples), RENDER_BLOCK):
+        channels = samples.channels[start : start + RENDER_BLOCK]
+        skin = samples.skin[start : start + RENDER_BLOCK]
         # fixed-width rows "BBB\tGGG\tRRR\tL\n"; dropping the pad spaces gives the text
         rows = np.empty((len(skin), 14), dtype=np.uint8)
         for j in range(3):
@@ -198,7 +169,7 @@ def serialize_blocks(samples: RawSamples | list[RawSample]) -> Iterator[bytes]:
         yield rows[rows != ord(" ")].tobytes()
 
 
-def serialize_uci(samples: RawSamples | list[RawSample]) -> str:
+def serialize_uci(samples: RawSamples) -> str:
     """Render samples back to the on-disk line format (inverse of parse_uci)."""
     return b"".join(serialize_blocks(samples)).decode("ascii")
 
@@ -219,7 +190,7 @@ def load_uci(path) -> RawSamples:
         parsed = _parse_block(data[start:end])
         if parsed is None:
             text = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", errors="surrogateescape")
-            return RawSamples.of(parse_uci(text))
+            return parse_uci(text)
         channels.append(parsed[0])
         skin.append(parsed[1])
         start = end
@@ -261,32 +232,20 @@ def _parse_block(block: bytes):
     return rows[:, :3].astype(np.uint8), label == 1
 
 
-def label_counts(samples: Sequence) -> dict[Label, int]:
-    skin = int(_columns(samples).skin.sum())
+def label_counts(samples: RawSamples | HsvSamples) -> dict[Label, int]:
+    skin = int(samples.skin.sum())
     return {Label.SKIN: skin, Label.NON_SKIN: len(samples) - skin}
 
 
 def to_hsv_samples(raw: RawSamples | list[RawSample]) -> HsvSamples:
-    """Convert raw BGR samples to quantized HSV samples, order preserved."""
+    """Convert raw BGR samples (or a list of RawSample) to quantized HSV, order preserved."""
     raw = RawSamples.of(raw)
     return HsvSamples(rgb_to_hsv_array(raw.channels[:, ::-1]), raw.skin)
 
 
-def hsv_arrays(samples: HsvSamples | list[HsvSample]) -> tuple[np.ndarray, np.ndarray]:
+def hsv_arrays(samples: HsvSamples) -> tuple[np.ndarray, np.ndarray]:
     """Column view of HSV samples: (N, 3) uint8 channels and (N,) bool skin flags."""
-    hsv = HsvSamples.of(samples)
-    return hsv.channels, hsv.skin
-
-
-def _columns(samples):
-    """Samples as a view of their own kind; any other sequence as a numpy array."""
-    if isinstance(samples, _Samples):
-        return samples
-    if len(samples) and isinstance(samples[0], HsvSample):
-        return HsvSamples.of(samples)
-    if not len(samples) or isinstance(samples[0], RawSample):
-        return RawSamples.of(samples)
-    return np.asarray(samples)
+    return samples.channels, samples.skin
 
 
 def train_size(n: int, test_fraction: float) -> int:
@@ -305,8 +264,9 @@ def split(samples: Sequence, cfg: SplitConfig) -> tuple[Sequence, Sequence]:
     The shuffle permutation comes from numpy Generator(PCG64(seed)); train
     takes the first floor(N * (1 - test_fraction)) shuffled samples and
     test the remainder, which reproduces a 209,740 / 89,889 cut for
-    N = 299,629 at fraction 0.30. Deterministic for a fixed seed. Samples
-    come back as views of their kind; any other sequence as numpy arrays.
+    N = 299,629 at fraction 0.30. Deterministic for a fixed seed. Column
+    views come back as views of their kind; any other sequence as numpy
+    arrays.
     """
     n = len(samples)
     if n < 2:
@@ -314,5 +274,5 @@ def split(samples: Sequence, cfg: SplitConfig) -> tuple[Sequence, Sequence]:
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     perm = rng.permutation(n)
     n_train = train_size(n, cfg.test_fraction)
-    table = _columns(samples)
+    table = samples if isinstance(samples, _Columns) else np.asarray(samples)
     return table[perm[:n_train]], table[perm[n_train:]]

@@ -47,7 +47,7 @@ import numpy as np
 
 from .classifiers import BayesModel, ThresholdRange, TreeConfig, TreeModel
 from .colorspace import YcbcrPixel
-from .dataset import RawSample, RawSamples, serialize_blocks
+from .dataset import RawSamples, serialize_blocks
 from .nn import MlpArchitecture, MlpModel
 
 FORMAT_HEADER = "skinseg-model 1"
@@ -63,7 +63,7 @@ class SavedModel:
     model: object
 
 
-def dataset_fingerprint(samples: RawSamples | list[RawSample]) -> str:
+def dataset_fingerprint(samples: RawSamples) -> str:
     """sha256 of the canonical sample serialization (whitespace-insensitive)."""
     digest = hashlib.sha256()
     for block in serialize_blocks(samples):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .colorspace import normalize_hsv_array
-from .dataset import HsvSample, HsvSamples, hsv_arrays
+from .dataset import HsvSamples, hsv_arrays
 
 INPUT_DIM = 3
 OUTPUT_DIM = 2
@@ -246,7 +246,7 @@ class TrainConfig:
 
 
 def train(
-    train_set: HsvSamples | list[HsvSample],
+    train_set: HsvSamples,
     arch: MlpArchitecture = MlpArchitecture(),
     cfg: TrainConfig = TrainConfig(),
 ) -> tuple[MlpModel, list[float]]:

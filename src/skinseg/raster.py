@@ -8,6 +8,7 @@ raw payload, so round-trips are byte-identical. A skin mask is a bool
 trailing odd row/column dropped); upscaling a mask is nearest-neighbour.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,49 +78,49 @@ class SkinMask:
         return self.pixels.shape[1]
 
 
+# whitespace (bytes-mode \s is what bytes.isspace() accepts) and '#' comments
+# up to \r or \n, then a token; the possessive *+ keeps no per-comment state
+_TOKEN = re.compile(rb"\s*(?:#[^\r\n]*\s*)*+([^\s#]*)")
+_QUOTED_BYTES = 32  # how much of a bad header token an error message quotes
+
+
+def _quote(token: bytes) -> str:
+    return repr(token[:_QUOTED_BYTES]) + ("..." if len(token) > _QUOTED_BYTES else "")
+
+
 def _read_header(data: bytes, expected_magic: bytes):
     """Parse a netpbm header; returns (width, height, payload offset).
 
     '#' comments are allowed anywhere among the header tokens; exactly one
-    whitespace byte separates the maxval from the payload.
+    whitespace byte separates the maxval from the payload. Each token is
+    found by one regex match, so the time is linear in the header's size.
     """
     pos = 0
-    n = len(data)
 
     def next_token():
         nonlocal pos
-        while pos < n:
-            byte = data[pos : pos + 1]
-            if byte == b"#":
-                while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            elif byte.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < n and not data[pos : pos + 1].isspace() and data[pos : pos + 1] != b"#":
-            pos += 1
-        if start == pos:
+        match = _TOKEN.match(data, pos)
+        pos = match.end()
+        if not match.group(1):
             raise PnmHeaderError("unexpected end of header")
-        return data[start:pos]
+        return match.group(1)
 
     magic = next_token()
     if magic != expected_magic:
-        raise PnmMagicError(f"expected magic {expected_magic.decode()}, got {magic!r}")
+        raise PnmMagicError(f"expected magic {expected_magic.decode()}, got {_quote(magic)}")
     fields = []
     for name in ("width", "height", "maxval"):
         token = next_token()
         try:
             fields.append(int(token))
         except ValueError:
-            raise PnmHeaderError(f"non-integer {name} field: {token!r}") from None
+            raise PnmHeaderError(f"non-integer {name} field: {_quote(token)}") from None
     width, height, maxval = fields
     if width <= 0 or height <= 0:
         raise PnmHeaderError(f"dimensions must be positive, got {width}x{height}")
     if maxval != 255:
         raise PnmDepthError(f"unsupported maxval {maxval}, only 255 is handled")
-    if pos >= n or not data[pos : pos + 1].isspace():
+    if pos >= len(data) or not data[pos : pos + 1].isspace():
         raise PnmHeaderError("missing whitespace byte after maxval")
     return width, height, pos + 1
 

@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from skinseg.classifiers import ClassProbabilities, ThresholdRange, TreeModel
-from skinseg.colorspace import _YCBCR_DEN, HsvPixel, YcbcrPixel, _check_channel
+from skinseg.classifiers import BayesModel, ClassProbabilities, ThresholdRange, TreeModel
+from skinseg.colorspace import _YCBCR_DEN, YcbcrPixel, _check_channel
 from skinseg.dataset import Label
 from skinseg.metrics import ConfusionMatrix
 from skinseg.neighbourhood import ProbabilityMap
@@ -36,6 +36,19 @@ class RgbPixel:
 
     def __post_init__(self):
         for name in ("r", "g", "b"):
+            _check_channel(name, getattr(self, name))
+
+
+@dataclass(frozen=True)
+class HsvPixel:
+    """Quantized HSV: hue scaled from [0, 360) onto [0, 255], s and v from [0, 1]."""
+
+    h: int
+    s: int
+    v: int
+
+    def __post_init__(self):
+        for name in ("h", "s", "v"):
             _check_channel(name, getattr(self, name))
 
 
@@ -111,6 +124,34 @@ def contains(box: ThresholdRange, p: YcbcrPixel) -> bool:
 def threshold_classify(p: RgbPixel, box: ThresholdRange = ThresholdRange()) -> ClassProbabilities:
     """Classify skin iff the pixel's YCbCr triple lies inside the box."""
     return SKIN if contains(box, rgb_to_ycbcr(p)) else NON_SKIN
+
+
+def _bayes_scores(model: BayesModel, h: int, s: int, v: int) -> tuple[float, float]:
+    tables = model.likelihood_tables()
+    priors = model.priors
+    scores = []
+    for cls in range(2):
+        score = priors[cls]
+        for attr, value in enumerate((h, s, v)):
+            score = score * tables[attr, cls, value]
+        scores.append(float(score))
+    return scores[0], scores[1]
+
+
+def bayes_predict(model: BayesModel, p: HsvPixel) -> tuple[ClassProbabilities, bool]:
+    """Posterior from prior times per-attribute likelihoods, normalized,
+    and whether it fell back to the priors.
+
+    The shared evidence term cancels in the normalization. If both class
+    scores vanish (possible only at alpha = 0) the priors are returned
+    with the fallback flag set.
+    """
+    score_skin, score_non = _bayes_scores(model, p.h, p.s, p.v)
+    total = score_skin + score_non
+    if total == 0.0:
+        priors = model.priors
+        return ClassProbabilities(float(priors[0]), float(priors[1])), True
+    return ClassProbabilities(score_skin / total, score_non / total), False
 
 
 def tree_predict(model: TreeModel, p: HsvPixel) -> ClassProbabilities:

@@ -16,20 +16,33 @@ from skinseg.classifiers import (
     TreeConfig,
     TreeModel,
     bayes_fit,
-    bayes_predict,
     bayes_predict_batch,
     threshold_scores,
     tree_fit,
     tree_predict_batch,
 )
-from skinseg.colorspace import HsvPixel, YcbcrPixel, rgb_to_ycbcr_array
-from skinseg.dataset import HsvSample, HsvSamples, Label, hsv_arrays
+from skinseg.colorspace import YcbcrPixel, rgb_to_ycbcr_array
+from skinseg.dataset import HsvSamples, Label, hsv_arrays
 
-from oracles import RgbPixel, threshold_classify, tree_predict
+from oracles import HsvPixel, RgbPixel, bayes_predict, threshold_classify, tree_predict
 
 
-def _hsv(h, s, v, skin=True):
-    return HsvSample(h, s, v, Label.SKIN if skin else Label.NON_SKIN)
+def _hsv(rows, skin) -> HsvSamples:
+    """Columns of (h, s, v) rows and one skin flag per row."""
+    return HsvSamples(np.array(rows, dtype=np.uint8).reshape(-1, 3), np.array(skin, dtype=bool))
+
+
+def _random_hsv(rng, high, n) -> HsvSamples:
+    """n rows whose h, s and v are drawn below high, then n random skin flags."""
+    h, s, v = (rng.integers(0, high, n) for _ in range(3))
+    return _hsv(np.stack([h, s, v], axis=1), rng.integers(0, 2, n))
+
+
+def _with_both_classes(train: HsvSamples) -> HsvSamples:
+    """train with row 0 set to a skin (0, 0, 0) and row 1 to a non-skin (1, 1, 1)."""
+    train.channels[:2] = [[0, 0, 0], [1, 1, 1]]
+    train.skin[:2] = [True, False]
+    return train
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +105,7 @@ def test_threshold_box_validation():
 # Naive Bayes
 # ---------------------------------------------------------------------------
 
-TOY = [_hsv(1, 1, 1)] * 3 + [_hsv(2, 2, 2, skin=False)]
+TOY = _hsv([(1, 1, 1)] * 3 + [(2, 2, 2)], [True] * 3 + [False])
 
 
 def test_bayes_fit_hand_counts():
@@ -119,115 +132,94 @@ def test_bayes_smoothing_formula():
 
 def test_bayes_predict_toy_posterior():
     model = bayes_fit(TOY, alpha=0.0)
-    out = bayes_predict(model, HsvPixel(1, 1, 1))
-    assert out.p_skin == 1.0 and not out.fallback
-    out = bayes_predict(model, HsvPixel(2, 2, 2))
+    out, fallback = bayes_predict(model, HsvPixel(1, 1, 1))
+    assert out.p_skin == 1.0 and not fallback
+    out, _ = bayes_predict(model, HsvPixel(2, 2, 2))
     assert out.p_non_skin == 1.0
 
 
 def test_bayes_zero_score_fallback():
     model = bayes_fit(TOY, alpha=0.0)
-    out = bayes_predict(model, HsvPixel(200, 200, 200))  # unseen everywhere
-    assert out.fallback
+    out, fallback = bayes_predict(model, HsvPixel(200, 200, 200))  # unseen everywhere
+    assert fallback
     assert out.p_skin == pytest.approx(0.75)
 
 
 def test_bayes_symmetric_model_is_uninformative():
-    train = [_hsv(5, 6, 7), _hsv(9, 10, 11), _hsv(5, 6, 7, skin=False), _hsv(9, 10, 11, skin=False)]
+    train = _hsv([(5, 6, 7), (9, 10, 11)] * 2, [True, True, False, False])
     model = bayes_fit(train, alpha=1.0)
     for pixel in (HsvPixel(5, 6, 7), HsvPixel(0, 0, 0), HsvPixel(255, 1, 30)):
-        out = bayes_predict(model, pixel)
+        out, _ = bayes_predict(model, pixel)
         assert out.p_skin == pytest.approx(0.5, abs=1e-12)
 
 
 def test_bayes_fit_rejects_bad_input():
     with pytest.raises(ValueError):
-        bayes_fit([], alpha=1.0)
+        bayes_fit(_hsv([], []), alpha=1.0)
     with pytest.raises(ValueError):
-        bayes_fit([_hsv(1, 1, 1)], alpha=1.0)  # no non-skin
+        bayes_fit(_hsv([(1, 1, 1)], [True]), alpha=1.0)  # no non-skin
     with pytest.raises(ValueError):
-        bayes_fit([_hsv(1, 1, 1, skin=False)], alpha=1.0)  # no skin
+        bayes_fit(_hsv([(1, 1, 1)], [False]), alpha=1.0)  # no skin
     with pytest.raises(ValueError):
         bayes_fit(TOY, alpha=-0.5)
 
 
 def _bayes_oracle(train, alpha, pixel):
-    """Posterior via exact Fractions straight from the training list."""
+    """Posterior via exact Fractions straight from the training rows."""
     alpha = Fraction(alpha)
     n = len(train)
+    rows = list(zip(train.channels.tolist(), train.skin.tolist()))
     scores = {}
-    for label in (Label.SKIN, Label.NON_SKIN):
-        members = [s for s in train if s.label is label]
+    for skin in (True, False):
+        members = [hsv for hsv, k in rows if k == skin]
         n_x = len(members)
         score = Fraction(n_x, n)
         for attr in range(3):
             value = (pixel.h, pixel.s, pixel.v)[attr]
-            count = sum(1 for s in members if (s.h, s.s, s.v)[attr] == value)
+            count = sum(1 for hsv in members if hsv[attr] == value)
             score *= Fraction(count + alpha, n_x + 256 * alpha)
-        scores[label] = score
-    total = scores[Label.SKIN] + scores[Label.NON_SKIN]
+        scores[skin] = score
+    total = scores[True] + scores[False]
     if total == 0:
         return None
-    return scores[Label.SKIN] / total
+    return scores[True] / total
 
 
 def test_bayes_matches_fraction_oracle():
     rng = np.random.default_rng(77)
-    train = [
-        _hsv(int(h), int(s), int(v), skin=bool(k))
-        for h, s, v, k in zip(
-            rng.integers(0, 8, 60), rng.integers(0, 8, 60),
-            rng.integers(0, 8, 60), rng.integers(0, 2, 60),
-        )
-    ]
-    if not any(s.label is Label.SKIN for s in train):
-        train[0] = _hsv(0, 0, 0)
+    train = _random_hsv(rng, 8, 60)
+    if not train.skin.any():
+        train.channels[0], train.skin[0] = 0, True
     for alpha in (0, 1, 2):
         model = bayes_fit(train, alpha=float(alpha))
         for _ in range(40):
             pixel = HsvPixel(int(rng.integers(0, 10)), int(rng.integers(0, 10)),
                              int(rng.integers(0, 10)))
             expect = _bayes_oracle(train, alpha, pixel)
-            got = bayes_predict(model, pixel)
+            got, fallback = bayes_predict(model, pixel)
             if expect is None:
-                assert got.fallback
+                assert fallback
             else:
                 assert got.p_skin == pytest.approx(float(expect), abs=1e-12)
 
 
 def test_bayes_duplication_invariance():
     rng = np.random.default_rng(21)
-    train = [
-        _hsv(int(h), int(s), int(v), skin=bool(k))
-        for h, s, v, k in zip(
-            rng.integers(0, 30, 40), rng.integers(0, 30, 40),
-            rng.integers(0, 30, 40), rng.integers(0, 2, 40),
-        )
-    ]
-    train[0] = _hsv(0, 0, 0)
-    train[1] = _hsv(1, 1, 1, skin=False)
+    train = _with_both_classes(_random_hsv(rng, 30, 40))
     base = bayes_fit(train, alpha=0.0)
-    tripled = bayes_fit(train * 3, alpha=0.0)
+    tripled = bayes_fit(train[np.tile(np.arange(len(train)), 3)], alpha=0.0)
     for _ in range(25):
         pixel = HsvPixel(int(rng.integers(0, 31)), int(rng.integers(0, 31)),
                          int(rng.integers(0, 31)))
-        a = bayes_predict(base, pixel)
-        b = bayes_predict(tripled, pixel)
+        a, a_fallback = bayes_predict(base, pixel)
+        b, b_fallback = bayes_predict(tripled, pixel)
         assert a.p_skin == pytest.approx(b.p_skin, abs=1e-12)
-        assert a.fallback == b.fallback
+        assert a_fallback == b_fallback
 
 
 def test_bayes_batch_matches_scalar():
     rng = np.random.default_rng(14)
-    train = [
-        _hsv(int(h), int(s), int(v), skin=bool(k))
-        for h, s, v, k in zip(
-            rng.integers(0, 256, 300), rng.integers(0, 256, 300),
-            rng.integers(0, 256, 300), rng.integers(0, 2, 300),
-        )
-    ]
-    train[0] = _hsv(0, 0, 0)
-    train[1] = _hsv(1, 1, 1, skin=False)
+    train = _with_both_classes(_random_hsv(rng, 256, 300))
     hsv = rng.integers(0, 256, size=(400, 3), dtype=np.uint8)
     # at alpha = 0 most pixels hold a value each class never saw, so both
     # scores vanish and the prediction falls back to the skin prior
@@ -236,9 +228,9 @@ def test_bayes_batch_matches_scalar():
         batch = bayes_predict_batch(model, hsv)
         fallbacks = 0
         for i in range(hsv.shape[0]):
-            single = bayes_predict(model, HsvPixel(int(hsv[i, 0]), int(hsv[i, 1]), int(hsv[i, 2])))
+            single, fallback = bayes_predict(model, HsvPixel(*hsv[i].tolist()))
             assert batch[i] == pytest.approx(single.p_skin, abs=1e-12)
-            if single.fallback:
+            if fallback:
                 assert batch[i] == model.priors[0]
                 fallbacks += 1
         assert 0 < fallbacks < hsv.shape[0] if alpha == 0.0 else fallbacks == 0
@@ -261,11 +253,11 @@ def _root_split_oracle(train):
     None if no candidate has positive gain.
     """
     n = len(train)
-    skin = [s.label is Label.SKIN for s in train]
+    skin = train.skin.tolist()
     parent = _gini([sum(skin), n - sum(skin)])
     best = None
     for attr in range(3):
-        values = [(s.h, s.s, s.v)[attr] for s in train]
+        values = train.channels[:, attr].tolist()
         distinct = sorted(set(values))
         for lo, hi in zip(distinct, distinct[1:]):
             thr = Fraction(lo + hi, 2)
@@ -285,7 +277,7 @@ def _root_split_oracle(train):
 
 
 def test_tree_separable_single_split():
-    train = [_hsv(h, 0, 0) for h in (1, 5, 10)] + [_hsv(h, 0, 0, skin=False) for h in (200, 220, 250)]
+    train = _hsv([(h, 0, 0) for h in (1, 5, 10, 200, 220, 250)], [True] * 3 + [False] * 3)
     model = tree_fit(train)
     assert model.attribute[0] != -1
     assert model.attribute[0] == 0
@@ -302,7 +294,7 @@ def test_tree_separable_single_split():
 
 
 def test_tree_pure_input_single_leaf():
-    model = tree_fit([_hsv(1, 2, 3), _hsv(4, 5, 6)])
+    model = tree_fit(_hsv([(1, 2, 3), (4, 5, 6)], [True, True]))
     assert model.attribute.tolist() == [-1]
     assert model.counts.tolist() == [[2, 0]]
 
@@ -311,13 +303,7 @@ def test_tree_root_matches_bruteforce_oracle():
     rng = np.random.default_rng(404)
     for trial in range(30):
         n = int(rng.integers(4, 22))
-        train = [
-            _hsv(int(h), int(s), int(v), skin=bool(k))
-            for h, s, v, k in zip(
-                rng.integers(0, 8, n), rng.integers(0, 8, n),
-                rng.integers(0, 8, n), rng.integers(0, 2, n),
-            )
-        ]
+        train = _random_hsv(rng, 8, n)
         expect = _root_split_oracle(train)
         model = tree_fit(train)
         if expect is None:
@@ -335,11 +321,11 @@ def test_tree_root_matches_bruteforce_oracle():
 def _exact_tied_candidates(train, target_gain):
     """All (attr, threshold) whose exact Gini gain equals target_gain."""
     n = len(train)
-    skin = [s.label is Label.SKIN for s in train]
+    skin = train.skin.tolist()
     parent = _gini([sum(skin), n - sum(skin)])
     out = set()
     for attr in range(3):
-        values = [(s.h, s.s, s.v)[attr] for s in train]
+        values = train.channels[:, attr].tolist()
         distinct = sorted(set(values))
         for lo, hi in zip(distinct, distinct[1:]):
             thr = Fraction(lo + hi, 2)
@@ -356,7 +342,7 @@ def _exact_tied_candidates(train, target_gain):
 def test_tree_tie_break_prefers_lowest_attribute():
     # s duplicates h exactly, so every candidate is tied across the two
     # attributes; the fit must split on h (attribute 0)
-    train = [_hsv(0, 0, 9), _hsv(0, 0, 9), _hsv(10, 10, 9, skin=False), _hsv(10, 10, 9, skin=False)]
+    train = _hsv([(0, 0, 9)] * 2 + [(10, 10, 9)] * 2, [True, True, False, False])
     model = tree_fit(train)
     assert model.attribute[0] == 0
     assert model.threshold[0] == 5.0
@@ -364,7 +350,7 @@ def test_tree_tie_break_prefers_lowest_attribute():
 
 def test_tree_tie_break_prefers_lowest_threshold():
     # S N S along h: splitting at 2.5 or 7.5 gives identical gains
-    train = [_hsv(0, 0, 0), _hsv(5, 0, 0, skin=False), _hsv(10, 0, 0)]
+    train = _hsv([(0, 0, 0), (5, 0, 0), (10, 0, 0)], [True, False, True])
     model = tree_fit(train)
     assert model.attribute[0] == 0
     assert model.threshold[0] == 2.5
@@ -373,26 +359,21 @@ def test_tree_tie_break_prefers_lowest_threshold():
 def test_tree_recovers_training_labels_when_consistent():
     rng = np.random.default_rng(88)
     seen = {}
-    train = []
+    rows, labels = [], []
     for _ in range(200):
         key = (int(rng.integers(0, 12)), int(rng.integers(0, 12)), int(rng.integers(0, 12)))
-        label = seen.setdefault(key, bool(rng.integers(0, 2)))
-        train.append(_hsv(*key, skin=label))
+        rows.append(key)
+        labels.append(seen.setdefault(key, bool(rng.integers(0, 2))))
+    train = _hsv(rows, labels)
     model = tree_fit(train)
     p_skin = tree_predict_batch(model, hsv_arrays(train)[0])
-    for s, p in zip(train, p_skin):
-        assert ClassProbabilities(p, 1.0 - p).label is s.label
+    for skin, p in zip(labels, p_skin):
+        assert ClassProbabilities(p, 1.0 - p).label is (Label.SKIN if skin else Label.NON_SKIN)
 
 
 def test_tree_leaf_counts_sum_to_training_size():
     rng = np.random.default_rng(12)
-    train = [
-        _hsv(int(h), int(s), int(v), skin=bool(k))
-        for h, s, v, k in zip(
-            rng.integers(0, 50, 150), rng.integers(0, 50, 150),
-            rng.integers(0, 50, 150), rng.integers(0, 2, 150),
-        )
-    ]
+    train = _random_hsv(rng, 50, 150)
     model = tree_fit(train)
     total = model.counts.sum(axis=1)
     leaf_total = 0
@@ -405,7 +386,7 @@ def test_tree_leaf_counts_sum_to_training_size():
 
 
 def test_tree_single_leaf_probabilities():
-    train = [_hsv(1, 1, 1)] * 3 + [_hsv(1, 1, 1, skin=False)]
+    train = _hsv([(1, 1, 1)] * 4, [True] * 3 + [False])
     model = tree_fit(train)  # identical tuples, mixed labels: no split possible
     assert model.attribute.tolist() == [-1]
     p_skin = tree_predict_batch(model, np.array([[9, 9, 9]], dtype=np.uint8))
@@ -413,7 +394,7 @@ def test_tree_single_leaf_probabilities():
 
 
 def test_tree_max_depth_and_min_samples():
-    train = [_hsv(h, 0, 0, skin=h < 5) for h in range(10)]
+    train = _hsv([(h, 0, 0) for h in range(10)], [h < 5 for h in range(10)])
     stump = tree_fit(train, TreeConfig(max_depth=0))
     assert stump.attribute.tolist() == [-1]
     shallow = tree_fit(train, TreeConfig(max_depth=1))
@@ -424,30 +405,18 @@ def test_tree_max_depth_and_min_samples():
 
 def test_tree_batch_matches_scalar():
     rng = np.random.default_rng(31)
-    train = [
-        _hsv(int(h), int(s), int(v), skin=bool(k))
-        for h, s, v, k in zip(
-            rng.integers(0, 256, 400), rng.integers(0, 256, 400),
-            rng.integers(0, 256, 400), rng.integers(0, 2, 400),
-        )
-    ]
+    train = _random_hsv(rng, 256, 400)
     model = tree_fit(train)
     hsv = rng.integers(0, 256, size=(500, 3), dtype=np.uint8)
     batch = tree_predict_batch(model, hsv)
     for i in range(hsv.shape[0]):
-        single = tree_predict(model, HsvPixel(int(hsv[i, 0]), int(hsv[i, 1]), int(hsv[i, 2])))
+        single = tree_predict(model, HsvPixel(*hsv[i].tolist()))
         assert batch[i] == single.p_skin
 
 
 def test_tree_deterministic():
     rng = np.random.default_rng(66)
-    train = [
-        _hsv(int(h), int(s), int(v), skin=bool(k))
-        for h, s, v, k in zip(
-            rng.integers(0, 40, 120), rng.integers(0, 40, 120),
-            rng.integers(0, 40, 120), rng.integers(0, 2, 120),
-        )
-    ]
+    train = _random_hsv(rng, 40, 120)
     a = tree_fit(train)
     b = tree_fit(train)
     assert a.attribute.size > 1
@@ -655,15 +624,7 @@ def test_tree_model_accepts_preorder_tables():
 
 def test_probability_contract_across_classifiers():
     rng = np.random.default_rng(5)
-    train = [
-        _hsv(int(h), int(s), int(v), skin=bool(k))
-        for h, s, v, k in zip(
-            rng.integers(0, 256, 200), rng.integers(0, 256, 200),
-            rng.integers(0, 256, 200), rng.integers(0, 2, 200),
-        )
-    ]
-    train[0] = _hsv(0, 0, 0)
-    train[1] = _hsv(1, 1, 1, skin=False)
+    train = _with_both_classes(_random_hsv(rng, 256, 200))
     bayes = bayes_fit(train, alpha=1.0)
     tree = tree_fit(train)
     hsv = rng.integers(0, 256, size=(100, 3), dtype=np.uint8)
@@ -671,6 +632,6 @@ def test_probability_contract_across_classifiers():
     for p_skin in (bayes_predict_batch(bayes, hsv), tree_predict_batch(tree, hsv)):
         assert p_skin.shape == (100,) and np.all((0.0 <= p_skin) & (p_skin <= 1.0))
     for pixel in hsv:
-        out = bayes_predict(bayes, HsvPixel(*(int(c) for c in pixel)))
+        out, _ = bayes_predict(bayes, HsvPixel(*pixel.tolist()))
         assert abs(out.p_skin + out.p_non_skin - 1.0) < 1e-9
     assert set(threshold_scores(rgb).tolist()) <= {0.0, 1.0}

@@ -8,14 +8,13 @@ import pytest
 
 from skinseg.colorspace import (
     HSV_BLOCK,
-    HsvPixel,
     YcbcrPixel,
     normalize_hsv_array,
     rgb_to_hsv_array,
     rgb_to_ycbcr_array,
 )
 
-from oracles import RgbPixel, rgb_to_hsv, rgb_to_ycbcr
+from oracles import HsvPixel, RgbPixel, rgb_to_hsv, rgb_to_ycbcr
 
 
 def _q(value: Fraction) -> int:

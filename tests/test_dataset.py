@@ -6,7 +6,6 @@ import pytest
 from skinseg import dataset
 from skinseg.dataset import (
     DatasetError,
-    HsvSample,
     HsvSamples,
     Label,
     RawSample,
@@ -25,27 +24,29 @@ from skinseg.dataset import (
 from oracles import RgbPixel, rgb_to_hsv
 
 
-def test_label_codes():
-    assert Label.from_code(1) is Label.SKIN
-    assert Label.from_code(2) is Label.NON_SKIN
-    assert Label.SKIN.code == 1
-    assert Label.NON_SKIN.code == 2
-    with pytest.raises(ValueError):
-        Label.from_code(3)
+def _raw(channels, skin) -> RawSamples:
+    """Columns of (b, g, r) rows and one skin flag per row."""
+    return RawSamples(np.array(channels, dtype=np.uint8).reshape(-1, 3), np.array(skin, dtype=bool))
+
+
+def _same(a, b) -> bool:
+    """Whether two column views hold the same rows in the same order."""
+    return np.array_equal(a.channels, b.channels) and np.array_equal(a.skin, b.skin)
 
 
 def test_parse_single_lines():
     samples = parse_uci(["10 20 30 2"])
-    assert samples == [RawSample(b=10, g=20, r=30, label=Label.NON_SKIN)]
+    assert (samples.channels.tolist(), samples.skin.tolist()) == ([[10, 20, 30]], [False])
+    assert list(samples) == [RawSample(b=10, g=20, r=30, label=Label.NON_SKIN)]
     samples = parse_uci(["0\t0\t0\t1"])
-    assert samples == [RawSample(b=0, g=0, r=0, label=Label.SKIN)]
+    assert (samples.channels.tolist(), samples.skin.tolist()) == ([[0, 0, 0]], [True])
 
 
 def test_parse_skips_blank_lines_and_preserves_order():
     text = ["", "1 2 3 1", "   ", "4 5 6 2", "\t"]
     samples = parse_uci(text)
-    assert [s.b for s in samples] == [1, 4]
-    assert [s.label for s in samples] == [Label.SKIN, Label.NON_SKIN]
+    assert samples.channels[:, 0].tolist() == [1, 4]
+    assert samples.skin.tolist() == [True, False]
 
 
 @pytest.mark.parametrize(
@@ -71,19 +72,14 @@ def test_parse_errors_name_line_numbers(bad, fragment):
 
 def test_parse_serialize_round_trip():
     rng = np.random.default_rng(31)
-    rows = [
-        RawSample(int(b), int(g), int(r), Label.from_code(int(c)))
-        for b, g, r, c in zip(
-            rng.integers(0, 256, 200),
-            rng.integers(0, 256, 200),
-            rng.integers(0, 256, 200),
-            rng.integers(1, 3, 200),
-        )
-    ]
-    assert parse_uci(serialize_uci(rows).splitlines()) == rows
-    reference = "".join(f"{s.b}\t{s.g}\t{s.r}\t{s.label.code}\n" for s in rows)
+    b, g, r = (rng.integers(0, 256, 200) for _ in range(3))
+    codes = rng.integers(1, 3, 200)
+    rows = _raw(np.stack([b, g, r], axis=1), codes == 1)
+    assert _same(parse_uci(serialize_uci(rows).splitlines()), rows)
+    reference = "".join(f"{b}\t{g}\t{r}\t{c}\n"
+                        for (b, g, r), c in zip(rows.channels.tolist(), codes.tolist()))
     assert serialize_uci(rows) == reference
-    assert serialize_uci([]) == ""
+    assert serialize_uci(parse_uci([])) == ""
 
 
 def test_label_counts():
@@ -95,33 +91,27 @@ def test_label_counts():
 
 def test_to_hsv_matches_scalar_conversion():
     rng = np.random.default_rng(8)
-    raw = [
-        RawSample(int(b), int(g), int(r), Label.SKIN)
-        for b, g, r in rng.integers(0, 256, size=(500, 3))
-    ]
+    raw = _raw(rng.integers(0, 256, size=(500, 3)), np.ones(500))
     converted = to_hsv_samples(raw)
-    for s, out in zip(raw, converted):
-        expect = rgb_to_hsv(RgbPixel(s.r, s.g, s.b))
-        assert (out.h, out.s, out.v) == (expect.h, expect.s, expect.v)
-        assert out.label is s.label
-    assert to_hsv_samples([]) == []
+    for (b, g, r), out in zip(raw.channels.tolist(), converted.channels.tolist()):
+        expect = rgb_to_hsv(RgbPixel(r, g, b))
+        assert tuple(out) == (expect.h, expect.s, expect.v)
+    assert np.array_equal(converted.skin, raw.skin)
+    assert len(to_hsv_samples(parse_uci([]))) == 0
 
 
 def test_to_hsv_pure_red():
-    raw = [RawSample(b=0, g=0, r=255, label=Label.SKIN)]
-    assert to_hsv_samples(raw) == [HsvSample(h=0, s=255, v=255, label=Label.SKIN)]
+    converted = to_hsv_samples([RawSample(b=0, g=0, r=255, label=Label.SKIN)])
+    assert (converted.channels.tolist(), converted.skin.tolist()) == ([[0, 255, 255]], [True])
 
 
 def test_hsv_arrays():
-    samples = [
-        HsvSample(1, 2, 3, Label.SKIN),
-        HsvSample(4, 5, 6, Label.NON_SKIN),
-    ]
+    samples = HsvSamples(np.array([[1, 2, 3], [4, 5, 6]], dtype=np.uint8), np.array([True, False]))
     hsv, skin = hsv_arrays(samples)
     assert hsv.dtype == np.uint8
     assert np.array_equal(hsv, [[1, 2, 3], [4, 5, 6]])
     assert np.array_equal(skin, [True, False])
-    hsv, skin = hsv_arrays([])
+    hsv, skin = hsv_arrays(HsvSamples(np.empty((0, 3), dtype=np.uint8), np.empty(0, dtype=bool)))
     assert hsv.shape == (0, 3) and skin.shape == (0,)
 
 
@@ -149,15 +139,12 @@ def test_split_config_validation():
 
 def test_split_sizes_and_multiset_preservation():
     rng = np.random.default_rng(17)
-    samples = [
-        RawSample(int(b), int(g), int(r), Label.SKIN)
-        for b, g, r in rng.integers(0, 256, size=(101, 3))
-    ]
+    samples = _raw(rng.integers(0, 256, size=(101, 3)), np.ones(101))
     train, test = split(samples, SplitConfig(test_fraction=0.30, seed=5))
     assert len(train) == train_size(101, 0.30)
     assert len(train) + len(test) == 101
-    key = lambda s: (s.b, s.g, s.r, s.label.code)
-    assert sorted(map(key, [*train, *test])) == sorted(map(key, samples))
+    rows = lambda t: sorted(zip(map(tuple, t.channels.tolist()), t.skin.tolist()))
+    assert sorted(rows(train) + rows(test)) == rows(samples)
 
 
 def test_split_deterministic_and_seed_sensitive():
@@ -165,13 +152,15 @@ def test_split_deterministic_and_seed_sensitive():
     a = split(samples, SplitConfig(seed=42))
     b = split(samples, SplitConfig(seed=42))
     c = split(samples, SplitConfig(seed=43))
-    assert a == b
-    assert a != c
+    assert all(_same(x, y) for x, y in zip(a, b))
+    assert not all(_same(x, y) for x, y in zip(a, c))
 
 
 def test_split_rejects_tiny_input():
     with pytest.raises(ValueError):
-        split([RawSample(0, 0, 0, Label.SKIN)], SplitConfig())
+        split(parse_uci(["0 0 0 1"]), SplitConfig())
+    with pytest.raises(ValueError):
+        split(parse_uci([]), SplitConfig())
     with pytest.raises(ValueError):
         split([], SplitConfig())
 
@@ -181,9 +170,8 @@ def test_split_is_a_permutation_of_the_documented_generator():
     samples = parse_uci(f"{i} {i} {i} 1" for i in range(20))
     train, test = split(samples, SplitConfig(test_fraction=0.30, seed=9))
     perm = np.random.Generator(np.random.PCG64(9)).permutation(20)
-    expect = [samples[i] for i in perm]
-    assert train == expect[:14]
-    assert test == expect[14:]
+    assert _same(train, samples[perm[:14]])
+    assert _same(test, samples[perm[14:]])
 
 
 def test_columnar_views_read_as_sample_sequences():
@@ -194,14 +182,15 @@ def test_columnar_views_read_as_sample_sequences():
         RawSample(0, 255, 7, Label.NON_SKIN),
         RawSample(1, 2, 3, Label.NON_SKIN),
     ]
-    assert len(raw) == 3 and list(raw) == rows and raw == rows
-    assert raw[0] == rows[0] and raw[-1] == rows[2] and raw[np.int64(1)] == rows[1]
-    assert raw[1:] == rows[1:] and raw[np.array([2, 0])] == [rows[2], rows[0]]
-    assert RawSamples.of(rows) == raw and RawSamples.of(raw) is raw
-    assert raw != rows[:2] and raw != "not samples"
+    assert len(raw) == 3 and list(raw) == rows
+    assert raw[0] == rows[0] and raw[-1] == rows[2]
+    assert isinstance(raw[np.int64(1)], RawSample) and raw[np.int64(1)] == rows[1]
+    assert isinstance(raw[1:], RawSamples) and list(raw[1:]) == rows[1:]
+    assert list(raw[np.array([2, 0])]) == [rows[2], rows[0]]
+    assert _same(RawSamples.of(rows), raw) and RawSamples.of(raw) is raw
     with pytest.raises(IndexError):
         raw[3]
-    assert label_counts(raw) == label_counts(rows) == {Label.SKIN: 1, Label.NON_SKIN: 2}
+    assert label_counts(raw) == {Label.SKIN: 1, Label.NON_SKIN: 2}
     with pytest.raises(ValueError):
         RawSamples(channels, np.array([True, False]))
     with pytest.raises(ValueError):
@@ -213,9 +202,10 @@ def test_hsv_columns_pass_through_without_copies():
                      np.array([True, False]))
     converted = to_hsv_samples(raw)
     assert isinstance(converted, HsvSamples)
-    assert converted == to_hsv_samples(list(raw))
+    assert _same(converted, to_hsv_samples(list(raw)))
     hsv, skin = hsv_arrays(converted)
     assert hsv is converted.channels and skin is converted.skin
+    assert isinstance(converted[::-1], HsvSamples)
     train, test = split(raw, SplitConfig(test_fraction=0.5, seed=3))
     assert isinstance(train, RawSamples) and isinstance(test, RawSamples)
 
@@ -227,10 +217,12 @@ def _reference_parse(path):
 
 
 def _outcome(parse, path):
+    """("error", message), or "rows" and each column's dtype, shape and values."""
     try:
-        return "rows", list(parse(path))
+        samples = parse(path)
     except DatasetError as exc:
         return "error", str(exc)
+    return "rows", *((a.dtype, a.shape, a.tolist()) for a in (samples.channels, samples.skin))
 
 
 _SEPARATORS = (" ", "\t", "  ", " \t ")

@@ -14,8 +14,11 @@ with a message naming the corrupted file; an exit 3 (an exception the
 loader did not turn into a ValueError) or a mask byte outside {0, 255}
 fails the test. The node lines of a valid tree file are also
 reordered, and each reordered file must end the same way within a
-deadline, so a tree whose routing would not end fails too. The seed and
-case counts are fixed, so the same files are generated on every run.
+deadline, so a tree whose routing would not end fails too. An image
+whose header holds a 32 MiB comment or a 32 MiB digit token must be
+segmented or refused within a 2 s deadline, so a header scan that is
+slow per byte fails as well. The seed and case counts are fixed, so the
+same files are generated on every run.
 """
 
 import contextlib
@@ -37,6 +40,8 @@ HEADER_VALUES = SUBSTITUTES + ("0", "1", "2")  # 1 leaves an image too small to 
 KINDS = ("threshold", "bayes", "tree", "mlp")
 REORDER_CASES = 60
 DEADLINE_SECONDS = 30
+BIG_HEADER_BYTES = 32 << 20  # the oversized comment and token
+HEADER_DEADLINE_SECONDS = 2
 
 
 @pytest.fixture(scope="module")
@@ -213,11 +218,16 @@ def test_mutated_model_files_exit_0_or_2(kind, small_dataset, small_image, fuzz_
                 assert set(np.unique(read_pgm(mask_path.read_bytes())).tolist()) <= {0, 255}
 
 
+class DeadlineExceeded(BaseException):
+    """Raised by _deadline. Not an Exception (TimeoutError is an OSError),
+    so no handler in the command line can turn it into an exit code."""
+
+
 @contextlib.contextmanager
 def _deadline(seconds):
-    """Raise TimeoutError inside the block once it has run for seconds."""
+    """Raise DeadlineExceeded inside the block once it has run for seconds."""
     def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+        raise DeadlineExceeded(f"still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
@@ -263,3 +273,23 @@ def test_reordered_tree_lines_exit_0_or_2(small_dataset, small_image, fuzz_dir, 
         ):
             with _deadline(DEADLINE_SECONDS):
                 _run(argv, model_path, capsys, (case, argv[0]))
+
+
+def _oversized_header(good, case):
+    """The image with a BIG_HEADER_BYTES comment after its magic, or with
+    its width token replaced by BIG_HEADER_BYTES digits."""
+    rest = good[len(b"P6\n"):]
+    if case == "comment":
+        return b"P6\n#" + b"c" * BIG_HEADER_BYTES + b"\n" + rest
+    return b"P6\n" + b"9" * BIG_HEADER_BYTES + rest[rest.index(b" "):]
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+@pytest.mark.parametrize("downscale", [False, True], ids=["full", "downscale"])
+@pytest.mark.parametrize("case", ["comment", "token"])
+def test_oversized_header_tokens_exit_0_or_2_in_time(case, downscale, small_dataset,
+                                                     small_image, fuzz_dir, capsys):
+    _trained_model("bayes", small_dataset, fuzz_dir)
+    data = _oversized_header(small_image.read_bytes(), case)
+    with _deadline(HEADER_DEADLINE_SECONDS):
+        _segment_mutants([data], fuzz_dir / "bayes.model", fuzz_dir, capsys, downscale)

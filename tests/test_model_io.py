@@ -15,7 +15,7 @@ from skinseg.classifiers import (
     tree_predict_batch,
 )
 from skinseg.colorspace import YcbcrPixel
-from skinseg.dataset import parse_uci, to_hsv_samples
+from skinseg.dataset import RawSamples, parse_uci, to_hsv_samples
 from skinseg.model_io import (
     FORMAT_HEADER,
     dataset_fingerprint,
@@ -46,7 +46,7 @@ def hsv_train(surrogate_samples):
     samples = to_hsv_samples(surrogate_samples)
     # shuffle so any prefix slice carries both classes
     order = np.random.default_rng(17).permutation(len(samples))
-    return [samples[i] for i in order]
+    return samples[order]
 
 
 def test_threshold_round_trip(tmp_path):
@@ -274,7 +274,7 @@ def test_model_kind_dispatch(hsv_train):
 def test_fingerprint_is_stable_and_content_sensitive(surrogate_samples):
     fp = dataset_fingerprint(surrogate_samples)
     assert len(fp) == 64 and set(fp) <= set("0123456789abcdef")
-    assert fp == dataset_fingerprint(list(surrogate_samples))
+    assert fp == dataset_fingerprint(RawSamples.of(list(surrogate_samples)))
     assert fp != dataset_fingerprint(surrogate_samples[:-1])
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from skinseg.dataset import HsvSample, Label
+from skinseg.dataset import HsvSamples
 from skinseg.nn import (
     FORWARD_BLOCK_ROWS,
     AdamState,
@@ -26,8 +26,9 @@ from skinseg.nn import (
 from oracles import forward
 
 
-def _sample(h, s, v, skin=True):
-    return HsvSample(h, s, v, Label.SKIN if skin else Label.NON_SKIN)
+def _samples(rows, skin) -> HsvSamples:
+    """Columns of (h, s, v) rows and one skin flag per row."""
+    return HsvSamples(np.array(rows, dtype=np.uint8).reshape(-1, 3), np.array(skin, dtype=bool))
 
 
 def test_architecture_validation():
@@ -325,22 +326,22 @@ def test_train_config_defaults_and_validation():
 
 def test_train_rejects_degenerate_sets():
     with pytest.raises(ValueError):
-        train([])
+        train(_samples([], []))
     with pytest.raises(ValueError):
-        train([_sample(1, 1, 1)] * 5)
+        train(_samples([(1, 1, 1)] * 5, [True] * 5))
     with pytest.raises(ValueError):
-        train([_sample(1, 1, 1, skin=False)] * 5)
+        train(_samples([(1, 1, 1)] * 5, [False] * 5))
 
 
 def _toy_train_set(n=200, seed=13):
     rng = np.random.default_rng(seed)
-    out = []
+    rows = []
     for _ in range(n // 2):
-        out.append(_sample(int(rng.integers(0, 60)), int(rng.integers(150, 256)),
-                           int(rng.integers(150, 256)), skin=True))
-        out.append(_sample(int(rng.integers(150, 256)), int(rng.integers(0, 60)),
-                           int(rng.integers(0, 60)), skin=False))
-    return out
+        rows.append((int(rng.integers(0, 60)), int(rng.integers(150, 256)),
+                     int(rng.integers(150, 256))))  # skin
+        rows.append((int(rng.integers(150, 256)), int(rng.integers(0, 60)),
+                     int(rng.integers(0, 60))))  # non-skin
+    return _samples(rows, [True, False] * (n // 2))
 
 
 def test_train_descends_on_separable_toy():
@@ -348,10 +349,9 @@ def test_train_descends_on_separable_toy():
     model, history = train(_toy_train_set(), cfg=cfg)
     assert len(history) == 12
     assert history[-1] < history[0]
-    hsv = np.array([(s.h, s.s, s.v) for s in _toy_train_set()], dtype=np.uint8)
-    skin = np.array([s.label is Label.SKIN for s in _toy_train_set()])
-    p = mlp_predict_batch(model, hsv)
-    assert ((p >= 0.5) == skin).mean() > 0.95
+    toy = _toy_train_set()
+    p = mlp_predict_batch(model, toy.channels)
+    assert ((p >= 0.5) == toy.skin).mean() > 0.95
 
 
 def test_train_bitwise_deterministic():
@@ -372,17 +372,15 @@ def test_train_replicated_by_straightline_script():
     script below re-implements initialization, shuffling, forward,
     backward and Adam from scratch; the result must match bitwise.
     """
-    samples = [
-        _sample(10, 200, 220), _sample(20, 210, 230), _sample(15, 190, 240),
-        _sample(240, 30, 20, skin=False), _sample(230, 10, 40, skin=False),
-        _sample(250, 20, 30, skin=False), _sample(12, 205, 225),
-    ]
+    samples = _samples([(10, 200, 220), (20, 210, 230), (15, 190, 240), (240, 30, 20),
+                        (230, 10, 40), (250, 20, 30), (12, 205, 225)],
+                       [True, True, True, False, False, False, True])
     cfg = TrainConfig(epochs=3, batch_size=3, seed=42)
     model, history = train(samples, MlpArchitecture(hidden_layers=(1,)), cfg)
 
     # ---- independent script ----
-    x = np.array([(s.h, s.s, s.v) for s in samples], dtype=np.float64) / 255.0
-    t = np.array([[1.0, 0.0] if s.label is Label.SKIN else [0.0, 1.0] for s in samples])
+    x = samples.channels.astype(np.float64) / 255.0
+    t = np.array([[1.0, 0.0] if skin else [0.0, 1.0] for skin in samples.skin])
     rng = np.random.Generator(np.random.PCG64(42))
     lim0 = np.sqrt(6.0 / (3 + 1))
     w0 = rng.uniform(-lim0, lim0, size=(3, 1))
