@@ -6,7 +6,7 @@ undefined (None), never silently coerced to 0. The report serializes to
 a flat, versioned key-value text document.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -17,18 +17,6 @@ from .dataset import Label
 MetricValue = Union[Fraction, float, None]
 
 REPORT_HEADER = "skinseg-report 1"
-REPORT_FIELDS = (
-    "accuracy",
-    "sensitivity",
-    "specificity",
-    "precision",
-    "f1",
-    "auc",
-    "tp",
-    "fp",
-    "fn",
-    "tn",
-)
 
 
 @dataclass(frozen=True)
@@ -164,25 +152,12 @@ def _format_value(value) -> str:
 def format_report(report: MetricsReport, matrix: ConfusionMatrix) -> str:
     """Serialize to the flat key-value document (version 1).
 
-    One ``key value`` pair per line; metrics as repr'd doubles or
-    ``undefined``, counts as integers.
+    One ``key value`` pair per line, in the field order of MetricsReport
+    then ConfusionMatrix; metrics as repr'd doubles or ``undefined``,
+    counts as integers.
     """
-    values = {
-        "accuracy": report.accuracy,
-        "sensitivity": report.sensitivity,
-        "specificity": report.specificity,
-        "precision": report.precision,
-        "f1": report.f1,
-        "auc": report.auc,
-        "tp": matrix.tp,
-        "fp": matrix.fp,
-        "fn": matrix.fn,
-        "tn": matrix.tn,
-    }
-    lines = [REPORT_HEADER]
-    for key in REPORT_FIELDS:
-        lines.append(f"{key} {_format_value(values[key])}")
-    return "\n".join(lines) + "\n"
+    lines = [f"{k} {_format_value(v)}" for k, v in (vars(report) | vars(matrix)).items()]
+    return "\n".join([REPORT_HEADER] + lines) + "\n"
 
 
 def parse_report(text: str) -> tuple[MetricsReport, ConfusionMatrix]:
@@ -196,23 +171,12 @@ def parse_report(text: str) -> tuple[MetricsReport, ConfusionMatrix]:
         if len(parts) != 2:
             raise ValueError(f"malformed report line: {ln!r}")
         values[parts[0]] = parts[1].strip()
-    missing = [k for k in REPORT_FIELDS if k not in values]
+    metric_keys = [f.name for f in fields(MetricsReport)]
+    count_keys = [f.name for f in fields(ConfusionMatrix)]
+    missing = [k for k in metric_keys + count_keys if k not in values]
     if missing:
         raise ValueError(f"report missing fields: {missing}")
-
-    def metric(key):
-        raw = values[key]
-        return None if raw == "undefined" else float(raw)
-
     report = MetricsReport(
-        accuracy=metric("accuracy"),
-        sensitivity=metric("sensitivity"),
-        specificity=metric("specificity"),
-        precision=metric("precision"),
-        f1=metric("f1"),
-        auc=metric("auc"),
+        **{k: None if values[k] == "undefined" else float(values[k]) for k in metric_keys}
     )
-    matrix = ConfusionMatrix(
-        tp=int(values["tp"]), fp=int(values["fp"]), fn=int(values["fn"]), tn=int(values["tn"])
-    )
-    return report, matrix
+    return report, ConfusionMatrix(**{k: int(values[k]) for k in count_keys})

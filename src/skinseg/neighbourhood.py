@@ -242,41 +242,36 @@ def _oracle_order_sums(pmap: ProbabilityMap, ys: np.ndarray, xs: np.ndarray, rad
 def _products(own_skin, own_non, skin_sum, non_sum, count, cfg: NeighbourhoodConfig):
     """Elementwise (own_skin * skin likeliness, own_non * non-skin likeliness).
 
-    The same branches as likeliness; overwrites skin_sum and non_sum with
-    the two products and returns them.
+    The same branches as likeliness for count > 0 (refine handles the 1x1
+    map first); overwrites skin_sum and non_sum with the products and returns them.
     """
-    lonely = count == 0  # only on a 1x1 map
     if cfg.rule is Rule.PAPER:
         locked = own_skin >= cfg.decision_threshold
         has_skin = skin_sum != 0.0
-    np.divide(skin_sum, count, out=skin_sum, where=~lonely)
-    np.divide(non_sum, count, out=non_sum, where=~lonely)
+    skin_sum /= count
+    non_sum /= count
     if cfg.rule is Rule.PAPER:
         np.copyto(skin_sum, has_skin, where=locked)
         np.copyto(non_sum, 0.0, where=locked)
-    np.copyto(skin_sum, own_skin, where=lonely)
-    np.copyto(non_sum, own_non, where=lonely)
     skin_sum *= own_skin
     non_sum *= own_non
     return skin_sum, non_sum
 
 
 def _tie_slack(height: int, width: int, radius: int) -> float:
-    """Factor of the bound on how far the window-sum products can stray.
+    """How far apart two window-sum products may be and still hang on rounding.
 
     Both the oracle's sum and _window_sums add non-negative terms, so each
-    lies within gamma_m * (exact sum) of the exact value, where m is the
-    most additions any one term passes through and gamma_m = m*u / (1 - m*u),
+    lies within gamma_m * (exact sum) of the exact value, m the most
+    additions any one term passes through, gamma_m = m*u / (1 - m*u) and
     u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
     2nd ed., section 4.2). With ry, rx the radius clipped to the map:
 
     * the oracle adds up to (2ry+1)(2rx+1) - 1 terms to 0.0;
-    * _run_sums takes a term through at most floor(log2 L) + popcount(L) - 1
-      additions for a run of L = 2r+1 (the doublings that build its block,
-      then the blocks added after it), which is at most 2r; so the column
-      pass takes at most 2ry, the row pass 2rx, and the centre is
-      subtracted once, and the window-sum neighbour sum lies within
-      gamma_(2ry+2rx+1) * box of the exact sum, where box is the exact
+    * _run_sums takes a term through at most 2r additions for a run of
+      2r+1, so the column pass takes at most 2ry, the row pass 2rx, and
+      with the centre subtracted once the window-sum neighbour sum lies
+      within gamma_(2ry+2rx+1) * box of the exact sum, box the exact
       window sum including the centre.
 
     The two sums therefore differ by at most gamma_k * box, with
@@ -286,19 +281,24 @@ def _tie_slack(height: int, width: int, radius: int) -> float:
     non-skin products each move by at most
     (gamma_k + gamma_2 + gamma_2) * (product + own^2 / count) to first
     order. Summed over both classes, with own_skin^2 + own_non^2 <= 1 up
-    to the rounding of own_non = 1 - own_skin, the products can stray by at
-    most slack * (skin_product + non_product + 1 / count), where slack is
-    twice that first-order factor: the doubling covers the second-order
-    terms, that rounding and the roundings of the test itself.
+    to the rounding of own_non = 1 - own_skin, a pixel's products can stray
+    by at most f * (skin_product + non_product + 1 / count), f twice that
+    first-order factor (the doubling covers the second-order terms, that
+    rounding and the test's own roundings). The products sum to at most 1
+    up to a few u (a convex combination of the likeliness pair, or own_skin
+    for a PAPER lock), and count >= corner = (ry+1)(rx+1) - 1, the fewest
+    neighbours of any pixel on a map larger than 1x1; so the one
+    frame-wide f * (2 + 1 / corner) returned covers every pixel's bound.
     """
     u = 2.0 ** -53
     ry, rx = min(radius, height - 1), min(radius, width - 1)
     k = (2 * ry + 1) * (2 * rx + 1) + 2 * ry + 2 * rx
+    corner = (ry + 1) * (rx + 1) - 1
 
     def gamma(m):
         return m * u / (1.0 - m * u)
 
-    return 2.0 * (gamma(k) + 2.0 * gamma(2))
+    return 2.0 * (gamma(k) + 2.0 * gamma(2)) * (2.0 + 1.0 / corner)
 
 
 def refine(
@@ -310,27 +310,32 @@ def refine(
     that plus own_non_skin * non_skin_likeliness, own_non_skin = 1 - own_skin
     (pixels where both products vanish keep their own p_skin). The mask
     marks skin wherever the skin product is at least the non-skin product.
-    All likeliness values come from the original map in one synchronous pass.
+    All likeliness values come from the original map in one synchronous pass;
+    a 1x1 map has no neighbours, so its likeliness is the pixel's own pair.
 
     The map is refined in bands of rows (the band height comes from a
     fixed pixel budget, so the scratch buffers stay near cache size), and
     only the output plane and the mask are allocated at full size, as the
-    1 - p_skin terms are taken one band at a time. Window sums
-    are separable, and each pass sums its 2r+1 terms by binary
-    decomposition: at most 2 log2(2r+1) additions per pixel and pass,
-    never more than 2r, and a radius past the map's size clips to it. Every
-    pixel's arithmetic is the same whatever the band height. The order of
+    1 - p_skin terms are taken one band at a time. Window sums are
+    separable, and each pass sums its 2r+1 terms by binary decomposition:
+    at most 2 log2(2r+1) additions per pixel and pass, never more than 2r,
+    and a radius past the map's size clips to it. Every pixel's
+    arithmetic is the same whatever the band height. The order of
     addition differs from refine_brute_oracle's, so every pixel whose
-    decision could depend on it (a skin/non-skin product pair closer than
-    the error bound of _tie_slack, or a PAPER-locked pixel whose
-    neighbours sum to zero) is re-summed in the oracle's order. The mask
-    therefore equals the oracle's bit for bit; the refined probabilities
-    of the other pixels may differ from oracle-order arithmetic in the
-    last bits. The re-sum costs (2r+1)^2 - 1 adds per pixel over the rows
-    holding such pixels, so a map where most pixels tie (a uniform 0.5
-    region) refines several times slower than one with few ties.
+    products lie closer than _tie_slack's one frame-wide bound is re-summed
+    in the oracle's order. A PAPER-locked pixel whose neighbours sum to
+    zero is such a tie (both products are 0); a locked pixel with a
+    non-zero sum gets the same pair in either order. The mask therefore
+    equals the oracle's bit for bit; the refined probabilities of the other
+    pixels may differ from oracle-order arithmetic in the last bits. The
+    re-sum costs (2r+1)^2 - 1 adds per pixel over the rows holding such
+    pixels, so a map where most pixels tie (a uniform 0.5 region) refines
+    several times slower than one with few ties.
     """
     height, width = pmap.height, pmap.width
+    if height == width == 1:  # the products' total is at least 1/2
+        skin, non = pmap.p_skin * pmap.p_skin, pmap.p_non_skin * pmap.p_non_skin
+        return ProbabilityMap(skin / (skin + non)), SkinMask(pixels=skin >= non)
     band = max(1, _BAND_PIXELS // width)
     scratch = _window_scratch(min(band, height), height, width, cfg.radius)
     ext_y, ext_x = _extents(height, cfg.radius), _extents(width, cfg.radius)
@@ -350,19 +355,11 @@ def refine(
         count -= 1.0
         _products(own_skin, own_non, skin, non, count, cfg)
 
-        # pixels whose mask or lock could hang on the order of addition:
-        # products closer than _tie_slack allows, or locked with a zero skin
-        # sum (as the skin product is 0 there); re-sum them in the oracle's order
+        # products closer than _tie_slack allows could order either way in
+        # the oracle's arithmetic: re-sum them in the oracle's order
         gap = np.subtract(skin, non)
         np.abs(gap, out=gap)
-        slack = np.divide(1.0, count, out=count, where=count > 0)
-        slack += skin
-        slack += non
-        slack *= tie_slack
-        resum = gap <= slack
-        if cfg.rule is Rule.PAPER:
-            resum = np.where(own_skin >= cfg.decision_threshold, skin == 0.0, resum)
-        ys, xs = np.nonzero(resum)
+        ys, xs = np.nonzero(gap <= tie_slack)
         if ys.size:
             exact_skin, exact_non = _oracle_order_sums(pmap, ys + y0, xs, cfg.radius)
             skin[ys, xs], non[ys, xs] = _products(

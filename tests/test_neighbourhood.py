@@ -212,6 +212,15 @@ def test_refine_single_pixel_self_fallback():
     assert mask.pixels[0, 0]
     _, mask = refine(_pmap([[0.2]]), SYM)
     assert not mask.pixels[0, 0]
+    # with no neighbours each likeliness is the pixel's own probability
+    for own in (0.0, 1e-200, 0.2, 0.5, 0.8, 1.0):
+        skin, non = own * own, (1.0 - own) * (1.0 - own)
+        for rule in (Rule.SYMMETRIC, Rule.PAPER):
+            for radius in (1, 7, 100):
+                cfg = NeighbourhoodConfig(rule=rule, radius=radius)
+                refined, mask = refine(_pmap([[own]]), cfg)
+                assert np.array_equal(mask.pixels, refine_brute_oracle(_pmap([[own]]), cfg).pixels)
+                assert refined.p_skin.tobytes() == np.float64(skin / (skin + non)).tobytes()
 
 
 def test_refine_translation_equivariance():
@@ -326,13 +335,26 @@ def test_refine_matches_oracle_at_larger_radii_on_tie_heavy_maps(monkeypatch):
     and 1 pixels on 0) hold degenerate and zero-neighbourhood PAPER
     pixels. The re-sum in the oracle's order must run, and a degenerate
     or zero-neighbourhood PAPER pixel must keep its own pair exactly.
+    The one frame-wide slack is at least every pixel's bound in
+    _tie_slack's derivation, f * (1 / count + skin_product + non_product),
+    and every pixel whose products lie within that bound is re-summed.
     """
     resummed, kept = [], []
     real = neighbourhood._oracle_order_sums
 
     def spy(pmap, ys, xs, radius):
-        resummed.append(ys.size)
+        resummed.append((ys, xs))
         return real(pmap, ys, xs, radius)
+
+    def per_pixel_bound(pm, cfg):
+        """|skin_product - non_product| and each pixel's own bound on it."""
+        u = 2.0**-53
+        ry, rx = min(cfg.radius, pm.height - 1), min(cfg.radius, pm.width - 1)
+        k = (2 * ry + 1) * (2 * rx + 1) + 2 * ry + 2 * rx
+        f = 2.0 * (k * u / (1.0 - k * u) + 2.0 * (2.0 * u / (1.0 - 2.0 * u)))
+        skin, non, count = _window_neighbour_sums(pm, cfg.radius)
+        neighbourhood._products(pm.p_skin, pm.p_non_skin, skin, non, count, cfg)
+        return np.abs(skin - non), f * (1.0 / count + skin + non)
 
     monkeypatch.setattr(neighbourhood, "_oracle_order_sums", spy)
     ulps = 8 * np.finfo(np.float64).eps  # probabilities lie in [0, 1]
@@ -353,16 +375,23 @@ def test_refine_matches_oracle_at_larger_radii_on_tie_heavy_maps(monkeypatch):
         for rule in (Rule.SYMMETRIC, Rule.PAPER):
             for radius in (3, 7):
                 cfg = NeighbourhoodConfig(rule=rule, radius=radius)
+                calls = len(resummed)
                 refined, mask = refine(pm, cfg)
                 assert np.array_equal(mask.pixels, refine_brute_oracle(pm, cfg).pixels), (
                     case, rule, radius)
+                flagged = np.zeros((h, w), dtype=bool)
+                for ys, xs in resummed[calls:]:
+                    flagged[ys, xs] = True
+                gap, bound = per_pixel_bound(pm, cfg)
+                assert bound.max() <= neighbourhood._tie_slack(h, w, radius), (case, rule, radius)
+                assert not np.any((gap <= bound) & ~flagged), (case, rule, radius)
                 skin, non, degenerate = _reference_refine(pm, cfg)
                 assert np.abs(refined.p_skin - skin).max() <= ulps
                 assert np.abs(refined.p_non_skin - non).max() <= ulps
                 assert np.array_equal(refined.p_skin[degenerate], p[degenerate])
                 assert np.array_equal(refined.p_non_skin[degenerate], q[degenerate])
                 kept.append(degenerate.sum())
-    assert sum(resummed) > 0 and sum(kept) > 0
+    assert sum(ys.size for ys, _ in resummed) > 0 and sum(kept) > 0
 
 
 def test_window_sums_match_clipped_sums():
