@@ -10,7 +10,7 @@ being the complement; fitted models are immutable and safe for
 concurrent prediction.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -177,46 +177,93 @@ class TreeConfig:
 class TreeModel:
     """A fitted CART tree as a preorder node table; node 0 is the root.
 
-    Node i is a leaf when attribute[i] is -1 (its threshold and right
-    are 0). Otherwise a pixel whose attribute (0 = h, 1 = s, 2 = v) is
-    <= threshold[i] goes to the left child, node i + 1, and any other
-    pixel to the right child, node right[i]. counts[i] holds the skin
-    and non-skin training samples that reached node i; the arrays are
-    coerced to int64, float64, int64 and (n, 2) int64.
+    Node i is a leaf when attribute[i] is -1 (its threshold is 0).
+    Otherwise a pixel whose attribute (0 = h, 1 = s, 2 = v) is <=
+    threshold[i] goes to the left child, node i + 1, and any other pixel
+    to the right child, node right[i], the node after the left subtree.
+    counts[i] holds the skin and non-skin training samples that reached
+    node i; the arrays are coerced to int64, float64 and (n, 2) int64.
 
-    A table that is not laid out this way raises ValueError: the arrays
-    must hold n >= 1 nodes, and every split i needs i + 1 < right[i] < n.
-    Children then always come after their parent, so routing ends.
+    right is derived from the attributes (0 at leaves). ValueError is
+    raised unless the attributes form one complete preorder tree of
+    n >= 1 nodes, node counts are >= 0 with a total in (0, 2**63), a
+    split's counts are its children's sum, n_samples is the root's total
+    and no split is vacuous: each threshold lies in [lo, hi) of its
+    node's range of its attribute (the root's is [0, 255], a left child
+    keeps values up to floor(threshold), a right child those above), so
+    no path holds more than 3 * 255 = 765 splits.
     """
 
     attribute: np.ndarray
     threshold: np.ndarray
-    right: np.ndarray
     counts: np.ndarray
     config: TreeConfig
     n_samples: int
+    right: np.ndarray = field(init=False)
 
     def __post_init__(self):
         for name, dtype in (("attribute", np.int64), ("threshold", np.float64),
-                            ("right", np.int64), ("counts", np.int64)):
+                            ("counts", np.int64)):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        attribute, right = self.attribute, self.right
+        attribute, counts = self.attribute, self.counts
         n = attribute.size
-        shapes = (attribute.shape, self.threshold.shape, right.shape, self.counts.shape)
-        if n == 0 or shapes != ((n,), (n,), (n,), (n, 2)):
+        shapes = (attribute.shape, self.threshold.shape, counts.shape)
+        if n == 0 or shapes != ((n,), (n,), (n, 2)):
             raise ValueError(f"tree arrays must hold n >= 1 nodes with (n, 2) counts, "
                              f"got shapes {shapes}")
         if ((attribute < -1) | (attribute > 2)).any():
             raise ValueError("tree attributes must be -1 (leaf), 0, 1 or 2")
+        # leaves minus splits so far first reaches 1 at the last node of a
+        # complete preorder; a split's left subtree ends at the first later
+        # node where it is one above the split's, found among the
+        # (balance, node) keys in sorted order
         leaf = attribute < 0
-        bad = np.flatnonzero(np.where(leaf, right != 0,
-                                      (right <= np.arange(1, n + 1)) | (right >= n)))
+        balance = np.cumsum(np.where(leaf, 1, -1))
+        complete = np.flatnonzero(balance == 1)
+        if complete.size == 0 or complete[0] != n - 1:
+            where = f"complete at node {complete[0]}" if complete.size else "incomplete"
+            raise ValueError(f"tree attributes are not one preorder tree of {n} nodes: {where}")
+        split = np.flatnonzero(~leaf)
+        keys = np.sort(balance * n + np.arange(n))
+        right = np.zeros(n, dtype=np.int64)
+        right[split] = keys[np.searchsorted(keys, (balance[split] + 1) * n + split + 1)] % n + 1
+        object.__setattr__(self, "right", right)
+        bad = np.flatnonzero((counts < 0).any(axis=1) | (counts == 0).all(axis=1)
+                             | (counts[:, 0] > np.iinfo(np.int64).max - counts[:, 1]))
         if bad.size:
             i = int(bad[0])
-            if leaf[i]:
-                raise ValueError(f"tree leaf {i} has right child {int(right[i])}, not 0")
-            raise ValueError(f"tree split {i} has right child {int(right[i])}, which must lie "
-                             f"after its left child {i + 1} and before node {n}")
+            raise ValueError(f"tree node {i} counts {counts[i].tolist()} must be >= 0 "
+                             f"with a total above 0 and below 2**63")
+        # each count is below 2**63, so a difference cannot overflow where a sum could
+        differ = split[(counts[split] - counts[split + 1] != counts[right[split]]).any(axis=1)]
+        if differ.size:
+            i = int(differ[0])
+            raise ValueError(
+                f"tree node {i} counts {counts[i].tolist()} are not the sum of its "
+                f"children's, {counts[i + 1].tolist()} and {counts[right[i]].tolist()}"
+            )
+        if self.n_samples != int(counts[0].sum()):
+            raise ValueError(f"tree samples {self.n_samples} differ from the root's "
+                             f"total {int(counts[0].sum())}")
+        # each node's [lo, hi] range of each attribute, carried down one depth at a time
+        nodes, box = np.zeros(1, dtype=np.int64), np.array([[[0.0] * 3, [255.0] * 3]])
+        while nodes.size:
+            inner = attribute[nodes] >= 0
+            nodes, box = nodes[inner], box[inner]
+            rows, attr, thr = np.arange(nodes.size), attribute[nodes], self.threshold[nodes]
+            lo, hi = box[rows, 0, attr], box[rows, 1, attr]
+            vacuous = np.flatnonzero(~((lo <= thr) & (thr < hi)))
+            if vacuous.size:
+                j = int(vacuous[0])
+                name = "hsv"[attr[j]]
+                raise ValueError(
+                    f"tree split {nodes[j]} ({name} <= {thr[j]}) is vacuous: its node holds "
+                    f"{name} {lo[j]:.0f} to {hi[j]:.0f}, so one child can get none"
+                )
+            box = np.concatenate((box, box))  # left children, then right
+            box[rows, 1, attr] = np.floor(thr)
+            box[rows + nodes.size, 0, attr] = np.floor(thr) + 1
+            nodes = np.concatenate((nodes + 1, right[nodes]))
 
     def depth(self) -> int:
         level, nodes = 0, np.zeros(1, dtype=np.int64)
@@ -318,7 +365,7 @@ def _best_splits(cols: np.ndarray, slot: np.ndarray, counts: np.ndarray) -> tupl
 
 def _preorder(levels: list) -> tuple:
     """Renumber per-depth (attribute, threshold, counts) node records into
-    one preorder table (attribute, threshold, right, counts).
+    one preorder table (attribute, threshold, counts).
 
     The children of the j-th split node of one depth are nodes 2j and
     2j + 1 of the next; the last depth holds only leaves. Subtree sizes
@@ -334,15 +381,14 @@ def _preorder(levels: list) -> tuple:
     sizes.reverse()
     n_nodes = int(sizes[0][0])
     attribute, threshold = np.empty(n_nodes, dtype=np.int64), np.empty(n_nodes)
-    right, counts = np.zeros(n_nodes, dtype=np.int64), np.empty((n_nodes, 2), dtype=np.int64)
+    counts = np.empty((n_nodes, 2), dtype=np.int64)
     at = np.zeros(1, dtype=np.int64)  # the preorder index of each node of the depth
     for (attr, thr, cnt), below in zip(levels, sizes[1:]):
         attribute[at], threshold[at], counts[at] = attr, thr, cnt
         split = at[attr >= 0]
-        right[split] = split + 1 + below[0::2]
-        at = np.stack((split + 1, right[split]), axis=1).ravel()
+        at = np.stack((split + 1, split + 1 + below[0::2]), axis=1).ravel()
     attribute[at], threshold[at], counts[at] = levels[-1]
-    return attribute, threshold, right, counts
+    return attribute, threshold, counts
 
 
 def tree_fit(train: HsvSamples, cfg: TreeConfig = TreeConfig()) -> TreeModel:

@@ -270,16 +270,8 @@ def cmd_eval(args) -> int:
         auc = None  # single-class test split: the curve is undefined
     report = scalar_metrics(matrix, auc=auc)
     document = format_report(report, matrix)
-    document += "".join(
-        f"# {name} {format_percent(value)}\n"
-        for name, value in (
-            ("accuracy", report.accuracy),
-            ("sensitivity", report.sensitivity),
-            ("specificity", report.specificity),
-            ("precision", report.precision),
-            ("f1", report.f1),
-        )
-    )
+    document += "".join(f"# {name} {format_percent(value)}\n"
+                        for name, value in vars(report).items() if name != "auc")
     if args.output is not None:
         try:
             with open(args.output, "w", encoding="ascii") as fh:

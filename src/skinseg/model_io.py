@@ -16,11 +16,11 @@ Loading raises ValueError for:
 
 * an unknown format version or kind, or a header without kind, seed
   or fingerprint;
-* a body line with an unknown key, the wrong number of fields or a
-  field that does not parse as a number, and a body that is incomplete:
-  both threshold bounds, all six 256-entry Bayes count tables, a whole
-  preorder tree with no nodes left over, every MLP layer's weights and
-  biases at the declared shapes;
+* a body line with an unknown key, a key that repeats an earlier line's,
+  the wrong number of fields or a field that does not parse as a number,
+  and a body that is incomplete: both threshold bounds, all six 256-entry
+  Bayes count tables, a whole preorder tree with no nodes left over, every
+  MLP layer's weights and biases at the declared shapes;
 * a threshold box whose lower bound exceeds its upper bound in any
   channel;
 * a negative seed;
@@ -29,23 +29,24 @@ Loading raises ValueError for:
   value count, a value count, class count or class total of 2**63 or
   more, and a table of value counts that does not sum to its class
   count;
-* a tree node with a negative count, a zero total or a total of 2**63
-  or more, a split threshold that is not finite, a split whose counts
-  are not the sum of its children's, a samples count other than the
-  root's total, and a tree config with min_samples_split < 2 or
-  max_depth < 0;
+* a tree config whose names are not min_samples_split and max_depth,
+  with min_samples_split < 2 or max_depth < 0, and any table TreeModel
+  rejects: counts that are negative, add up to 0 or 2**63 or more, or
+  differ from the children's sum at a split, samples other than the
+  root's total, and a vacuous split (one that sends every value its node
+  can hold to one child, as a threshold that is not finite does). The
+  body stores no child indices: TreeModel derives them from node order;
 * an MLP hidden width < 1, weights or biases that are not finite, and
   weights and biases large enough to overflow the forward pass on some
   input in [0, 1]^3.
 """
 
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import BayesModel, ThresholdRange, TreeConfig, TreeModel
+from .classifiers import DOMAIN_SIZE, BayesModel, ThresholdRange, TreeConfig, TreeModel
 from .colorspace import YcbcrPixel
 from .dataset import RawSamples, serialize_blocks
 from .nn import MlpArchitecture, MlpModel
@@ -53,6 +54,7 @@ from .nn import MlpArchitecture, MlpModel
 FORMAT_HEADER = "skinseg-model 1"
 
 _ATTR_NAMES = ("h", "s", "v")
+_CLASS_NAMES = ("skin", "non_skin")
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,7 @@ def _bayes_body(model: BayesModel) -> list[str]:
         f"class_counts {model.class_counts[0]} {model.class_counts[1]}",
     ]
     for attr in range(3):
-        for cls, cls_name in enumerate(("skin", "non_skin")):
+        for cls, cls_name in enumerate(_CLASS_NAMES):
             row = " ".join(str(int(c)) for c in model.counts[attr, cls])
             lines.append(f"counts {_ATTR_NAMES[attr]} {cls_name} {row}")
     return lines
@@ -118,57 +120,56 @@ def _mlp_body(model: MlpModel) -> list[str]:
     return lines
 
 
-def _parse_threshold(lines: list[str]) -> ThresholdRange:
-    fields = {}
+def _read_body(lines: list[str], kind: str, shape: dict[str, int]) -> dict[str, list[str]]:
+    """The fields of each body line by key, for a body that holds each key
+    of shape once, followed by shape[key] fields. A key is a line's first
+    word, or as many words as shape's keys that start with it ("counts h
+    skin", "weights 0"). Raises ValueError for an unknown, repeated or
+    missing key and for a wrong number of fields."""
+    words = {key.split()[0]: key.count(" ") + 1 for key in shape}
+    body = {}
     for ln in lines:
         parts = ln.split()
-        if len(parts) != 4 or parts[0] not in ("lower", "upper"):
-            raise ValueError(f"malformed threshold line: {ln!r}")
-        fields[parts[0]] = YcbcrPixel(int(parts[1]), int(parts[2]), int(parts[3]))
-    if set(fields) != {"lower", "upper"}:
-        raise ValueError("threshold body must define lower and upper")
-    return ThresholdRange(lower=fields["lower"], upper=fields["upper"])
+        n_words = words.get(parts[0], 1)
+        key = " ".join(parts[:n_words])
+        if key not in shape:
+            raise ValueError(f"malformed {kind} line: {ln!r}")
+        if key in body:
+            raise ValueError(f"{kind} body repeats its {key} line")
+        if len(parts) - n_words != shape[key]:
+            raise ValueError(f"{kind} {key} needs {shape[key]} values, got {len(parts) - n_words}")
+        body[key] = parts[n_words:]
+    missing = [key for key in shape if key not in body]
+    if missing:
+        raise ValueError(f"incomplete {kind} body: no {missing[0]} line")
+    return body
+
+
+def _parse_threshold(lines: list[str]) -> ThresholdRange:
+    body = _read_body(lines, "threshold", {"lower": 3, "upper": 3})
+    lower, upper = (YcbcrPixel(*(int(v) for v in body[key])) for key in ("lower", "upper"))
+    return ThresholdRange(lower=lower, upper=upper)
 
 
 def _parse_bayes(lines: list[str]) -> BayesModel:
-    alpha = None
-    form = None
-    class_counts = None
-    counts = np.zeros((3, 2, 256), dtype=np.int64)
-    table_sums = {}  # (attribute, class) -> exact sum of its value counts
-    for ln in lines:
-        parts = ln.split()
-        key, n_fields = parts[0], len(parts)
-        if key == "alpha" and n_fields == 2:
-            alpha = float(parts[1])
-        elif key == "likelihood_form" and n_fields == 2:
-            form = parts[1]
-        elif key == "class_counts" and n_fields == 3:
-            pair = [_bayes_count(v) for v in parts[1:]]
-            if sum(pair) >= 2**63:
-                raise ValueError(f"bayes class counts must total below 2**63: {ln!r}")
-            class_counts = np.array(pair, dtype=np.int64)
-        elif key == "counts" and n_fields >= 3:
-            attr = _ATTR_NAMES.index(parts[1])
-            cls = ("skin", "non_skin").index(parts[2])
-            values = [_bayes_count(v) for v in parts[3:]]
-            if len(values) != 256:
-                raise ValueError(f"count table needs 256 entries, got {len(values)}")
-            counts[attr, cls] = values
-            table_sums[attr, cls] = sum(values)
-        else:
-            raise ValueError(f"malformed bayes line: {ln!r}")
-    if alpha is None or form is None or class_counts is None or len(table_sums) != 6:
-        raise ValueError("incomplete bayes body")
+    tables = [f"counts {attr} {cls}" for attr in _ATTR_NAMES for cls in _CLASS_NAMES]
+    body = _read_body(lines, "bayes", {"alpha": 1, "likelihood_form": 1, "class_counts": 2}
+                      | dict.fromkeys(tables, DOMAIN_SIZE))
+    (form,) = body["likelihood_form"]
     if form != "factorized":
         raise ValueError(f"unsupported likelihood form: {form!r}")
-    for (attr, cls), total in sorted(table_sums.items()):
-        if total != class_counts[cls]:
+    class_counts = [_bayes_count(v) for v in body["class_counts"]]
+    if sum(class_counts) >= 2**63:
+        raise ValueError(f"bayes class counts must total below 2**63: {class_counts}")
+    counts = [[_bayes_count(v) for v in body[key]] for key in tables]
+    for key, values, class_count in zip(tables, counts, class_counts * 3):
+        if sum(values) != class_count:
             raise ValueError(
-                f"bayes counts {_ATTR_NAMES[attr]} {('skin', 'non_skin')[cls]} sum to "
-                f"{total}, not to the class count {class_counts[cls]}"
+                f"bayes {key} sum to {sum(values)}, not to the class count {class_count}"
             )
-    return BayesModel(counts=counts, class_counts=class_counts, alpha=alpha)
+    return BayesModel(counts=np.array(counts, dtype=np.int64).reshape(3, 2, DOMAIN_SIZE),
+                      class_counts=np.array(class_counts, dtype=np.int64),
+                      alpha=float(body["alpha"][0]))
 
 
 def _bayes_count(text: str) -> int:
@@ -180,63 +181,29 @@ def _bayes_count(text: str) -> int:
 
 
 def _parse_tree(lines: list[str]) -> TreeModel:
-    if len(lines) < 3:
-        raise ValueError("malformed tree body")
-    samples, cfg_parts = lines[0].split(), lines[1].split()
-    if (samples[0], len(samples), cfg_parts[0], len(cfg_parts)) != ("samples", 2, "config", 5):
-        raise ValueError(f"malformed tree header: {lines[:2]!r}")
-    n_samples = int(samples[1])
-    min_split = int(cfg_parts[2])
-    max_depth = None if cfg_parts[4] == "none" else int(cfg_parts[4])
-    config = TreeConfig(min_samples_split=min_split, max_depth=max_depth)
-
-    attribute, threshold, right, counts = [], [], [], []
-    open_splits = []  # splits whose right child has not started yet
+    header = _read_body(lines[:2], "tree", {"samples": 1, "config": 4})
+    names, values = header["config"][0::2], header["config"][1::2]
+    if names != ["min_samples_split", "max_depth"]:
+        raise ValueError(f"tree config must name min_samples_split and max_depth, got {names}")
+    config = TreeConfig(min_samples_split=int(values[0]),
+                        max_depth=None if values[1] == "none" else int(values[1]))
+    attribute, threshold, count_fields = [], [], []
     for ln in lines[2:]:
         parts = ln.split()
         if parts[0] == "leaf" and len(parts) == 3:
-            attr, thr, n_skin, n_non = -1, 0.0, int(parts[1]), int(parts[2])
+            attribute.append(-1)
+            threshold.append(0.0)
         elif parts[0] == "split" and len(parts) == 5:
-            attr, thr = _ATTR_NAMES.index(parts[1]), float(parts[2])
-            n_skin, n_non = int(parts[3]), int(parts[4])
-            if not math.isfinite(thr):
-                raise ValueError(f"tree split threshold must be finite: {ln!r}")
+            attribute.append(_ATTR_NAMES.index(parts[1]))
+            threshold.append(float(parts[2]))
         else:
             raise ValueError(f"malformed tree line: {ln!r}")
-        if n_skin < 0 or n_non < 0 or n_skin + n_non == 0:
-            raise ValueError(f"tree node counts must be >= 0 with a positive total: {ln!r}")
-        if n_skin + n_non >= 2**63:
-            raise ValueError(f"tree node counts must total below 2**63: {ln!r}")
-        node = len(attribute)
-        # a node after a split is its left child; a node after a leaf is
-        # the right child of the latest split still lacking one
-        if node and attribute[-1] < 0:
-            if not open_splits:
-                raise ValueError("tree body has extra nodes after the preorder completed")
-            right[open_splits.pop()] = node
-        if attr >= 0:
-            open_splits.append(node)
-        attribute.append(attr)
-        threshold.append(thr)
-        right.append(0)
-        counts.append((n_skin, n_non))
-    if not attribute or open_splits:
-        raise ValueError("tree body is incomplete")
-    model = TreeModel(attribute, threshold, right, counts, config, n_samples)
-    counts, splits = model.counts, np.flatnonzero(model.attribute >= 0)
-    # each count is below 2**63, so a difference cannot overflow where a sum could
-    differ = splits[(counts[splits] - counts[splits + 1] != counts[model.right[splits]]).any(1)]
-    if differ.size:
-        node = int(differ[0])
-        raise ValueError(
-            f"tree node {node} counts {counts[node].tolist()} are not the sum of its "
-            f"children's, {counts[node + 1].tolist()} and {counts[model.right[node]].tolist()}"
-        )
-    if n_samples != counts[0].sum():
-        raise ValueError(
-            f"tree samples {n_samples} differ from the root's total {counts[0].sum()}"
-        )
-    return model
+        count_fields += parts[-2:]
+    counts = [int(c) for c in count_fields]
+    if counts and not 0 <= min(counts) <= max(counts) < 2**63:
+        raise ValueError("tree node counts must be >= 0 and below 2**63")
+    return TreeModel(attribute, threshold, np.array(counts, dtype=np.int64).reshape(-1, 2),
+                     config, int(header["samples"][0]))
 
 
 def _parse_mlp(lines: list[str]) -> MlpModel:
@@ -245,33 +212,20 @@ def _parse_mlp(lines: list[str]) -> MlpModel:
     hidden = tuple(int(w) for w in lines[0].split()[1:])
     arch = MlpArchitecture(hidden_layers=hidden)
     dims = arch.layer_dims
-    weights = [None] * (len(dims) - 1)
-    biases = [None] * (len(dims) - 1)
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] not in ("weights", "biases") or len(parts) < 2:
-            raise ValueError(f"malformed mlp line: {ln!r}")
-        layer = int(parts[1])
-        if not 0 <= layer < len(dims) - 1:
-            raise ValueError(f"layer index out of range: {layer}")
-        values = np.array([float(v) for v in parts[2:]])
+    shape = {"hidden_layers": len(hidden)}
+    for layer in range(len(dims) - 1):
+        shape[f"weights {layer}"] = dims[layer] * dims[layer + 1]
+        shape[f"biases {layer}"] = dims[layer + 1]
+    body = _read_body(lines, "mlp", shape)
+    params = []
+    for key in list(shape)[1:]:
+        values = np.array([float(v) for v in body[key]])
         if not np.isfinite(values).all():
-            raise ValueError(f"layer {layer} {parts[0]} hold non-finite values")
-        if parts[0] == "weights":
-            expected = dims[layer] * dims[layer + 1]
-            if values.size != expected:
-                raise ValueError(
-                    f"layer {layer} weights need {expected} values, got {values.size}"
-                )
-            weights[layer] = values.reshape(dims[layer], dims[layer + 1])
-        else:
-            if values.size != dims[layer + 1]:
-                raise ValueError(
-                    f"layer {layer} biases need {dims[layer + 1]} values, got {values.size}"
-                )
-            biases[layer] = values
-    if any(w is None for w in weights) or any(b is None for b in biases):
-        raise ValueError("incomplete mlp body")
+            name, layer = key.split()
+            raise ValueError(f"layer {layer} {name} hold non-finite values")
+        params.append(values)
+    weights = [w.reshape(dims[l], dims[l + 1]) for l, w in enumerate(params[0::2])]
+    biases = params[1::2]
     # Inputs lie in [0, 1]^3 and ReLU never grows a magnitude, so
     # |W|^T u + |b|, from u = 1, bounds each layer's outputs; softmax
     # subtracts the largest logit, so twice the bound must stay finite.

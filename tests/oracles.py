@@ -3,9 +3,10 @@
 Each function here computes one pixel (or one label pair) at a time in
 straight-line code, and the tests compare the batch paths in
 ``skinseg`` against it element by element, the way ``refine`` is
-compared against ``refine_brute_oracle``. The one array reference,
-``distinct_colours``, finds an image's distinct colours with
-``np.unique``. Nothing in ``skinseg`` imports this module.
+compared against ``refine_brute_oracle``. Two references work on whole
+arrays: ``distinct_colours`` finds an image's distinct colours with
+``np.unique``, and ``preorder_right`` finds a tree table's right
+children with a stack walk. Nothing in ``skinseg`` imports this module.
 """
 
 from dataclasses import dataclass
@@ -158,6 +159,20 @@ def tree_predict(model: TreeModel, p: HsvPixel) -> ClassProbabilities:
     """The class frequencies of the leaf the pixel reaches."""
     n_skin, n_non = model.counts[model.route([(p.h, p.s, p.v)])[0]].tolist()
     return ClassProbabilities(n_skin / (n_skin + n_non), n_non / (n_skin + n_non))
+
+
+def preorder_right(attribute) -> np.ndarray:
+    """Each node's right child in a preorder tree table (0 at leaves), by a
+    stack walk: a node after a split is its left child, and a node after a
+    leaf is the right child of the latest split still lacking one."""
+    right = np.zeros(len(attribute), dtype=np.int64)
+    open_splits = []
+    for node, attr in enumerate(attribute):
+        if node and attribute[node - 1] < 0:
+            right[open_splits.pop()] = node
+        if attr >= 0:
+            open_splits.append(node)
+    return right
 
 
 def forward(model: MlpModel, x) -> ClassProbabilities:

@@ -24,7 +24,14 @@ from skinseg.classifiers import (
 from skinseg.colorspace import YcbcrPixel, rgb_to_ycbcr_array
 from skinseg.dataset import HsvSamples, Label, hsv_arrays
 
-from oracles import HsvPixel, RgbPixel, bayes_predict, threshold_classify, tree_predict
+from oracles import (
+    HsvPixel,
+    RgbPixel,
+    bayes_predict,
+    preorder_right,
+    threshold_classify,
+    tree_predict,
+)
 
 
 def _hsv(rows, skin) -> HsvSamples:
@@ -467,18 +474,15 @@ def _per_attribute_best_split(values, skin):
 def _per_attribute_tree_fit(train, cfg):
     """tree_fit as it was before its count table, growing with the oracle above."""
     values, skin = hsv_arrays(train)
-    attribute, threshold, right, counts = [], [], [], []
-    stack = [(np.arange(len(train)), 0, None)]  # rows, depth, parent if a right child
+    attribute, threshold, counts = [], [], []
+    stack = [(np.arange(len(train)), 0)]  # rows, depth
     while stack:
-        idx, depth, parent = stack.pop()
+        idx, depth = stack.pop()
         node = len(attribute)
-        if parent is not None:
-            right[parent] = node
         n_skin = int(skin[idx].sum())
         n_non = int(idx.size) - n_skin
         attribute.append(-1)
         threshold.append(0.0)
-        right.append(0)
         counts.append((n_skin, n_non))
         if (
             n_skin == 0
@@ -493,9 +497,9 @@ def _per_attribute_tree_fit(train, cfg):
         _, attr, thr = found
         attribute[node], threshold[node] = attr, thr
         left_mask = values[idx, attr] <= thr
-        stack.append((idx[~left_mask], depth + 1, node))
-        stack.append((idx[left_mask], depth + 1, None))
-    return TreeModel(attribute, threshold, right, counts, cfg, len(train))
+        stack.append((idx[~left_mask], depth + 1))
+        stack.append((idx[left_mask], depth + 1))
+    return TreeModel(attribute, threshold, counts, cfg, len(train))
 
 
 def test_tree_fit_matches_per_attribute_split_search():
@@ -586,23 +590,25 @@ def test_tree_fit_edge_cases_match_per_attribute_split_search(case):
 
 _LEAF_COUNTS = [[1, 1], [1, 0], [0, 1]]
 MALFORMED_TREES = {
-    "right child is the root": ([0, -1], [10.0, 0.0], [0, 0], [[1, 1], [1, 0]]),
-    "split in the last row": ([-1, 0], [0.0, 10.0], [0, 0], [[1, 1], [1, 0]]),
-    "split in the last row, right past the end": ([-1, 0], [0.0, 10.0], [0, 2],
-                                                  [[1, 1], [1, 0]]),
-    "right child is the left child": ([0, -1, -1], [1.0, 0.0, 0.0], [1, 0, 0], _LEAF_COUNTS),
-    "right child past the end": ([0, -1, -1], [1.0, 0.0, 0.0], [3, 0, 0], _LEAF_COUNTS),
-    "right child before its parent": ([0, 1, -1, -1, -1], [1.0, 2.0, 0.0, 0.0, 0.0],
-                                      [4, 0, 0, 0, 0], [[2, 1], [1, 1], [1, 0], [0, 1], [1, 0]]),
-    "leaf with a right child": ([0, -1, -1], [1.0, 0.0, 0.0], [2, 2, 0], _LEAF_COUNTS),
-    "attribute 3": ([3, -1, -1], [1.0, 0.0, 0.0], [2, 0, 0], _LEAF_COUNTS),
-    "attribute -2": ([-2, -1, -1], [1.0, 0.0, 0.0], [2, 0, 0], _LEAF_COUNTS),
-    "no nodes": ([], [], [], np.zeros((0, 2))),
-    "flat counts": ([-1], [0.0], [0], [1, 1]),
-    "counts of three classes": ([-1], [0.0], [0], [[1, 1, 1]]),
-    "a threshold too many": ([-1], [0.0, 1.0], [0], [[1, 1]]),
-    "a right child too few": ([0, -1, -1], [1.0, 0.0, 0.0], [2, 0], _LEAF_COUNTS),
-    "2-d arrays": ([[-1]], [[0.0]], [[0]], [[[1, 1]]]),
+    "a lone split": ([0], [10.0], [[1, 1]]),
+    "a split as the last node": ([0, -1, 0], [10.0, 0.0, 10.0], _LEAF_COUNTS),
+    "a leaf after the root leaf": ([-1, -1], [0.0, 0.0], [[1, 1], [1, 0]]),
+    "a node after the tree completes": ([0, -1, -1, -1], [1.0, 0.0, 0.0, 0.0],
+                                        _LEAF_COUNTS + [[1, 0]]),
+    "too few leaves": ([0, 1, -1, -1], [1.0, 2.0, 0.0, 0.0], [[1, 1], [1, 1], [1, 0], [0, 1]]),
+    "attribute 3": ([3, -1, -1], [1.0, 0.0, 0.0], _LEAF_COUNTS),
+    "attribute -2": ([-2, -1, -1], [1.0, 0.0, 0.0], _LEAF_COUNTS),
+    "no nodes": ([], [], np.zeros((0, 2))),
+    "flat counts": ([-1], [0.0], [1, 1]),
+    "counts of three classes": ([-1], [0.0], [[1, 1, 1]]),
+    "a threshold too many": ([-1], [0.0, 1.0], [[1, 1]]),
+    "a count row too few": ([0, -1, -1], [1.0, 0.0, 0.0], _LEAF_COUNTS[:2]),
+    "2-d arrays": ([[-1]], [[0.0]], [[[1, 1]]]),
+    "a negative count": ([0, -1, -1], [1.0, 0.0, 0.0], [[1, 1], [2, -1], [-1, 2]]),
+    "a leaf of no samples": ([0, -1, -1], [1.0, 0.0, 0.0], [[1, 1], [0, 0], [1, 1]]),
+    "a total of 2**63": ([-1], [0.0], [[2**62, 2**62]]),
+    "split counts off its children's": ([0, -1, -1], [1.0, 0.0, 0.0], [[1, 1], [1, 0], [1, 1]]),
+    "root total off the samples": ([-1], [0.0], [[1, 2]]),
 }
 
 
@@ -612,15 +618,105 @@ def test_tree_model_rejects_tables_that_are_not_preorder_trees(arrays):
         TreeModel(*arrays, TreeConfig(), 2)
 
 
+def _summed_counts(attribute):
+    """Counts for a preorder table: (1, 0) at every leaf, a split's the
+    sum of its children's."""
+    right = preorder_right(attribute)
+    counts = np.zeros((len(attribute), 2), dtype=np.int64)
+    for node in reversed(range(len(attribute))):
+        counts[node] = counts[node + 1] + counts[right[node]] if attribute[node] >= 0 else (1, 0)
+    return counts
+
+
 def test_tree_model_accepts_preorder_tables():
-    stump = TreeModel([-1], [0.0], [0], [[3, 4]], TreeConfig(), 7)
-    assert stump.depth() == 0
+    stump = TreeModel([-1], [0.0], [[3, 4]], TreeConfig(), 7)
+    assert stump.depth() == 0 and stump.right.tolist() == [0]
     # root splits on h; its left child on s; nodes 2, 3 and 4 are leaves
-    model = TreeModel([0, 1, -1, -1, -1], [1.5, 2.5, 0.0, 0.0, 0.0], [4, 3, 0, 0, 0],
+    model = TreeModel([0, 1, -1, -1, -1], [1.5, 2.5, 0.0, 0.0, 0.0],
                       [[2, 2], [2, 1], [2, 0], [0, 1], [0, 1]], TreeConfig(), 4)
+    assert model.right.tolist() == [4, 3, 0, 0, 0]
     assert model.depth() == 2
     hsv = np.array([[1, 2, 0], [1, 3, 0], [2, 0, 0]], dtype=np.uint8)
     assert model.route(hsv).tolist() == [2, 3, 4]
+
+
+def _peeling_chain(n_splits):
+    """A preorder chain whose splits take turns at h, s and v, each sending
+    the lowest value left to a leaf and the rest right to the next split."""
+    attribute, threshold = [], []
+    for step in range(n_splits):
+        attribute += [step % 3, -1]
+        threshold += [step // 3 + 0.5, 0.0]
+    return attribute + [-1], threshold + [0.0]
+
+
+VACUOUS_SPLITS = {
+    "h <= 255 at the root": ([0, -1, -1], [255.0, 0.0, 0.0]),
+    "v <= -0.5 at the root": ([2, -1, -1], [-0.5, 0.0, 0.0]),
+    "nan": ([1, -1, -1], [np.nan, 0.0, 0.0]),
+    "inf": ([1, -1, -1], [np.inf, 0.0, 0.0]),
+    "-inf": ([1, -1, -1], [-np.inf, 0.0, 0.0]),
+    "a left child at its parent's cut": ([0, 0, -1, -1, -1], [10.5, 10.5, 0.0, 0.0, 0.0]),
+    "a right child below its parent's cut": ([0, -1, 0, -1, -1], [10.5, 0.0, 10.0, 0.0, 0.0]),
+    "a right child under a left child": ([1, 0, -1, 1, -1, -1, -1],
+                                         [100.5, 50.5, 0.0, 100.5, 0.0, 0.0, 0.0]),
+    "a 766th split on one path": _peeling_chain(766),
+}
+
+
+@pytest.mark.parametrize("case", list(VACUOUS_SPLITS))
+def test_tree_model_rejects_vacuous_splits(case):
+    attribute, threshold = VACUOUS_SPLITS[case]
+    counts = _summed_counts(attribute)
+    with pytest.raises(ValueError, match="vacuous"):
+        TreeModel(attribute, threshold, counts, TreeConfig(), int(counts[0].sum()))
+
+
+def test_tree_model_accepts_splits_that_peel_one_value():
+    for attribute, threshold in (([0, -1, -1], [0.0, 0.0, 0.0]), ([0, -1, -1], [254.5, 0.0, 0.0]),
+                                 ([0, 0, -1, -1, -1], [10.5, 9.5, 0.0, 0.0, 0.0]),
+                                 ([0, -1, 0, -1, -1], [10.5, 0.0, 11.0, 0.0, 0.0])):
+        counts = _summed_counts(attribute)
+        TreeModel(attribute, threshold, counts, TreeConfig(), int(counts[0].sum()))
+    # the deepest tree there can be: each split peels one value off one attribute
+    attribute, threshold = _peeling_chain(765)
+    counts = _summed_counts(attribute)
+    chain = TreeModel(attribute, threshold, counts, TreeConfig(), int(counts[0].sum()))
+    assert chain.depth() == 765
+    hsv = np.array([[0, 0, 0], [255, 255, 254], [255, 255, 255]], dtype=np.uint8)
+    assert chain.route(hsv).tolist() == [1, 2 * 764 + 1, 2 * 765]
+
+
+# preorder attribute sequences with thresholds that leave both children of
+# every split non-empty: a stump, one split, chains down the left and the
+# right, and a tree whose right subtree is deeper than its left
+HAND_BUILT_TREES = {
+    "stump": ([-1], [0.0]),
+    "one split": ([2, -1, -1], [99.5, 0.0, 0.0]),
+    "left chain": ([0, 1, 2, 0, -1, -1, -1, -1, -1], [100.5, 100.5, 100.5, 50.5] + [0.0] * 5),
+    "right chain": ([0, -1, 1, -1, 2, -1, 0, -1, -1], [100.5, 0.0, 100.5, 0.0, 100.5, 0.0,
+                                                      150.5, 0.0, 0.0]),
+    "mixed": ([0, 1, -1, -1, 2, -1, 0, 1, -1, -1, -1],
+              [100.5, 50.5, 0.0, 0.0, 60.5, 0.0, 200.5, 7.5, 0.0, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(HAND_BUILT_TREES))
+def test_derived_right_children_match_stack_walk_on_hand_built_trees(case):
+    attribute, threshold = HAND_BUILT_TREES[case]
+    counts = _summed_counts(attribute)
+    model = TreeModel(attribute, threshold, counts, TreeConfig(), int(counts[0].sum()))
+    assert model.right.tolist() == preorder_right(attribute).tolist()
+
+
+def test_derived_right_children_match_stack_walk_on_fitted_trees():
+    rng = np.random.default_rng(515)
+    train = _with_both_classes(_random_hsv(rng, 24, 600))
+    for cfg in (TreeConfig(), TreeConfig(min_samples_split=9), TreeConfig(max_depth=0),
+                TreeConfig(max_depth=1), TreeConfig(max_depth=4, min_samples_split=3)):
+        model = tree_fit(train, cfg)
+        assert np.array_equal(model.right, preorder_right(model.attribute.tolist())), cfg
+    assert model.attribute.size > 9
 
 def test_probability_contract_across_classifiers():
     rng = np.random.default_rng(5)

@@ -490,6 +490,13 @@ def test_non_finite_mlp_weight_exits_2(workdir, mlp_model, noisy_disc, tmp_path,
                  id="tree-split-off-children"),
     pytest.param("tree", r"^samples .*$", "samples -1", id="tree-negative-samples"),
     pytest.param("tree", r"^samples (\d+)$", r"samples 1\1", id="tree-samples-off-root"),
+    pytest.param("threshold", r"^(lower .*)$", r"\1\nlower 0 0 0", id="threshold-repeated-lower"),
+    pytest.param("bayes", r"^(alpha .*)$", r"\1\nalpha 5", id="bayes-repeated-alpha"),
+    pytest.param("tree", r"^(samples .*)$", r"\1\n\1", id="tree-repeated-samples"),
+    pytest.param("mlp", r"^(biases 3 .*)$", r"\1\n\1", id="mlp-repeated-biases"),
+    pytest.param("tree", r"^config \S+ (\S+) \S+ (\S+)$", r"config foo \1 bar \2",
+                 id="tree-config-names"),
+    pytest.param("tree", r"^split (\S+) \S+", r"split \1 255", id="tree-vacuous-split"),
 ])
 def test_malformed_model_body_exits_2(kind, pattern, repl, noisy_disc, tmp_path, capsys,
                                       request):

@@ -14,7 +14,10 @@ with a message naming the corrupted file; an exit 3 (an exception the
 loader did not turn into a ValueError) or a mask byte outside {0, 255}
 fails the test. The node lines of a valid tree file are also
 reordered, and each reordered file must end the same way within a
-deadline, so a tree whose routing would not end fails too. An image
+deadline, so a tree whose routing would not end fails too. A tree file
+of 4,000 vacuous splits, each sending every value left to the next,
+must be refused (exit 2 naming it) within a 5 s deadline by `segment`
+on a 450x600 noise frame and by `eval`. An image
 whose header holds a 32 MiB comment or a 32 MiB digit token must be
 segmented or refused within a 2 s deadline, so a header scan that is
 slow per byte fails as well. The seed and case counts are fixed, so the
@@ -42,6 +45,8 @@ REORDER_CASES = 60
 DEADLINE_SECONDS = 30
 BIG_HEADER_BYTES = 32 << 20  # the oversized comment and token
 HEADER_DEADLINE_SECONDS = 2
+CHAIN_SPLITS = 4000
+CHAIN_DEADLINE_SECONDS = 5
 
 
 @pytest.fixture(scope="module")
@@ -293,3 +298,32 @@ def test_oversized_header_tokens_exit_0_or_2_in_time(case, downscale, small_data
     data = _oversized_header(small_image.read_bytes(), case)
     with _deadline(HEADER_DEADLINE_SECONDS):
         _segment_mutants([data], fuzz_dir / "bayes.model", fuzz_dir, capsys, downscale)
+
+
+def _vacuous_chain(n_splits):
+    """A tree model file of n_splits splits `split h 255 ...` down the left,
+    each sending every value left, with counts that add up."""
+    lines = [model_io.FORMAT_HEADER, "kind tree", "seed 0", "fingerprint none",
+             f"samples {n_splits + 2}", "config min_samples_split 2 max_depth none"]
+    lines += [f"split h 255 {n_splits + 1 - j} 1" for j in range(n_splits)]
+    return "\n".join(lines + ["leaf 1 1"] + ["leaf 1 0"] * n_splits) + "\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+@pytest.mark.parametrize("command", ["segment", "eval"])
+def test_vacuous_split_chain_exits_2_in_time(command, small_dataset, fuzz_dir, capsys):
+    rng = np.random.default_rng([FUZZ_SEED, 13])
+    image_path = fuzz_dir / "noise-450x600.ppm"
+    image_path.write_bytes(write_ppm(Image(pixels=rng.integers(0, 256, (450, 600, 3),
+                                                               dtype=np.uint8))))
+    model_path = fuzz_dir / "chain.model"
+    model_path.write_text(_vacuous_chain(CHAIN_SPLITS), encoding="ascii")
+    argv = {
+        "segment": ["segment", "--model", str(model_path), "--input", str(image_path),
+                    "--output", str(fuzz_dir / "mask.pgm")],
+        "eval": ["eval", "--dataset", str(small_dataset), "--model", str(model_path)],
+    }[command]
+    with _deadline(CHAIN_DEADLINE_SECONDS):
+        rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2 and str(model_path) in err, err

@@ -144,6 +144,9 @@ def test_malformed_threshold_body():
     truncated = "\n".join(good.splitlines()[:-1]) + "\n"
     with pytest.raises(ValueError):
         model_from_text(truncated)
+    # a repeated key: the later line must not silently win
+    with pytest.raises(ValueError, match="repeats its lower line"):
+        model_from_text(re.sub(r"^(lower .*)$", r"\1\nlower 0 0 0", good, flags=re.M))
 
 
 # (pattern, replacement) pairs that break one line of a valid model body
@@ -162,6 +165,7 @@ BAYES_MUTATIONS = (
     (r"^seed .*$", "seed -1"),
     (r"^(counts h skin) \d+", r"\1 5000"),  # the table no longer sums to its class count
     (r"^class_counts (\d+)", r"class_counts 1\1"),
+    (r"^(alpha .*)$", r"\1\nalpha 5"),  # a repeated key
 )
 TREE_MUTATIONS = (
     (r"^config .*$", "config min_samples_split"),
@@ -177,6 +181,10 @@ TREE_MUTATIONS = (
     (r"^split (\S+) (\S+) (\d+)", r"split \1 \2 1\3"),
     (r"^samples .*$", "samples -1"),
     (r"^samples (\d+)$", r"samples 1\1"),
+    (r"^(samples .*)$", r"\1\n\1"),  # a repeated key
+    (r"^config \S+ (\S+) \S+ (\S+)$", r"config foo \1 bar \2"),
+    (r"^split (\S+) \S+", r"split \1 255"),  # a vacuous split: every value goes left
+    (r"^split (\S+) \S+", r"split \1 -0.5"),  # and every value right
 )
 
 
@@ -253,6 +261,11 @@ def test_malformed_mlp_body(hsv_train):
             assert text != good
             with pytest.raises(ValueError, match=f"layer {prefix[-1]} .*non-finite"):
                 model_from_text(text)
+    # a repeated last-layer biases line
+    text = re.sub(r"^(biases 1 .*)$", r"\1\n\1", good, count=1, flags=re.M)
+    assert text != good
+    with pytest.raises(ValueError, match="repeats its biases 1 line"):
+        model_from_text(text)
     # finite, but a first-layer bias of 1e308 overflows the logits
     text = re.sub(r"^biases 0 \S+", "biases 0 1e308", good, count=1, flags=re.M)
     assert text != good
