@@ -2,10 +2,13 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
 malformed inputs, degenerate datasets), 3 internal error. All state
-flows through flags; no environment variables are consulted.
+flows through flags; no environment variables are consulted. A flag
+left out takes the library's default, and a value the library rejects is
+a usage error with the library's message, raised before any file is read.
 """
 
 import argparse
+import dataclasses
 import statistics
 import sys
 
@@ -70,48 +73,55 @@ def build_parser() -> _Parser:
     p_train.add_argument("--dataset", required=True)
     p_train.add_argument("--model", required=True)
     p_train.add_argument("--kind", required=True, choices=model_io.KINDS)
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--test-fraction", type=float, default=0.30)
-    p_train.add_argument("--alpha", type=float, default=None)
-    p_train.add_argument("--epochs", type=int, default=None)
-    p_train.add_argument("--batch-size", type=int, default=None)
+    p_train.add_argument("--seed", type=int)
+    p_train.add_argument("--test-fraction", type=float)
+    p_train.add_argument("--alpha", type=float)
+    p_train.add_argument("--epochs", type=int)
+    p_train.add_argument("--batch-size", type=int)
 
     p_eval = sub.add_parser("eval", help="score a model on the held-out split")
     p_eval.add_argument("--dataset", required=True)
     p_eval.add_argument("--model", required=True)
-    p_eval.add_argument("--seed", type=int, default=None)
-    p_eval.add_argument("--test-fraction", type=float, default=0.30)
-    p_eval.add_argument("--output", default=None)
+    p_eval.add_argument("--seed", type=int)
+    p_eval.add_argument("--test-fraction", type=float)
+    p_eval.add_argument("--output")
 
     p_seg = sub.add_parser("segment", help="segment a PPM image into a PGM mask")
     p_seg.add_argument("--model", required=True)
     p_seg.add_argument("--input", required=True)
     p_seg.add_argument("--output", required=True)
     p_seg.add_argument("--refine", action="store_true")
-    p_seg.add_argument("--rule", choices=["paper", "symmetric"], default=None)
-    p_seg.add_argument("--radius", type=int, default=None)
-    p_seg.add_argument("--tau", type=float, default=None)
+    p_seg.add_argument("--rule", choices=[rule.value for rule in Rule])
+    p_seg.add_argument("--radius", type=int)
+    p_seg.add_argument("--tau", type=float)
     p_seg.add_argument("--downscale", action="store_true")
-    p_seg.add_argument("--prob-out", default=None)
+    p_seg.add_argument("--prob-out")
 
     p_bench = sub.add_parser("bench", help="median-of-5 timing for the pipeline legs")
     p_bench.add_argument("--model", required=True)
     p_bench.add_argument("--input", required=True)
-    p_bench.add_argument("--rule", choices=["paper", "symmetric"], default="symmetric")
-    p_bench.add_argument("--radius", type=int, default=1)
-    p_bench.add_argument("--tau", type=float, default=None)
+    p_bench.add_argument("--rule", choices=[rule.value for rule in Rule])
+    p_bench.add_argument("--radius", type=int)
+    p_bench.add_argument("--tau", type=float)
 
     p_stats = sub.add_parser("dataset-stats", help="row and class counts plus split sizes")
     p_stats.add_argument("--dataset", required=True)
-    p_stats.add_argument("--test-fraction", type=float, default=0.30)
+    p_stats.add_argument("--test-fraction", type=float)
 
     return parser
 
 
-def _check_fraction(value: float) -> float:
-    if not 0.0 < value < 1.0:
-        raise UsageError(f"--test-fraction must be in (0, 1), got {value}")
-    return value
+def _given(**flags) -> dict:
+    """The flags the user gave: an unset one is None, and the callee's default applies."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
+def _config(cls, **flags):
+    """cls built from the flags given; a value it rejects is a usage error."""
+    try:
+        return cls(**_given(**flags))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _load_samples(path):
@@ -126,9 +136,9 @@ def _load_samples(path):
     return samples
 
 
-def _split(samples, path, test_fraction, seed):
+def _split(samples, path, cfg: SplitConfig):
     try:
-        return split(samples, SplitConfig(test_fraction=test_fraction, seed=seed))
+        return split(samples, cfg)
     except ValueError as exc:
         raise DataError(f"cannot split dataset {path}: {exc}") from exc
 
@@ -162,34 +172,26 @@ def _segment(image, path, model, **kwargs):
 def _refine_config(rule, radius, tau) -> NeighbourhoodConfig:
     if tau is not None and rule != "paper":
         raise UsageError("--tau only applies to --rule paper")
-    try:
-        return NeighbourhoodConfig(
-            radius=1 if radius is None else radius,
-            rule=Rule.SYMMETRIC if rule is None else Rule(rule),
-            decision_threshold=0.5 if tau is None else tau,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return _config(NeighbourhoodConfig, radius=radius,
+                   rule=None if rule is None else Rule(rule), decision_threshold=tau)
 
 
 def cmd_train(args) -> int:
-    _check_fraction(args.test_fraction)
     if args.alpha is not None and args.kind != "bayes":
         raise UsageError("--alpha only applies to --kind bayes")
     if (args.epochs is not None or args.batch_size is not None) and args.kind != "mlp":
         raise UsageError("--epochs/--batch-size only apply to --kind mlp")
+    # BayesModel checks alpha too, but is built only once the dataset is
+    # read and fitted, and a bad --alpha must exit 1 before any file is read
     if args.alpha is not None and not 0 <= args.alpha < np.inf:  # also catches NaN
         raise UsageError(f"--alpha must be finite and >= 0, got {args.alpha}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    if args.epochs is not None and args.epochs < 1:
-        raise UsageError(f"--epochs must be >= 1, got {args.epochs}")
-    if args.batch_size is not None and args.batch_size < 1:
-        raise UsageError(f"--batch-size must be >= 1, got {args.batch_size}")
+    split_cfg = _config(SplitConfig, test_fraction=args.test_fraction, seed=args.seed)
+    train_cfg = _config(TrainConfig, epochs=args.epochs, batch_size=args.batch_size,
+                        seed=split_cfg.seed)
 
     samples = _load_samples(args.dataset)
     counts = label_counts(samples)
-    train_raw, test_raw = _split(samples, args.dataset, args.test_fraction, args.seed)
+    train_raw, test_raw = _split(samples, args.dataset, split_cfg)
 
     lines = [
         f"kind: {args.kind}",
@@ -199,7 +201,7 @@ def cmd_train(args) -> int:
         f"non_skin: {counts[Label.NON_SKIN]}",
         f"train_size: {len(train_raw)}",
         f"test_size: {len(test_raw)}",
-        f"seed: {args.seed}",
+        f"seed: {split_cfg.seed}",
     ]
 
     try:
@@ -208,20 +210,14 @@ def cmd_train(args) -> int:
             lines.append(f"threshold_lower: {model.lower.y} {model.lower.cr} {model.lower.cb}")
             lines.append(f"threshold_upper: {model.upper.y} {model.upper.cr} {model.upper.cb}")
         elif args.kind == "bayes":
-            alpha = 1.0 if args.alpha is None else args.alpha
-            model = bayes_fit(to_hsv_samples(train_raw), alpha=alpha)
-            lines.append(f"alpha: {alpha:g}")
+            model = bayes_fit(to_hsv_samples(train_raw), **_given(alpha=args.alpha))
+            lines.append(f"alpha: {model.alpha:g}")
         elif args.kind == "tree":
             model = tree_fit(to_hsv_samples(train_raw))
             internal, leaves = model.node_count()
             lines.append(f"tree_depth: {model.depth()}")
             lines.append(f"tree_nodes: {internal + leaves}")
         else:
-            train_cfg = TrainConfig(
-                epochs=12 if args.epochs is None else args.epochs,
-                batch_size=53 if args.batch_size is None else args.batch_size,
-                seed=args.seed,
-            )
             model, history = train_mlp(to_hsv_samples(train_raw), cfg=train_cfg)
             lines.append(f"epochs: {train_cfg.epochs}, batch_size: {train_cfg.batch_size}")
             for epoch, loss in enumerate(history, start=1):
@@ -231,7 +227,7 @@ def cmd_train(args) -> int:
 
     fingerprint = model_io.dataset_fingerprint(samples)
     try:
-        model_io.save_model(args.model, model, seed=args.seed, fingerprint=fingerprint)
+        model_io.save_model(args.model, model, seed=split_cfg.seed, fingerprint=fingerprint)
     except OSError as exc:
         raise DataError(f"cannot write model {args.model}: {exc}") from exc
     lines.append(f"model_file: {args.model}")
@@ -240,14 +236,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _check_fraction(args.test_fraction)
-    if args.seed is not None and args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    split_cfg = _config(SplitConfig, test_fraction=args.test_fraction, seed=args.seed)
     saved = _load_model(args.model)
     samples = _load_samples(args.dataset)
 
-    seed = saved.seed if args.seed is None else args.seed
-    if args.seed is not None and args.seed != saved.seed:
+    if args.seed is None:
+        split_cfg = dataclasses.replace(split_cfg, seed=saved.seed)
+    elif args.seed != saved.seed:
         print(
             f"warning: --seed {args.seed} differs from the model's training seed "
             f"{saved.seed}; the split will not match training",
@@ -260,7 +255,7 @@ def cmd_eval(args) -> int:
             file=sys.stderr,
         )
 
-    _, test_raw = _split(samples, args.dataset, args.test_fraction, seed)
+    _, test_raw = _split(samples, args.dataset, split_cfg)
     truth = test_raw.skin
     scores = score_rgb(saved.model, test_raw.channels[:, ::-1])
     matrix = confusion_from_flags(scores >= 0.5, truth)
@@ -340,10 +335,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_dataset_stats(args) -> int:
-    _check_fraction(args.test_fraction)
+    split_cfg = _config(SplitConfig, test_fraction=args.test_fraction)
     samples = _load_samples(args.dataset)
     counts = label_counts(samples)
-    n_train = train_size(len(samples), args.test_fraction)
+    n_train = train_size(len(samples), split_cfg.test_fraction)
     print(f"samples: {len(samples)}")
     print(f"skin: {counts[Label.SKIN]}")
     print(f"non_skin: {counts[Label.NON_SKIN]}")

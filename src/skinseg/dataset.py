@@ -120,6 +120,8 @@ class SplitConfig:
     def __post_init__(self):
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def parse_uci(lines: Iterable[str]) -> RawSamples:

@@ -153,8 +153,7 @@ def _window_scratch(rows: int, height: int, width: int, radius: int) -> tuple:
     return tuple(np.empty((rows + 2 * ry) * (width + 2 * rx)) for _ in range(4))
 
 
-def _window_sums(plane: np.ndarray, y0: int, y1: int, radius: int, out: np.ndarray, scratch,
-                 complement: bool = False):
+def _window_sums(plane: np.ndarray, y0: int, y1: int, radius: int, out: np.ndarray, scratch):
     """Clipped (2r+1)^2 window sums, centre included, of plane's rows y0:y1.
 
     A column pass sums 2ry + 1 rows, then a row pass 2rx + 1 columns of
@@ -162,10 +161,8 @@ def _window_sums(plane: np.ndarray, y0: int, y1: int, radius: int, out: np.ndarr
     _run_sums over a zero-padded buffer. Every pixel's sum is added in
     the same order whatever band y0:y1 holds it, and adding a zero is
     exact, so a window whose only non-zero term is the centre sums to
-    that term exactly (refine's PAPER-lock test relies on it). With
-    complement, the sums are those of 1 - plane, taken before the zero
-    padding, so cells past the plane's edges still read 0. scratch comes
-    from _window_scratch for at least y1 - y0 rows.
+    that term exactly (refine's PAPER-lock test relies on it). scratch
+    comes from _window_scratch for at least y1 - y0 rows.
     """
     h, w = plane.shape
     ry, rx = min(radius, h - 1), min(radius, w - 1)
@@ -175,16 +172,13 @@ def _window_sums(plane: np.ndarray, y0: int, y1: int, radius: int, out: np.ndarr
     def view(buf, rows, cols):
         return buf[: rows * cols].reshape(rows, cols)
 
-    if top >= 0 and bottom <= h and not complement:
+    if top >= 0 and bottom <= h:
         src = plane[top:bottom]
     else:  # rows past the plane's edges read as zeros
         src = view(col_in, n + 2 * ry, w)
         lo, hi = max(top, 0), min(bottom, h)
         src[: lo - top] = 0.0
-        if complement:
-            np.subtract(1.0, plane[lo:hi], out=src[lo - top : hi - top])
-        else:
-            src[lo - top : hi - top] = plane[lo:hi]
+        src[lo - top : hi - top] = plane[lo:hi]
         src[hi - top :] = 0.0
     padded = view(row_in, n, w + 2 * rx)
     padded[:, :rx] = 0.0
@@ -196,6 +190,7 @@ def _window_sums(plane: np.ndarray, y0: int, y1: int, radius: int, out: np.ndarr
 
 def _extents(n: int, radius: int) -> np.ndarray:
     """Length of each index's clipped window along one axis."""
+    radius = min(radius, n - 1)
     i = np.arange(n)
     return (np.minimum(i + radius, n - 1) - np.maximum(i - radius, 0) + 1).astype(np.float64)
 
@@ -316,10 +311,10 @@ def refine(
     The map is refined in bands of rows (the band height comes from a
     fixed pixel budget, so the scratch buffers stay near cache size), and
     only the output plane and the mask are allocated at full size, as the
-    1 - p_skin terms are taken one band at a time. Window sums are
-    separable, and each pass sums its 2r+1 terms by binary decomposition:
-    at most 2 log2(2r+1) additions per pixel and pass, never more than 2r,
-    and a radius past the map's size clips to it. Every pixel's
+    1 - p_skin terms are taken once per band, for its rows and their halo.
+    Window sums are separable, and each pass sums its 2r+1 terms by binary
+    decomposition: at most 2 log2(2r+1) additions per pixel and pass, never
+    more than 2r, and a radius past the map's size clips to it. Every pixel's
     arithmetic is the same whatever the band height. The order of
     addition differs from refine_brute_oracle's, so every pixel whose
     products lie closer than _tie_slack's one frame-wide bound is re-summed
@@ -340,16 +335,21 @@ def refine(
     scratch = _window_scratch(min(band, height), height, width, cfg.radius)
     ext_y, ext_x = _extents(height, cfg.radius), _extents(width, cfg.radius)
     tie_slack = _tie_slack(height, width, cfg.radius)
+    ry = min(cfg.radius, height - 1)
     skin_product = np.empty((height, width))
     non_band = np.empty((min(band, height), width))
+    non_rows = np.empty((min(band + 2 * ry, height), width))  # a band's 1 - p_skin, halo included
     mask = np.empty((height, width), dtype=bool)
     for y0 in range(0, height, band):
         y1 = min(y0 + band, height)
-        own_skin, own_non = pmap.p_skin[y0:y1], 1.0 - pmap.p_skin[y0:y1]
+        lo, hi = max(y0 - ry, 0), min(y1 + ry, height)
+        plane_non = np.subtract(1.0, pmap.p_skin[lo:hi], out=non_rows[: hi - lo])
+        own_skin, own_non = pmap.p_skin[y0:y1], plane_non[y0 - lo : y1 - lo]
         skin, non = skin_product[y0:y1], non_band[: y1 - y0]
         _window_sums(pmap.p_skin, y0, y1, cfg.radius, skin, scratch)
         skin -= own_skin
-        _window_sums(pmap.p_skin, y0, y1, cfg.radius, non, scratch, complement=True)
+        # the halo leaves a window's rows, and so ry, as they are in the full plane
+        _window_sums(plane_non, y0 - lo, y1 - lo, cfg.radius, non, scratch)
         non -= own_non
         count = np.multiply.outer(ext_y[y0:y1], ext_x)
         count -= 1.0

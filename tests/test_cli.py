@@ -349,18 +349,24 @@ def test_segment_refine_flags_and_prob_out(workdir, mlp_model, noisy_disc, tmp_p
 
 @pytest.mark.parametrize("rule", ["symmetric", "paper"])
 def test_refine_radius_past_the_image_clips(workdir, mlp_model, tmp_path, rule):
-    """A radius far beyond an 80x60 image gives the whole-image window."""
+    """A radius far beyond an 80x60 image gives the whole-image window.
+
+    2^63 is past int64, so it must be clipped before it meets an index array.
+    """
     rng = np.random.default_rng(8)
     pixels = np.where(rng.random((60, 80, 1)) < 0.3, SKIN_TONE, COOL_BLUE)
     image = _write_ppm(tmp_path / "wide.ppm", pixels)
     masks = []
-    for radius in ("100000", "79"):  # 79 = max(h, w) - 1 already spans the image
+    # 79 = max(h, w) - 1 already spans the image
+    for radius in ("100000", "9223372036854775808", "79"):
         mask_path = tmp_path / f"r{radius}.pgm"
         assert cli.main(["segment", "--model", str(mlp_model), "--input", str(image),
                          "--output", str(mask_path), "--refine", "--rule", rule,
                          "--radius", radius]) == 0
         masks.append(mask_path.read_bytes())
-    assert masks[0] == masks[1]
+    assert masks[0] == masks[1] == masks[2]
+    assert cli.main(["bench", "--model", str(mlp_model), "--input", str(image),
+                     "--rule", rule, "--radius", "9223372036854775808"]) == 0
 
 
 def test_prob_out_writes_the_final_map_at_working_resolution(workdir, mlp_model, noisy_disc,
@@ -719,17 +725,39 @@ def test_usage_errors_exit_1(workdir, surrogate_file, bayes_model, capsys):
           for bad in (["--radius", "0"], ["--rule", "paper", "--tau", "0"],
                       ["--rule", "paper", "--tau", "nan"])),
     )
+    # a value the config types reject: the message names the setting and the value
+    rejected = {
+        ("train", "--dataset", str(surrogate_file), "--model", "m", "--kind", "mlp",
+         "--epochs", "0"): "epochs must be >= 1, got 0",
+        ("train", "--dataset", str(surrogate_file), "--model", "m", "--kind", "mlp",
+         "--batch-size", "0"): "batch_size must be >= 1, got 0",
+        ("eval", "--dataset", str(surrogate_file), "--model", str(bayes_model),
+         "--test-fraction", "0"): "test_fraction must lie in (0, 1), got 0.0",
+        ("dataset-stats", "--dataset", str(surrogate_file),
+         "--test-fraction", "1"): "test_fraction must lie in (0, 1), got 1.0",
+    }
     tau_unused = (  # the symmetric rule never reads the decision threshold
         ["segment", "--model", str(bayes_model), "--input", "x.ppm", "--output", "y.pgm",
          "--refine", "--tau", "0.1"],
         ["bench", "--model", str(bayes_model), "--input", "x.ppm", "--tau", "0.9"],
     )
-    for argv in cases + tau_unused:
+    # the same usage errors with no dataset or model file to read: a check
+    # made only after a file read would exit 2 here
+    missing = str(workdir / "no such dir" / "missing")
+    no_files = tuple(
+        [missing if i and argv[i - 1] in ("--dataset", "--model") else arg
+         for i, arg in enumerate(argv)]
+        for argv in (*cases, *map(list, rejected))
+        if argv and argv[0] in ("train", "eval", "dataset-stats")
+    )
+    for argv in (*cases, *map(list, rejected), *tau_unused, *no_files):
         assert cli.main(argv) == 1, argv
         captured = capsys.readouterr()
         assert "error:" in captured.err
         if argv in tau_unused:
             assert "--tau only applies to --rule paper" in captured.err
+        if tuple(argv) in rejected:
+            assert rejected[tuple(argv)] in captured.err
 
 
 def test_data_errors_exit_2(workdir, surrogate_file, bayes_model, tmp_path, capsys):

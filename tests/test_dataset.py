@@ -134,6 +134,8 @@ def test_split_config_validation():
         SplitConfig(test_fraction=0.0)
     with pytest.raises(ValueError):
         SplitConfig(test_fraction=1.0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SplitConfig(seed=-1)  # before split, where PCG64 would reject it
     SplitConfig(test_fraction=0.5, seed=123)  # fine
 
 

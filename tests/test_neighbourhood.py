@@ -37,10 +37,10 @@ def _window_neighbour_sums(pm: ProbabilityMap, radius: int):
     h, w = pm.p_skin.shape
     scratch = neighbourhood._window_scratch(h, h, w, radius)
     sums = []
-    for complement in (False, True):
+    for plane in (pm.p_skin, pm.p_non_skin):
         out = np.empty((h, w))
-        neighbourhood._window_sums(pm.p_skin, 0, h, radius, out, scratch, complement)
-        sums.append(out - (1.0 - pm.p_skin if complement else pm.p_skin))
+        neighbourhood._window_sums(plane, 0, h, radius, out, scratch)
+        sums.append(out - plane)
     count = np.multiply.outer(neighbourhood._extents(h, radius), neighbourhood._extents(w, radius))
     return sums[0], sums[1], count - 1.0
 

@@ -318,9 +318,9 @@ def test_two_parameter_logistic_matches_scripted_loop():
 def test_train_config_defaults_and_validation():
     cfg = TrainConfig()
     assert cfg.epochs == 12 and cfg.batch_size == 53
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="epochs must be >= 1, got 0"):
         TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
         TrainConfig(batch_size=0)
 
 
