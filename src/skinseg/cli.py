@@ -1,13 +1,16 @@
 """Command-line surface: train, eval, segment, bench, dataset-stats.
 
-Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
-malformed inputs, degenerate datasets), 3 internal error. All state
+Exit codes: 0 success, 1 usage error, 2 data error (an input that
+cannot be read or is malformed, data the library rejects, an output that
+cannot be written), 3 internal error. One helper, _failing, maps each
+file's failures to a data error whose message names the file. All state
 flows through flags; no environment variables are consulted. A flag
 left out takes the library's default, and a value the library rejects is
 a usage error with the library's message, raised before any file is read.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import statistics
 import sys
@@ -124,49 +127,40 @@ def _config(cls, **flags):
         raise UsageError(str(exc)) from exc
 
 
-def _load_samples(path):
+@contextlib.contextmanager
+def _failing(context: str, errors):
+    """Turn errors raised inside into a DataError: "<context>: <error>"."""
     try:
+        yield
+    except errors as exc:
+        raise DataError(f"{context}: {exc}") from exc
+
+
+def _load_samples(path):
+    with (_failing(f"cannot read dataset {path}", OSError),
+          _failing(f"dataset {path}", DatasetError)):
         samples = load_uci(path)
-    except OSError as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from exc
-    except DatasetError as exc:
-        raise DataError(f"dataset {path}: {exc}") from exc
     if not samples:
         raise DataError(f"dataset {path} is empty")
     return samples
 
 
-def _split(samples, path, cfg: SplitConfig):
-    try:
-        return split(samples, cfg)
-    except ValueError as exc:
-        raise DataError(f"cannot split dataset {path}: {exc}") from exc
-
-
 def _load_model(path):
-    try:
+    with (_failing(f"cannot read model {path}", OSError),
+          _failing(f"bad model file {path}", ValueError)):
         return model_io.load_model(path)
-    except OSError as exc:
-        raise DataError(f"cannot read model {path}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"bad model file {path}: {exc}") from exc
 
 
 def _load_image(path):
-    try:
-        with open(path, "rb") as fh:
-            return read_ppm(fh.read())
-    except OSError as exc:
-        raise DataError(f"cannot read image {path}: {exc}") from exc
-    except PnmError as exc:
-        raise DataError(f"bad image {path}: {exc}") from exc
+    with _failing(f"cannot read image {path}", OSError), open(path, "rb") as fh:
+        data = fh.read()
+    with _failing(f"bad image {path}", PnmError):
+        return read_ppm(data)
 
 
-def _segment(image, path, model, **kwargs):
-    try:
-        return segment_image(image, model, **kwargs)
-    except ValueError as exc:
-        raise DataError(f"cannot segment image {path}: {exc}") from exc
+def _write(path, data: bytes, what: str) -> None:
+    with _failing(f"cannot write {what} {path}", OSError), open(path, "wb") as fh:
+        fh.write(data)
 
 
 def _refine_config(rule, radius, tau) -> NeighbourhoodConfig:
@@ -191,7 +185,8 @@ def cmd_train(args) -> int:
 
     samples = _load_samples(args.dataset)
     counts = label_counts(samples)
-    train_raw, test_raw = _split(samples, args.dataset, split_cfg)
+    with _failing(f"cannot split dataset {args.dataset}", ValueError):
+        train_raw, test_raw = split(samples, split_cfg)
 
     lines = [
         f"kind: {args.kind}",
@@ -204,7 +199,7 @@ def cmd_train(args) -> int:
         f"seed: {split_cfg.seed}",
     ]
 
-    try:
+    with _failing(f"cannot train on dataset {args.dataset}", ValueError):
         if args.kind == "threshold":
             model = ThresholdRange()
             lines.append(f"threshold_lower: {model.lower.y} {model.lower.cr} {model.lower.cb}")
@@ -222,14 +217,10 @@ def cmd_train(args) -> int:
             lines.append(f"epochs: {train_cfg.epochs}, batch_size: {train_cfg.batch_size}")
             for epoch, loss in enumerate(history, start=1):
                 lines.append(f"epoch_loss: {epoch} {loss:.6f}")
-    except ValueError as exc:
-        raise DataError(f"cannot train on dataset {args.dataset}: {exc}") from exc
 
     fingerprint = model_io.dataset_fingerprint(samples)
-    try:
-        model_io.save_model(args.model, model, seed=split_cfg.seed, fingerprint=fingerprint)
-    except OSError as exc:
-        raise DataError(f"cannot write model {args.model}: {exc}") from exc
+    text = model_io.model_to_text(model, seed=split_cfg.seed, fingerprint=fingerprint)
+    _write(args.model, text.encode("ascii"), "model")
     lines.append(f"model_file: {args.model}")
     print("\n".join(lines))
     return EXIT_OK
@@ -255,7 +246,8 @@ def cmd_eval(args) -> int:
             file=sys.stderr,
         )
 
-    _, test_raw = _split(samples, args.dataset, split_cfg)
+    with _failing(f"cannot split dataset {args.dataset}", ValueError):
+        _, test_raw = split(samples, split_cfg)
     truth = test_raw.skin
     scores = score_rgb(saved.model, test_raw.channels[:, ::-1])
     matrix = confusion_from_flags(scores >= 0.5, truth)
@@ -268,11 +260,7 @@ def cmd_eval(args) -> int:
     document += "".join(f"# {name} {format_percent(value)}\n"
                         for name, value in vars(report).items() if name != "auc")
     if args.output is not None:
-        try:
-            with open(args.output, "w", encoding="ascii") as fh:
-                fh.write(document)
-        except OSError as exc:
-            raise DataError(f"cannot write report {args.output}: {exc}") from exc
+        _write(args.output, document.encode("ascii"), "report")
     print(document, end="")
     return EXIT_OK
 
@@ -285,20 +273,14 @@ def cmd_segment(args) -> int:
     saved = _load_model(args.model)
     image = _load_image(args.input)
 
-    result = _segment(image, args.input, saved.model, refine_cfg=refine_cfg,
-                      downscale=args.downscale)
+    with _failing(f"cannot segment image {args.input}", ValueError):
+        result = segment_image(image, saved.model, refine_cfg=refine_cfg,
+                               downscale=args.downscale)
 
-    try:
-        with open(args.output, "wb") as fh:
-            fh.write(write_pgm(result.mask))
-    except OSError as exc:
-        raise DataError(f"cannot write mask {args.output}: {exc}") from exc
+    _write(args.output, write_pgm(result.mask), "mask")
     if args.prob_out is not None:
-        try:
-            with open(args.prob_out, "wb") as fh:
-                fh.write(write_gray_pgm(probability_rendering(result.probabilities)))
-        except OSError as exc:
-            raise DataError(f"cannot write probability map {args.prob_out}: {exc}") from exc
+        _write(args.prob_out, write_gray_pgm(probability_rendering(result.probabilities)),
+               "probability map")
 
     skin_pixels = int(result.mask.pixels.sum())
     print(f"size: {image.width}x{image.height}")
@@ -316,10 +298,9 @@ def cmd_bench(args) -> int:
     image = _load_image(args.input)
 
     def median_time(**kwargs) -> float:
-        times = []
-        for _ in range(5):
-            result = _segment(image, args.input, saved.model, **kwargs)
-            times.append(result.elapsed_seconds)
+        with _failing(f"cannot segment image {args.input}", ValueError):
+            times = [segment_image(image, saved.model, **kwargs).elapsed_seconds
+                     for _ in range(5)]
         return statistics.median(times)
 
     stage1 = median_time(refine_cfg=None, downscale=False)

@@ -14,8 +14,9 @@ original predictions.
 
 Loading raises ValueError for:
 
-* an unknown format version or kind, or a header without kind, seed
-  or fingerprint;
+* an unknown format version or kind, a header without kind, seed or
+  fingerprint, and a header line that repeats an earlier one's key, has
+  an unknown key or holds other than one value;
 * a body line with an unknown key, a key that repeats an earlier line's,
   the wrong number of fields or a field that does not parse as a number,
   and a body that is incomplete: both threshold bounds, all six 256-entry
@@ -268,26 +269,15 @@ def model_from_text(text: str) -> SavedModel:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != FORMAT_HEADER:
         raise ValueError(f"unknown model format/version: {lines[:1]!r}")
-    header = {}
-    for ln in lines[1:4]:
-        parts = ln.split(None, 1)
-        if len(parts) != 2:
-            raise ValueError(f"malformed header line: {ln!r}")
-        header[parts[0]] = parts[1].strip()
-    for key in ("kind", "seed", "fingerprint"):
-        if key not in header:
-            raise ValueError(f"model header missing {key}")
-    kind = header["kind"]
+    header = _read_body(lines[1:4], "header", {"kind": 1, "seed": 1, "fingerprint": 1})
+    (kind,), (seed,), (fingerprint,) = (header[key] for key in ("kind", "seed", "fingerprint"))
     if kind not in _FORMATS:
         raise ValueError(f"unknown model kind: {kind!r}")
-    seed = int(header["seed"])
+    seed = int(seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     _, _, parse_body = _FORMATS[kind]
-    return SavedModel(
-        kind=kind, seed=seed, fingerprint=header["fingerprint"],
-        model=parse_body(lines[4:]),
-    )
+    return SavedModel(kind=kind, seed=seed, fingerprint=fingerprint, model=parse_body(lines[4:]))
 
 
 def save_model(path, model, seed: int, fingerprint: str = "none") -> None:

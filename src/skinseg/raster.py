@@ -125,29 +125,26 @@ def _read_header(data: bytes, expected_magic: bytes):
     return width, height, pos + 1
 
 
+def _read_payload(data: bytes, magic: bytes, channels: int) -> np.ndarray:
+    """The pixels of a binary netpbm file as a (height, width, channels) uint8 copy."""
+    width, height, offset = _read_header(data, magic)
+    expected = channels * width * height
+    if len(data) - offset < expected:
+        raise PnmTruncatedError(
+            f"payload holds {len(data) - offset} bytes, header promises {expected}"
+        )
+    pixels = np.frombuffer(data, dtype=np.uint8, count=expected, offset=offset)
+    return pixels.reshape(height, width, channels).copy()
+
+
 def read_ppm(data: bytes) -> Image:
     """Decode a binary P6 file; exact pixel recovery."""
-    width, height, offset = _read_header(data, b"P6")
-    expected = 3 * width * height
-    payload = data[offset : offset + expected]
-    if len(payload) < expected:
-        raise PnmTruncatedError(
-            f"payload holds {len(payload)} bytes, header promises {expected}"
-        )
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return Image(pixels=pixels.copy())
+    return Image(pixels=_read_payload(data, b"P6", 3))
 
 
 def read_pgm(data: bytes) -> np.ndarray:
     """Decode a binary P5 file into a (height, width) uint8 array."""
-    width, height, offset = _read_header(data, b"P5")
-    expected = width * height
-    payload = data[offset : offset + expected]
-    if len(payload) < expected:
-        raise PnmTruncatedError(
-            f"payload holds {len(payload)} bytes, header promises {expected}"
-        )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
+    return _read_payload(data, b"P5", 1)[:, :, 0]
 
 
 def write_ppm(img: Image) -> bytes:

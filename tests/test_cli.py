@@ -503,6 +503,8 @@ def test_non_finite_mlp_weight_exits_2(workdir, mlp_model, noisy_disc, tmp_path,
     pytest.param("tree", r"^config \S+ (\S+) \S+ (\S+)$", r"config foo \1 bar \2",
                  id="tree-config-names"),
     pytest.param("tree", r"^split (\S+) \S+", r"split \1 255", id="tree-vacuous-split"),
+    pytest.param("threshold", r"^(seed .*)$", r"\1\n\1", id="threshold-repeated-seed"),
+    pytest.param("bayes", r"^fingerprint .*$", "fingerprint a b", id="bayes-two-field-fingerprint"),
 ])
 def test_malformed_model_body_exits_2(kind, pattern, repl, noisy_disc, tmp_path, capsys,
                                       request):
@@ -763,25 +765,77 @@ def test_usage_errors_exit_1(workdir, surrogate_file, bayes_model, capsys):
 def test_data_errors_exit_2(workdir, surrogate_file, bayes_model, tmp_path, capsys):
     garbage_model = tmp_path / "garbage.model"
     garbage_model.write_text("not a model at all\n", encoding="ascii")
+    non_ascii_model = tmp_path / "non-ascii.model"
+    non_ascii_model.write_bytes(b"skinseg-model 1\nkind \xe9\n")
     single_class = tmp_path / "single.txt"
     single_class.write_text("1 2 3 1\n4 5 6 1\n7 8 9 1\n", encoding="ascii")
     malformed_rows = tmp_path / "malformed.txt"
     malformed_rows.write_text("1 2 3 1\n4 5\n", encoding="ascii")
+    blank = tmp_path / "blank.txt"
+    blank.write_text("\n  \n\t\n", encoding="ascii")
+    one_row = tmp_path / "one_row.txt"
+    one_row.write_text("1 2 3 1\n", encoding="ascii")
+    image = _flat_image(tmp_path / "skin.ppm", SKIN_TONE)
+    tiny = _flat_image(tmp_path / "tiny.ppm", SKIN_TONE, w=1, h=1)
+    bad_image = tmp_path / "bad.ppm"
+    bad_image.write_bytes(b"P3\n1 1\n255\n")
+    missing_data = tmp_path / "missing.txt"
+    missing_model = tmp_path / "missing.model"
+    missing_image = tmp_path / "missing.ppm"
+    unwritable = tmp_path / "no such dir" / "out"
+    folder = tmp_path
+    enoent, eisdir = "[Errno 2] No such file or directory", "[Errno 21] Is a directory"
+    model, mask = str(tmp_path / "m"), str(tmp_path / "y.pgm")
+
+    def train(dataset, kind="bayes", out=model):
+        return ["train", "--dataset", str(dataset), "--model", str(out), "--kind", kind]
+
+    def evaluate(dataset, saved, *flags):
+        return ["eval", "--dataset", str(dataset), "--model", str(saved), *flags]
+
+    def segment(saved, source, *flags, out=mask):
+        return ["segment", "--model", str(saved), "--input", str(source), "--output", str(out),
+                *flags]
+
+    # every file the CLI reads or writes: exit 2 with one line naming the file
     cases = (
-        ["train", "--dataset", str(tmp_path / "missing.txt"), "--model",
-         str(tmp_path / "m"), "--kind", "bayes"],
-        ["train", "--dataset", str(malformed_rows), "--model", str(tmp_path / "m"),
-         "--kind", "bayes"],
-        ["train", "--dataset", str(single_class), "--model", str(tmp_path / "m"),
-         "--kind", "mlp", "--epochs", "1"],
-        ["eval", "--dataset", str(surrogate_file), "--model", str(tmp_path / "missing.model")],
-        ["eval", "--dataset", str(surrogate_file), "--model", str(garbage_model)],
-        ["segment", "--model", str(bayes_model), "--input", str(tmp_path / "missing.ppm"),
-         "--output", str(tmp_path / "y.pgm")],
-        ["bench", "--model", str(garbage_model), "--input", str(tmp_path / "missing.ppm")],
-        ["dataset-stats", "--dataset", str(tmp_path / "missing.txt")],
+        (train(missing_data), f"cannot read dataset {missing_data}: {enoent}"),
+        (train(folder), f"cannot read dataset {folder}: {eisdir}"),
+        (train(malformed_rows), f"dataset {malformed_rows}: line 2: "),
+        (train(blank), f"dataset {blank} is empty\n"),
+        (train(one_row), f"cannot split dataset {one_row}: "),
+        (train(single_class, "mlp") + ["--epochs", "1"],
+         f"cannot train on dataset {single_class}: "),
+        (train(surrogate_file, out=unwritable), f"cannot write model {unwritable}: {enoent}"),
+        (evaluate(surrogate_file, missing_model), f"cannot read model {missing_model}: {enoent}"),
+        (evaluate(surrogate_file, folder), f"cannot read model {folder}: {eisdir}"),
+        (evaluate(surrogate_file, garbage_model), f"bad model file {garbage_model}: "),
+        (evaluate(surrogate_file, non_ascii_model),
+         f"bad model file {non_ascii_model}: 'ascii' codec can't decode byte 0xe9"),
+        (evaluate(missing_data, bayes_model), f"cannot read dataset {missing_data}: {enoent}"),
+        (evaluate(blank, bayes_model), f"dataset {blank} is empty\n"),
+        (evaluate(one_row, bayes_model), f"cannot split dataset {one_row}: "),
+        (evaluate(surrogate_file, bayes_model, "--output", str(unwritable)),
+         f"cannot write report {unwritable}: {enoent}"),
+        (segment(bayes_model, missing_image), f"cannot read image {missing_image}: {enoent}"),
+        (segment(bayes_model, folder), f"cannot read image {folder}: {eisdir}"),
+        (segment(bayes_model, bad_image), f"bad image {bad_image}: expected magic P6, got b'P3'"),
+        (segment(garbage_model, image), f"bad model file {garbage_model}: "),
+        (segment(bayes_model, tiny, "--downscale"),
+         f"cannot segment image {tiny}: image too small to halve: 1x1\n"),
+        (segment(bayes_model, image, out=unwritable), f"cannot write mask {unwritable}: {enoent}"),
+        (segment(bayes_model, image, "--prob-out", str(unwritable)),
+         f"cannot write probability map {unwritable}: {enoent}"),
+        (["bench", "--model", str(garbage_model), "--input", str(missing_image)],
+         f"bad model file {garbage_model}: "),
+        (["bench", "--model", str(bayes_model), "--input", str(tiny)],
+         f"cannot segment image {tiny}: image too small to halve: 1x1\n"),
+        (["dataset-stats", "--dataset", str(missing_data)],
+         f"cannot read dataset {missing_data}: {enoent}"),
+        (["dataset-stats", "--dataset", str(blank)], f"dataset {blank} is empty\n"),
     )
-    for argv in cases:
+    for argv, message in cases:
         assert cli.main(argv) == 2, argv
-        captured = capsys.readouterr()
-        assert "error:" in captured.err
+        *warnings, line = capsys.readouterr().err.splitlines(keepends=True)
+        assert line.startswith(f"error: {message}") and line.endswith("\n"), (argv, line)
+        assert all(w.startswith("warning: ") for w in warnings), (argv, warnings)

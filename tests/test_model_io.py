@@ -137,6 +137,25 @@ def test_unknown_version_or_kind_rejected():
         model_from_text(good.replace("kind threshold", "kind svm"))
 
 
+@pytest.mark.parametrize("pattern, repl, message", [
+    pytest.param(r"^(seed .*)$", r"\1\n\1", "header body repeats its seed line",
+                 id="repeated-seed"),
+    pytest.param(r"^fingerprint .*\n", "", "malformed header line: 'lower ", id="no-fingerprint"),
+    pytest.param(r"^kind threshold$", "kind threshold box", "header kind needs 1 values, got 2",
+                 id="kind-second-field"),
+    pytest.param(r"^fingerprint .*$", "fingerprint a b",
+                 "header fingerprint needs 1 values, got 2", id="fingerprint-two-fields"),
+    pytest.param(r"^fingerprint (?s:.*)", "", "incomplete header body: no fingerprint line",
+                 id="cut-short"),
+])
+def test_malformed_header_rejected(pattern, repl, message):
+    good = model_to_text(ThresholdRange(), seed=3, fingerprint="abc")
+    text = re.sub(pattern, repl, good, count=1, flags=re.M)
+    assert text != good
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model_from_text(text)
+
+
 def test_malformed_threshold_body():
     good = model_to_text(ThresholdRange(), seed=0)
     with pytest.raises(ValueError):

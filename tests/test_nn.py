@@ -322,6 +322,8 @@ def test_train_config_defaults_and_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
         TrainConfig(batch_size=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        TrainConfig(seed=-1)
 
 
 def test_train_rejects_degenerate_sets():
