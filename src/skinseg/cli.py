@@ -12,6 +12,7 @@ a usage error with the library's message, raised before any file is read.
 import argparse
 import contextlib
 import dataclasses
+import os
 import statistics
 import sys
 
@@ -163,6 +164,20 @@ def _write(path, data: bytes, what: str) -> None:
         fh.write(data)
 
 
+def _check_writable(path, what: str) -> None:
+    """Fail now, as _write would later, if path cannot be opened for writing.
+
+    Neither truncates an existing file nor leaves a new one behind.
+    """
+    with _failing(f"cannot write {what} {path}", OSError):
+        try:
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            os.close(os.open(path, os.O_WRONLY))
+        else:
+            os.remove(path)
+
+
 def _refine_config(rule, radius, tau) -> NeighbourhoodConfig:
     if tau is not None and rule != "paper":
         raise UsageError("--tau only applies to --rule paper")
@@ -183,6 +198,7 @@ def cmd_train(args) -> int:
     train_cfg = _config(TrainConfig, epochs=args.epochs, batch_size=args.batch_size,
                         seed=split_cfg.seed)
 
+    _check_writable(args.model, "model")  # before a fit that may run for minutes
     samples = _load_samples(args.dataset)
     counts = label_counts(samples)
     with _failing(f"cannot split dataset {args.dataset}", ValueError):
@@ -233,21 +249,21 @@ def cmd_eval(args) -> int:
 
     if args.seed is None:
         split_cfg = dataclasses.replace(split_cfg, seed=saved.seed)
-    elif args.seed != saved.seed:
+    with _failing(f"cannot split dataset {args.dataset}", ValueError):
+        _, test_raw = split(samples, split_cfg)
+
+    # warn only once the split holds, so a failing run prints just its error
+    if args.seed is not None and args.seed != saved.seed:
         print(
             f"warning: --seed {args.seed} differs from the model's training seed "
             f"{saved.seed}; the split will not match training",
             file=sys.stderr,
         )
-    fingerprint = model_io.dataset_fingerprint(samples)
-    if saved.fingerprint not in ("none", fingerprint):
+    if saved.fingerprint not in ("none", model_io.dataset_fingerprint(samples)):
         print(
             "warning: dataset fingerprint does not match the model's training data",
             file=sys.stderr,
         )
-
-    with _failing(f"cannot split dataset {args.dataset}", ValueError):
-        _, test_raw = split(samples, split_cfg)
     truth = test_raw.skin
     scores = score_rgb(saved.model, test_raw.channels[:, ::-1])
     matrix = confusion_from_flags(scores >= 0.5, truth)

@@ -9,11 +9,12 @@ arithmetic so that half-way cases can never be lost to floating point
 noise. ``YcbcrPixel`` holds one quantized triple (a threshold box corner).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-HSV_BLOCK = 8192  # triples per block of rgb_to_hsv_array: 64 KiB int64 temporaries
+HSV_BLOCK = 8192  # triples per block of rgb_to_hsv_array: 32 KiB int32 temporaries
 
 
 def _check_channel(name, value):
@@ -51,7 +52,8 @@ def rgb_to_hsv_array(rgb: np.ndarray) -> np.ndarray:
     Each channel is scaled onto 0-255 and rounded half-up; when several
     channels share the maximum, the hue sector is chosen in the order r,
     g, b. Converts HSV_BLOCK triples at a time, so the integer
-    temporaries stay small however many triples there are.
+    temporaries stay small however many triples there are, and reads h
+    and s from the lookup tables of _hsv_tables.
 
     Args:
         rgb: integer array with trailing axis of size 3 (..., 3), values 0-255.
@@ -64,39 +66,67 @@ def rgb_to_hsv_array(rgb: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected trailing axis of size 3, got shape {rgb.shape}")
     triples = rgb.reshape(-1, 3)
     out = np.empty(triples.shape, dtype=np.uint8)
+    tables = _hsv_tables()
     for start in range(0, triples.shape[0], HSV_BLOCK):
-        _hsv_block(triples[start : start + HSV_BLOCK], out[start : start + HSV_BLOCK])
+        _hsv_block(triples[start : start + HSV_BLOCK], out[start : start + HSV_BLOCK], *tables)
     return out.reshape(rgb.shape)
 
 
-def _hsv_block(rgb: np.ndarray, out: np.ndarray) -> None:
+_HUE_ROWS = 256 * 511  # entries per hue sector of the H table: chroma 0-255, diff -255..255
+
+
+@functools.cache
+def _hsv_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The flat uint8 lookup tables (S, H) of rgb_to_hsv_array, built on first use.
+
+    S[max * 256 + chroma] is the saturation, round half up of
+    255 * chroma / max (0 when max = 0). The hue of a colour depends only
+    on its sector (0, 1, 2: r, g or b holds the maximum, in that
+    priority), its chroma and diff (g - b, b - r or r - g in that
+    sector): H[sector * _HUE_ROWS + chroma * 511 + diff + 255] is round
+    half up of 255 * (hue * chroma) / (360 * chroma), where hue * chroma =
+    60 * diff plus 0, 120 or 240 times chroma, and 360 * chroma more when
+    sector 0 has diff < 0 (0 when chroma = 0). Both are exact integer
+    formulas. The build works one sector at a time on int32 arrays of at
+    most 256 x 511 entries (under 1 MB each), so it adds little to peak
+    memory; the tables themselves take 64 KiB and 383 KiB.
+    """
+    level = np.arange(256, dtype=np.int32)[:, None]  # max for S, chroma for H
+    safe = np.maximum(level, 1)
+    s = (510 * level.T + safe) // (2 * safe)
+    s[0] = 0  # max = 0
+    h = np.empty(3 * _HUE_ROWS, dtype=np.uint8)
+    diff = np.arange(-255, 256, dtype=np.int32)
+    for sector in range(3):
+        hue_c = 60 * diff + 120 * sector * level
+        if sector == 0:
+            hue_c[:, :255] += 360 * level  # the columns where diff < 0
+        hue_c *= 510
+        hue_c += 360 * safe
+        hue_c //= 720 * safe
+        hue_c[0] = 0  # chroma = 0
+        h[sector * _HUE_ROWS : (sector + 1) * _HUE_ROWS] = hue_c.ravel()
+    tables = s.astype(np.uint8).ravel(), h
+    for table in tables:
+        table.flags.writeable = False  # shared by every call
+    return tables
+
+
+def _hsv_block(rgb: np.ndarray, out: np.ndarray, s_table: np.ndarray, h_table: np.ndarray) -> None:
     """rgb_to_hsv_array of an (n, 3) block, written into out."""
-    r = rgb[:, 0].astype(np.int64)
-    g = rgb[:, 1].astype(np.int64)
-    b = rgb[:, 2].astype(np.int64)
-
+    r = rgb[:, 0].astype(np.int32)
+    g = rgb[:, 1].astype(np.int32)
+    b = rgb[:, 2].astype(np.int32)
     max_c = np.maximum(np.maximum(r, g), b)
-    min_c = np.minimum(np.minimum(r, g), b)
-    chroma = max_c - min_c
-
-    # Hue in degrees times chroma, kept integral: H*C = 60*delta (+ sector
-    # offset); sector priority r, then g, then b.
-    mask_r = max_c == r
-    mask_g = (max_c == g) & ~mask_r
-    hue_c = np.where(
-        mask_r,
-        60 * (g - b) + np.where(g < b, 360 * chroma, 0),
-        np.where(mask_g, 60 * (b - r) + 120 * chroma, 60 * (r - g) + 240 * chroma),
-    )
-    safe_c = np.where(chroma == 0, 1, chroma)
-    # round half up of 255 * (H*C) / (360*C), and of 255 * chroma / max below
-    h = np.where(chroma == 0, 0, (510 * hue_c + 360 * safe_c) // (720 * safe_c))
-
-    safe_m = np.where(max_c == 0, 1, max_c)
-    s = np.where(max_c == 0, 0, (510 * chroma + safe_m) // (2 * safe_m))
-
-    out[:, 0] = h
-    out[:, 1] = s
+    chroma = max_c - np.minimum(np.minimum(r, g), b)
+    # sector priority r, then g, then b; each sector's rows follow the one before
+    on_r = max_c == r
+    on_g = max_c == g
+    index = np.where(on_g, b - r + _HUE_ROWS, r - g + 2 * _HUE_ROWS)
+    np.copyto(index, g - b, where=on_r)
+    index += 511 * chroma + 255
+    out[:, 0] = h_table.take(index)
+    out[:, 1] = s_table.take(256 * max_c + chroma)
     out[:, 2] = max_c
 
 

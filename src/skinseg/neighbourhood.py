@@ -15,12 +15,13 @@ and renormalized, then thresholded into a mask. Two rules are provided:
 
 The refinement is a single synchronous pass: all likeliness values are
 read from the original map, never from partially refined output. It
-walks the map in bands of rows. Window sums are separable, and each
-pass sums its 2r + 1 terms by binary decomposition, in
-floor(log2(2r+1)) + popcount(2r+1) - 1 additions per pixel: at most
-2 log2(2r+1), and never more than 2r. The mask equals refine_brute_oracle
-bit for bit, and the refined probabilities may differ from the
-oracle's order of addition by ulps.
+walks the map in bands of rows and takes window sums of p alone; each
+pixel's non-skin neighbour sum is its neighbour count less its skin one.
+Window sums are separable, and each pass sums its 2r + 1 terms by binary
+decomposition, in floor(log2(2r+1)) + popcount(2r+1) - 1 additions per
+pixel: at most 2 log2(2r+1), and never more than 2r. The mask equals
+refine_brute_oracle bit for bit, and the refined probabilities may
+differ from the oracle's order of addition by ulps (see _tie_slack).
 """
 
 import enum
@@ -32,6 +33,9 @@ from .classifiers import ClassProbabilities
 from .raster import SkinMask
 
 _BAND_PIXELS = 65536  # output pixels per band of refine: about 3 MB of scratch at 1080p, r=7
+# a gathered term costs about ten row-span terms (measured at r = 1, 3 and 7)
+_GATHER_COST = 10
+_GATHER_TERMS = 1 << 18  # terms gathered at once by _gathered_sums: 2 MB per array
 
 
 class Rule(enum.Enum):
@@ -64,13 +68,16 @@ class NeighbourhoodConfig:
 class ProbabilityMap:
     """Per-pixel P(skin) raster; P(non-skin) is derived as 1 - p_skin."""
 
-    def __init__(self, p_skin: np.ndarray):
+    def __init__(self, p_skin: np.ndarray, values: np.ndarray | None = None):
+        """values, if given, must hold every value of p_skin (the plane was
+        gathered from it): the [0, 1] check then reads values, not the plane."""
         p_skin = np.asarray(p_skin, dtype=np.float64)
         if p_skin.ndim != 2 or p_skin.size == 0:
             raise ValueError(f"probability plane must be non-empty and 2-d, got {p_skin.shape}")
-        if not 0.0 <= p_skin.min() <= p_skin.max() <= 1.0:  # also catches NaN
+        checked = p_skin if values is None else np.asarray(values, dtype=np.float64)
+        if not 0.0 <= checked.min() <= checked.max() <= 1.0:  # also catches NaN
             raise ValueError(
-                f"probabilities must lie in [0, 1], got {p_skin.min():g}..{p_skin.max():g}"
+                f"probabilities must lie in [0, 1], got {checked.min():g}..{checked.max():g}"
             )
         self.p_skin = p_skin
 
@@ -198,13 +205,18 @@ def _extents(n: int, radius: int) -> np.ndarray:
 def _oracle_order_sums(pmap: ProbabilityMap, ys: np.ndarray, xs: np.ndarray, radius: int):
     """Neighbour sums of the pixels (ys, xs), added in refine_brute_oracle's order.
 
-    Works on the rows that hold those pixels, over the columns they
-    span: one shifted add per class for each (dy, dx) of the oracle's
-    loop, so re-summing every pixel costs about what (2r+1)^2 - 1
-    full-frame shifted adds do. The non-skin terms are 1 - p_skin of the
-    rows read, and neighbours outside the map come from a zero border
-    (not 1 - 0); adding 0.0 leaves a non-negative sum unchanged, so each
-    sum is the oracle's bit for bit.
+    Both classes' terms come from a copy of the rows that hold those
+    pixels and their halo, over the columns their windows reach, with a
+    zero border for the neighbours outside the map: the non-skin terms
+    are 1 - p_skin of the rows read, and the border is 0.0, not 1 - 0.
+    Adding 0.0 leaves a non-negative sum unchanged, so each sum is the
+    oracle's bit for bit. Pixels that fill their rows' span densely are
+    summed with one shifted add per class for each (dy, dx) of the
+    oracle's loop, over whole rows: about what (2r+1)^2 - 1 full-frame
+    shifted adds cost when every pixel is re-summed. A sparse set, such
+    as a few pixels scattered along a band, instead gathers each pixel's
+    own terms and adds them in that same order, so it costs in
+    proportion to the pixels rather than to their rows' span.
 
     ys must be non-decreasing and non-empty, as np.nonzero gives them, so
     each row's pixels form one run.
@@ -215,8 +227,10 @@ def _oracle_order_sums(pmap: ProbabilityMap, ys: np.ndarray, xs: np.ndarray, rad
     new_row[0] = True
     np.not_equal(ys[1:], ys[:-1], out=new_row[1:])
     rows = ys[new_row]
-    row_of = np.cumsum(new_row) - 1
     x0, x1 = int(xs.min()), int(xs.max()) + 1
+    if ys.size * _GATHER_COST < rows.size * (x1 - x0 + 2 * rx):
+        return _gathered_sums(pmap.p_skin, ys, xs, ry, rx)
+    row_of = np.cumsum(new_row) - 1
     c0, c1 = max(x0 - rx, 0), min(x1 + rx, w)  # the columns the windows reach
     skin_acc, non_acc = np.zeros((rows.size, x1 - x0)), np.zeros((rows.size, x1 - x0))
     for dy in range(-ry, ry + 1):
@@ -232,6 +246,31 @@ def _oracle_order_sums(pmap: ProbabilityMap, ys: np.ndarray, xs: np.ndarray, rad
                 skin_acc += skin[:, rx + dx : rx + dx + x1 - x0]
                 non_acc += non[:, rx + dx : rx + dx + x1 - x0]
     return skin_acc[row_of, xs - x0], non_acc[row_of, xs - x0]
+
+
+def _gathered_sums(p_skin: np.ndarray, ys: np.ndarray, xs: np.ndarray, ry: int, rx: int):
+    """_oracle_order_sums for a sparse set: each pixel's terms gathered, then added in order."""
+    h, w = p_skin.shape
+    top, left = int(ys[0]) - ry, int(xs.min()) - rx  # the padded copy's pixel (0, 0)
+    bottom, right = int(ys[-1]) + ry + 1, int(xs.max()) + rx + 1
+    skin = np.zeros((bottom - top, right - left))
+    non = np.zeros_like(skin)
+    r0, r1, c0, c1 = max(top, 0), min(bottom, h), max(left, 0), min(right, w)
+    read = p_skin[r0:r1, c0:c1]
+    skin[r0 - top : r1 - top, c0 - left : c1 - left] = read
+    non[r0 - top : r1 - top, c0 - left : c1 - left] = 1.0 - read
+    dy, dx = np.divmod(np.arange((2 * ry + 1) * (2 * rx + 1)), 2 * rx + 1)
+    offsets = (dy - ry) * skin.shape[1] + (dx - rx)
+    offsets = offsets[offsets != 0]  # the oracle's (dy, dx) order, centre skipped
+    centres = (ys - top) * skin.shape[1] + (xs - left)
+    skin_sum, non_sum = np.empty(ys.size), np.empty(ys.size)
+    chunk = max(1, _GATHER_TERMS // offsets.size)
+    for start in range(0, ys.size, chunk):
+        index = offsets[:, None] + centres[None, start : start + chunk]
+        # accumulate adds along axis 0 one term after another, as the oracle does
+        skin_sum[start : start + chunk] = np.add.accumulate(skin.take(index), axis=0)[-1]
+        non_sum[start : start + chunk] = np.add.accumulate(non.take(index), axis=0)[-1]
+    return skin_sum, non_sum
 
 
 def _products(own_skin, own_non, skin_sum, non_sum, count, cfg: NeighbourhoodConfig):
@@ -260,30 +299,56 @@ def _tie_slack(height: int, width: int, radius: int) -> float:
     lies within gamma_m * (exact sum) of the exact value, m the most
     additions any one term passes through, gamma_m = m*u / (1 - m*u) and
     u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed., section 4.2). With ry, rx the radius clipped to the map:
+    2nd ed., section 4.2). With ry, rx the radius clipped to the map and
+    a = 2ry + 2rx:
 
     * the oracle adds up to (2ry+1)(2rx+1) - 1 terms to 0.0;
     * _run_sums takes a term through at most 2r additions for a run of
       2r+1, so the column pass takes at most 2ry, the row pass 2rx, and
-      with the centre subtracted once the window-sum neighbour sum lies
-      within gamma_(2ry+2rx+1) * box of the exact sum, box the exact
-      window sum including the centre.
+      with the centre subtracted once the skin neighbour sum lies within
+      gamma_(a+1) * box of the exact sum, box the exact skin window sum
+      including the centre.
 
-    The two sums therefore differ by at most gamma_k * box, with
-    k = (2ry+1)(2rx+1) + 2ry + 2rx (gamma_a + gamma_b <= gamma_(a+b)).
+    The two skin sums therefore differ by at most gamma_k * box, with
+    k = (2ry+1)(2rx+1) + a (gamma_a + gamma_b <= gamma_(a+b)).
     A product own * (sum / count) takes two more roundings on each side,
-    and own * box / count = product + own^2 / count, so the skin and
-    non-skin products each move by at most
+    and own * box / count = product + own^2 / count, so the skin
+    product moves by at most
     (gamma_k + gamma_2 + gamma_2) * (product + own^2 / count) to first
-    order. Summed over both classes, with own_skin^2 + own_non^2 <= 1 up
+    order.
+
+    refine takes the non-skin neighbour sum as count - skin sum, clamped
+    at 0: every neighbour's two terms add up to exactly 1, and the
+    oracle's terms 1 - p are each within u * (1 - p) of it (exact for
+    p >= 1/2, by Sterbenz's lemma). That one subtraction rounds once more,
+    so the non-skin sum lies within gamma_(a+2) * box + 2u * non of the
+    oracle's exact terms, non the exact non-skin sum: a relative part
+    inside the allowance above (2u <= gamma_(a+1), over the non-skin box),
+    plus an absolute part that follows the skin box. The non-skin product
+    own_non * sum / count therefore obeys the skin product's bound plus
+    X = gamma_(a+2) * own_non * box / count
+      = gamma_(a+2) * own_non * (skin likeliness + own_skin / count).
+    Summed over both classes, with own_skin^2 + own_non^2 <= 1 up
     to the rounding of own_non = 1 - own_skin, a pixel's products can stray
-    by at most f * (skin_product + non_product + 1 / count), f twice that
-    first-order factor (the doubling covers the second-order terms, that
-    rounding and the test's own roundings). The products sum to at most 1
-    up to a few u (a convex combination of the likeliness pair, or own_skin
-    for a PAPER lock), and count >= corner = (ry+1)(rx+1) - 1, the fewest
-    neighbours of any pixel on a map larger than 1x1; so the one
-    frame-wide f * (2 + 1 / corner) returned covers every pixel's bound.
+    by at most f * (skin_product + non_product + 1 / count) + X, f twice
+    the first-order factor (the doubling covers the second-order terms,
+    that rounding and the test's own roundings). The products sum to at
+    most 1 up to a few u (a convex combination of the likeliness pair, or
+    own_skin for a PAPER lock, whose non-skin product is exactly 0 and so
+    has no X). As k >= a + 3 on any map larger than 1x1, gamma_(a+2) <= f / 2,
+    and own_non * (skin likeliness + own_skin / count) <= 1 + 1 / (4 count),
+    so X <= f * (1/2 + 1 / (8 count)). With count >= corner = (ry+1)(rx+1) - 1,
+    the fewest neighbours of any pixel on a map larger than 1x1, a pixel's
+    bound is at most f * (3/2 + 9 / (8 count)) <= f * (2 + 1 / corner): the
+    one frame-wide value returned covers every pixel's bound.
+
+    X also bounds how far the subtraction can move a refined probability
+    p = skin_product / total, total = skin_product + non_product: to first
+    order by skin_product * X / total^2. refine's accuracy guard re-sums in
+    the oracle's order every pixel where
+    skin_product * own_non * box / count > total^2, so on every other pixel
+    the subtraction adds at most gamma_(a+2) (3.3e-15 at r = 7) to the
+    two-plane bound on p, and the re-summed pixels carry the oracle's sums.
     """
     u = 2.0 ** -53
     ry, rx = min(radius, height - 1), min(radius, width - 1)
@@ -310,69 +375,98 @@ def refine(
 
     The map is refined in bands of rows (the band height comes from a
     fixed pixel budget, so the scratch buffers stay near cache size), and
-    only the output plane and the mask are allocated at full size, as the
-    1 - p_skin terms are taken once per band, for its rows and their halo.
-    Window sums are separable, and each pass sums its 2r+1 terms by binary
-    decomposition: at most 2 log2(2r+1) additions per pixel and pass, never
-    more than 2r, and a radius past the map's size clips to it. Every pixel's
-    arithmetic is the same whatever the band height. The order of
-    addition differs from refine_brute_oracle's, so every pixel whose
-    products lie closer than _tie_slack's one frame-wide bound is re-summed
-    in the oracle's order. A PAPER-locked pixel whose neighbours sum to
-    zero is such a tie (both products are 0); a locked pixel with a
-    non-zero sum gets the same pair in either order. The mask therefore
-    equals the oracle's bit for bit; the refined probabilities of the other
-    pixels may differ from oracle-order arithmetic in the last bits. The
-    re-sum costs (2r+1)^2 - 1 adds per pixel over the rows holding such
-    pixels, so a map where most pixels tie (a uniform 0.5 region) refines
-    several times slower than one with few ties.
+    only the output plane and the mask are allocated at full size. Window
+    sums are taken of p_skin alone: separable, each pass summing its 2r+1
+    terms by binary decomposition (at most 2 log2(2r+1) additions per
+    pixel and pass, never more than 2r), and a radius past the map's size
+    clips to it. Each pixel's non-skin neighbour sum is its neighbour count
+    less its skin neighbour sum, clamped at 0. Every pixel's arithmetic is
+    the same whatever the band height.
+
+    The order of addition differs from refine_brute_oracle's, so every
+    pixel whose products lie closer than _tie_slack's one frame-wide bound
+    is re-summed in the oracle's order. A PAPER-locked pixel whose
+    neighbours sum to zero is such a tie (both products are 0); a locked
+    pixel with a non-zero sum gets the same pair in either order. The mask
+    therefore equals the oracle's bit for bit. The subtraction gives the
+    non-skin sum an absolute error that follows the skin sum, so an
+    accuracy guard (derived in _tie_slack) also re-sums every pixel whose
+    refined p_skin it could move by more than gamma_(2ry+2rx+2), about
+    (2ry+2rx+2) * 2^-53; few pixels of a natural frame qualify. The other
+    refined probabilities may differ from oracle-order arithmetic in the
+    last bits, as far as those two bounds allow. The re-sum costs
+    (2r+1)^2 - 1 adds per pixel, over whole rows where the flagged pixels
+    are dense, so a map where most pixels tie (a uniform 0.5 region)
+    refines several times slower than one with few ties.
     """
     height, width = pmap.height, pmap.width
     if height == width == 1:  # the products' total is at least 1/2
         skin, non = pmap.p_skin * pmap.p_skin, pmap.p_non_skin * pmap.p_non_skin
         return ProbabilityMap(skin / (skin + non)), SkinMask(pixels=skin >= non)
     band = max(1, _BAND_PIXELS // width)
-    scratch = _window_scratch(min(band, height), height, width, cfg.radius)
+    rows = min(band, height)
+    scratch = _window_scratch(rows, height, width, cfg.radius)
     ext_y, ext_x = _extents(height, cfg.radius), _extents(width, cfg.radius)
     tie_slack = _tie_slack(height, width, cfg.radius)
     ry = min(cfg.radius, height - 1)
+    interior_count = (2 * ry + 1) * ext_x - 1.0  # the neighbours in any row ry or more from the edges
     skin_product = np.empty((height, width))
-    non_band = np.empty((min(band, height), width))
-    non_rows = np.empty((min(band + 2 * ry, height), width))  # a band's 1 - p_skin, halo included
     mask = np.empty((height, width), dtype=bool)
+    # the last two are the window sums' scratch, free once a band's sums are taken
+    buffers = [np.empty(rows * width) for _ in range(3)] + list(scratch[:2])
     for y0 in range(0, height, band):
         y1 = min(y0 + band, height)
-        lo, hi = max(y0 - ry, 0), min(y1 + ry, height)
-        plane_non = np.subtract(1.0, pmap.p_skin[lo:hi], out=non_rows[: hi - lo])
-        own_skin, own_non = pmap.p_skin[y0:y1], plane_non[y0 - lo : y1 - lo]
-        skin, non = skin_product[y0:y1], non_band[: y1 - y0]
+        own_non, non, total, guard, scaled = (
+            buf[: (y1 - y0) * width].reshape(y1 - y0, width) for buf in buffers)
+        if ry <= y0 and y1 + ry <= height:
+            count = interior_count
+        else:
+            count = np.multiply.outer(ext_y[y0:y1], ext_x)
+            count -= 1.0
+        own_skin, skin = pmap.p_skin[y0:y1], skin_product[y0:y1]
+        np.subtract(1.0, own_skin, out=own_non)
         _window_sums(pmap.p_skin, y0, y1, cfg.radius, skin, scratch)
+        np.multiply(own_non, skin, out=guard)  # own_non * skin box sum
         skin -= own_skin
-        # the halo leaves a window's rows, and so ry, as they are in the full plane
-        _window_sums(plane_non, y0 - lo, y1 - lo, cfg.radius, non, scratch)
-        non -= own_non
-        count = np.multiply.outer(ext_y[y0:y1], ext_x)
-        count -= 1.0
+        # every neighbour's two terms add up to 1, so the non-skin sum is the
+        # count less the skin sum; cancellation can leave it a few ulps below 0
+        np.subtract(count, skin, out=non)
+        if non.min() < 0.0:
+            np.maximum(non, 0.0, out=non)
         _products(own_skin, own_non, skin, non, count, cfg)
 
         # products closer than _tie_slack allows could order either way in
-        # the oracle's arithmetic: re-sum them in the oracle's order
-        gap = np.subtract(skin, non)
+        # the oracle's arithmetic, and the accuracy guard (see _tie_slack)
+        # catches pixels whose refined p could stray: re-sum both in the
+        # oracle's order. The guard's test needs guard > total * count,
+        # as the skin product is at most the total; few pixels pass that.
+        gap = np.subtract(skin, non, out=total)
         np.abs(gap, out=gap)
-        ys, xs = np.nonzero(gap <= tie_slack)
-        if ys.size:
+        flagged = gap <= tie_slack
+        np.add(skin, non, out=total)
+        np.multiply(total, count, out=scaled)
+        near = guard > scaled
+        if near.any():  # flat indices: np.nonzero of a 2-d array is far slower
+            i = np.flatnonzero(near)
+            flagged.reshape(-1)[i] |= (skin.reshape(-1)[i] * guard.reshape(-1)[i]
+                                       > total.reshape(-1)[i] * scaled.reshape(-1)[i])
+        if flagged.any():
+            i = np.flatnonzero(flagged)
+            ys, xs = np.divmod(i, width)
             exact_skin, exact_non = _oracle_order_sums(pmap, ys + y0, xs, cfg.radius)
-            skin[ys, xs], non[ys, xs] = _products(
-                own_skin[ys, xs], own_non[ys, xs], exact_skin, exact_non,
+            skin_at, non_at = _products(
+                own_skin.reshape(-1)[i], own_non.reshape(-1)[i], exact_skin, exact_non,
                 ext_y[ys + y0] * ext_x[xs] - 1.0, cfg,
             )
+            skin.reshape(-1)[i], non.reshape(-1)[i] = skin_at, non_at
+            total.reshape(-1)[i] = skin_at + non_at
 
         np.greater_equal(skin, non, out=mask[y0:y1])
-        total = np.add(skin, non, out=gap)
-        degenerate = total == 0.0
-        total[degenerate] = 1.0
+        if total.min() == 0.0:  # pixels where both products vanish keep their own p_skin
+            degenerate = total == 0.0
+            np.copyto(skin, own_skin, where=degenerate)
+            total[degenerate] = 1.0
         skin /= total
-        np.copyto(skin, own_skin, where=degenerate)
     return ProbabilityMap(skin_product), SkinMask(pixels=mask)
 
 

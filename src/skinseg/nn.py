@@ -292,5 +292,14 @@ def train(
 
 
 def mlp_predict_batch(model: MlpModel, hsv: np.ndarray) -> np.ndarray:
-    """Vectorized prediction: (N, 3) uint8 HSV rows -> (N,) p_skin."""
-    return forward_batch(model, normalize_hsv_array(hsv))[:, 0]
+    """Vectorized prediction: (N, 3) uint8 HSV rows -> (N,) p_skin.
+
+    Normalizes and scores FORWARD_BLOCK_ROWS rows at a time, the blocks
+    forward_batch walks anyway, so no float copy of the whole batch and
+    no non-skin column are held; a row scores the same in any batch.
+    """
+    p_skin = np.empty(hsv.shape[0])
+    for start in range(0, hsv.shape[0], FORWARD_BLOCK_ROWS):
+        block = normalize_hsv_array(hsv[start : start + FORWARD_BLOCK_ROWS])
+        p_skin[start : start + block.shape[0]] = forward_batch(model, block)[:, 0]
+    return p_skin

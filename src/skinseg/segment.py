@@ -119,12 +119,13 @@ def stage1_probabilities(image: Image, model) -> ProbabilityMap:
 
     Each distinct colour is scored once; the scores are the ones the
     model gives that colour, gathered back to every pixel holding it.
-    The colours are scored in ascending code order, one batch.
+    The colours are scored in ascending code order, one batch, and the
+    [0, 1] check reads those scores, which are every value the map holds.
     """
     codes, inverse = _distinct_colours(image.pixels)
     colours = np.stack([codes >> 16, (codes >> 8) & 0xFF, codes & 0xFF], axis=1).astype(np.uint8)
     p_colour = score_rgb(model, colours)
-    return ProbabilityMap(p_colour[inverse].reshape(image.height, image.width))
+    return ProbabilityMap(p_colour[inverse].reshape(image.height, image.width), values=p_colour)
 
 
 def _decide(pmap: ProbabilityMap) -> SkinMask:

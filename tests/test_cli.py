@@ -593,6 +593,38 @@ def test_single_class_training_set_exits_2_naming_file(kind, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot train on dataset {single}: ")
 
 
+@pytest.mark.parametrize("kind", ["threshold", "bayes", "tree", "mlp"])
+def test_train_rejects_an_unwritable_model_before_reading_or_fitting(kind, surrogate_file,
+                                                                     tmp_path, capsys,
+                                                                     monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("train read or fitted before rejecting --model")
+
+    for name in ("load_uci", "ThresholdRange", "bayes_fit", "tree_fit", "train_mlp"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    cases = ((tmp_path / "no such dir" / "m.model", "[Errno 2] No such file or directory"),
+             (tmp_path, "[Errno 21] Is a directory"))
+    for path, reason in cases:
+        rc = cli.main(["train", "--dataset", str(surrogate_file), "--model", str(path),
+                       "--kind", kind])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: cannot write model {path}: {reason}: '{path}'\n"
+    assert not cases[0][0].parent.exists()
+
+
+def test_train_leaves_no_model_file_when_it_fails(tmp_path, capsys):
+    single = tmp_path / "single.txt"
+    single.write_text("1 2 3 1\n4 5 6 1\n7 8 9 1\n", encoding="ascii")
+    fresh, kept = tmp_path / "fresh.model", tmp_path / "kept.model"
+    kept.write_bytes(b"earlier bytes\n")
+    for path in (fresh, kept):
+        rc = cli.main(["train", "--dataset", str(single), "--model", str(path), "--kind", "bayes"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot train on dataset {single}: ")
+    assert not fresh.exists()  # the early check removes the file it made
+    assert kept.read_bytes() == b"earlier bytes\n"  # and truncates nothing
+
+
 # SHA-256 of the model file and the eval report for each kind trained with
 # default flags (mlp: 3 epochs) on surrogate_rows(6000, 24000, seed=5)
 PINNED_DIGESTS = {
@@ -838,4 +870,4 @@ def test_data_errors_exit_2(workdir, surrogate_file, bayes_model, tmp_path, caps
         assert cli.main(argv) == 2, argv
         *warnings, line = capsys.readouterr().err.splitlines(keepends=True)
         assert line.startswith(f"error: {message}") and line.endswith("\n"), (argv, line)
-        assert all(w.startswith("warning: ") for w in warnings), (argv, warnings)
+        assert not warnings, (argv, warnings)  # one error line, and no warning before it

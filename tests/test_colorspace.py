@@ -226,3 +226,36 @@ def test_normalize_hsv():
     arr = normalize_hsv_array(hsv)
     assert arr.tolist() == [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.2, 0.4, 0.8]]
     assert arr.dtype == np.float64
+
+
+def _hsv_formula(rgb: np.ndarray) -> np.ndarray:
+    """The integer formulas behind rgb_to_hsv_array, computed directly on (n, 3) triples.
+
+    Hue times chroma stays integral, H*C = 60 * delta plus the sector's
+    offset (sector priority r, g, b), and each of h and s is rounded half
+    up by one floor division, as the conversion did before it read tables.
+    """
+    r, g, b = (rgb[:, i].astype(np.int64) for i in range(3))
+    max_c = np.maximum(np.maximum(r, g), b)
+    chroma = max_c - np.minimum(np.minimum(r, g), b)
+    on_r = max_c == r
+    on_g = (max_c == g) & ~on_r
+    hue_c = np.where(
+        on_r,
+        60 * (g - b) + np.where(g < b, 360 * chroma, 0),
+        np.where(on_g, 60 * (b - r) + 120 * chroma, 60 * (r - g) + 240 * chroma),
+    )
+    safe_c = np.where(chroma == 0, 1, chroma)
+    h = np.where(chroma == 0, 0, (510 * hue_c + 360 * safe_c) // (720 * safe_c))
+    safe_m = np.where(max_c == 0, 1, max_c)
+    s = np.where(max_c == 0, 0, (510 * chroma + safe_m) // (2 * safe_m))
+    return np.stack([h, s, max_c], axis=1).astype(np.uint8)
+
+
+def test_hsv_tables_match_the_integer_formula_on_every_colour():
+    """All 2^24 colours, 2^18 at a time: the lookup tables give the formulas' h and s."""
+    chunk = 1 << 18
+    for start in range(0, 1 << 24, chunk):
+        codes = np.arange(start, start + chunk, dtype=np.int64)
+        rgb = np.stack([codes >> 16, (codes >> 8) & 0xFF, codes & 0xFF], axis=1).astype(np.uint8)
+        assert np.array_equal(rgb_to_hsv_array(rgb), _hsv_formula(rgb)), start

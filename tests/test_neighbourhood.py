@@ -460,3 +460,216 @@ def test_refine_bytes_do_not_depend_on_the_band_height(rows, monkeypatch):
         assert refined.p_non_skin.tobytes() == default.p_non_skin.tobytes(), context
         assert mask.pixels.tobytes() == default_mask.pixels.tobytes(), context
         assert np.array_equal(mask.pixels, refine_brute_oracle(pm, cfg).pixels), context
+
+
+def _single_plane_products(pm: ProbabilityMap, cfg: NeighbourhoodConfig):
+    """refine's products before any re-sum, for the whole map as one band.
+
+    The skin box sums come from p_skin alone, and each non-skin neighbour
+    sum is the neighbour count less the skin one, clamped at 0, as refine
+    takes them. Returns (skin_product, non_product, box, count).
+    """
+    h, w = pm.p_skin.shape
+    box = np.empty((h, w))
+    neighbourhood._window_sums(pm.p_skin, 0, h, cfg.radius, box,
+                               neighbourhood._window_scratch(h, h, w, cfg.radius))
+    count = np.multiply.outer(neighbourhood._extents(h, cfg.radius),
+                              neighbourhood._extents(w, cfg.radius)) - 1.0
+    skin = box - pm.p_skin
+    non = np.maximum(count - skin, 0.0)
+    neighbourhood._products(pm.p_skin, pm.p_non_skin, skin, non, count, cfg)
+    return skin, non, box, count
+
+
+def _saturated_map(rng, h: int, w: int, scale: float) -> np.ndarray:
+    """Neighbours at 1 - 1e-15 around isolated pixels between 0 and scale.
+
+    An isolated pixel's non-skin neighbour sum is tiny next to its skin
+    box sum, so count - skin sum leaves it with a large relative error.
+    """
+    p = np.full((h, w), 1.0 - 1e-15)
+    isolated = rng.random((h, w)) < 0.05
+    p[isolated] = rng.random(int(isolated.sum())) * scale
+    return p
+
+
+def _gamma(m: int) -> float:
+    u = 2.0**-53
+    return m * u / (1.0 - m * u)
+
+
+def _spy_resummed(monkeypatch):
+    """Patch _oracle_order_sums to record each call's (ys, xs); returns the list."""
+    resummed = []
+    real = neighbourhood._oracle_order_sums
+
+    def spy(pmap, ys, xs, radius):
+        resummed.append((ys, xs))
+        return real(pmap, ys, xs, radius)
+
+    monkeypatch.setattr(neighbourhood, "_oracle_order_sums", spy)
+    return resummed
+
+
+def _flagged(resummed, shape) -> np.ndarray:
+    flagged = np.zeros(shape, dtype=bool)
+    for ys, xs in resummed:
+        flagged[ys, xs] = True
+    return flagged
+
+
+def _families(rng):
+    """Maps to check the slack on: saturated ones, plus tie-heavy and random ones."""
+    for scale in (1e-15, 1e-14, 1e-13):
+        yield _saturated_map(rng, 24, 24, scale)
+        yield _saturated_map(rng, 17, 31, scale)
+    yield rng.choice([0.0, 0.1, 0.5, 0.9, 1.0], size=(15, 13))
+    yield _mirrored_tie_map(rng, 13, 15)
+    yield rng.random((19, 11))
+
+
+def test_refine_keeps_its_accuracy_on_saturated_maps(monkeypatch):
+    """Saturated maps: the mask is the oracle's, and p_skin keeps the two-plane bound.
+
+    Without the accuracy guard the subtraction moves refined p_skin by
+    about 1e-2 here. With it, each pixel stays within the two-plane bound
+    D = f * (non * (skin + own_skin^2 / count) + skin * (non + own_non^2
+    / count)) / total^2 (products and total from the oracle's order, f
+    from _tie_slack) plus gamma_(2ry+2rx+2) of the oracle-order value,
+    and within 2 D + gamma_(2ry+2rx+2) of the two-plane result.
+    """
+    resummed = _spy_resummed(monkeypatch)
+    rng = np.random.default_rng(24)
+    worst_unguarded = 0.0
+    for scale in (1e-15, 1e-14, 1e-13):
+        for h, w in ((24, 24), (17, 31)):
+            pm = ProbabilityMap(_saturated_map(rng, h, w, scale))
+            for rule in (Rule.SYMMETRIC, Rule.PAPER):
+                for radius in (1, 3, 7):
+                    cfg = NeighbourhoodConfig(rule=rule, radius=radius)
+                    refined, mask = refine(pm, cfg)
+                    context = (scale, h, w, rule, radius)
+                    assert np.array_equal(mask.pixels, refine_brute_oracle(pm, cfg).pixels), context
+
+                    ry, rx = min(radius, h - 1), min(radius, w - 1)
+                    k = (2 * ry + 1) * (2 * rx + 1) + 2 * ry + 2 * rx
+                    f = 2.0 * (_gamma(k) + 2.0 * _gamma(2))
+                    oracle, _, degenerate = _reference_refine(pm, cfg)
+                    skin, non, count = _window_neighbour_sums(pm, radius)
+                    own, own_non = pm.p_skin, pm.p_non_skin
+                    neighbourhood._products(own, own_non, skin, non, count, cfg)
+                    total = skin + non
+                    two_plane = np.where(degenerate, own, skin / np.where(degenerate, 1.0, total))
+                    bound = f * (non * (skin + own**2 / count) + skin * (non + own_non**2 / count))
+                    bound = bound / np.where(degenerate, 1.0, total) ** 2
+                    extra = _gamma(2 * ry + 2 * rx + 2) * (1.0 + 1e-6)
+                    assert np.all(np.abs(refined.p_skin - oracle) <= bound + extra), context
+                    assert np.all(np.abs(refined.p_skin - two_plane) <= 2 * bound + extra), context
+
+                    skin, non, _, _ = _single_plane_products(pm, cfg)
+                    total = skin + non
+                    unguarded = np.where(total == 0.0, own, skin / np.where(total == 0.0, 1.0, total))
+                    worst_unguarded = max(worst_unguarded, np.abs(unguarded - oracle).max())
+    assert worst_unguarded > 1e-3  # the guard is what holds the bound above
+    assert sum(ys.size for ys, _ in resummed) > 0
+
+
+def test_tie_slack_covers_the_subtraction_and_the_guard_flags_its_pixels(monkeypatch):
+    """_tie_slack bounds each pixel's product error, the subtraction's term X included.
+
+    Per pixel the bound is f * (skin + non + 1 / count) + X, with
+    X = gamma_(2ry+2rx+2) * own_non * box / count on pixels the PAPER
+    rule does not lock (a lock's non-skin product is exactly 0). It must
+    lie within the one frame-wide slack, and bound how far refine's
+    single-plane products stray from the oracle's. Every unlocked pixel
+    with skin * own_non * box / count > total^2, where the subtraction
+    could move refined p_skin by more than gamma_(2ry+2rx+2), must be
+    re-summed in the oracle's order.
+    """
+    resummed = _spy_resummed(monkeypatch)
+    rng = np.random.default_rng(42)
+    guarded = 0
+    for p in _families(rng):
+        pm = ProbabilityMap(p)
+        h, w = p.shape
+        for rule in (Rule.SYMMETRIC, Rule.PAPER):
+            for radius in (1, 3, 7):
+                cfg = NeighbourhoodConfig(rule=rule, radius=radius)
+                context = (h, w, rule, radius)
+                calls = len(resummed)
+                refine(pm, cfg)
+                flagged = _flagged(resummed[calls:], (h, w))
+
+                ry, rx = min(radius, h - 1), min(radius, w - 1)
+                k = (2 * ry + 1) * (2 * rx + 1) + 2 * ry + 2 * rx
+                f = 2.0 * (_gamma(k) + 2.0 * _gamma(2))
+                skin, non, box, count = _single_plane_products(pm, cfg)
+                locked = (rule is Rule.PAPER) & (pm.p_skin >= cfg.decision_threshold)
+                x = np.where(locked, 0.0, _gamma(2 * ry + 2 * rx + 2) * pm.p_non_skin * box / count)
+                bound = f * (skin + non + 1.0 / count) + x
+                assert bound.max() <= neighbourhood._tie_slack(h, w, radius), context
+
+                oracle_skin, oracle_non, _ = _window_neighbour_sums(pm, radius)
+                for y in range(h):
+                    for x_ in range(w):
+                        oracle_skin[y, x_], oracle_non[y, x_], _ = neighbour_sums(pm, x_, y, radius)
+                neighbourhood._products(pm.p_skin, pm.p_non_skin, oracle_skin, oracle_non, count, cfg)
+                assert np.all(np.abs((skin - non) - (oracle_skin - oracle_non)) <= bound), context
+
+                total = skin + non
+                must = ~locked & (skin * pm.p_non_skin * box / count > total**2 * (1.0 + 1e-9))
+                assert not np.any(must & ~flagged), context
+                guarded += int(must.sum())
+    assert guarded > 0
+
+
+def test_oracle_order_sums_match_the_oracle_whether_gathered_or_by_rows(monkeypatch):
+    """Both re-sum paths give neighbour_sums' bits on sparse and dense pixel sets.
+
+    Maps of random values and of 1 - 1e-15 with near-0 pixels, radii past
+    the map's sides included; each set is summed with the path refine
+    would choose, then with the gathered and the row-span path forced.
+    """
+    rng = np.random.default_rng(7)
+    default_cost = neighbourhood._GATHER_COST
+    for (h, w), radii in (((1, 9), (1, 12)), ((9, 1), (2, 12)), ((7, 7), (1, 3, 9)),
+                          ((12, 23), (1, 3, 7))):
+        for p in (rng.random((h, w)), _saturated_map(rng, h, w, 1e-14)):
+            pm = ProbabilityMap(p)
+            for radius in radii:
+                expect = np.array([[neighbour_sums(pm, x, y, radius)[:2] for x in range(w)]
+                                   for y in range(h)])
+                for density in (0.05, 0.3, 1.0):
+                    pick = rng.random((h, w)) < density
+                    pick.flat[rng.integers(h * w)] = True
+                    ys, xs = np.nonzero(pick)
+                    for cost in (default_cost, 0, h * w * 10**6):  # as set, gathered, by rows
+                        monkeypatch.setattr(neighbourhood, "_GATHER_COST", cost)
+                        skin, non = neighbourhood._oracle_order_sums(pm, ys, xs, radius)
+                        context = (h, w, radius, density, cost)
+                        assert skin.tobytes() == expect[ys, xs, 0].tobytes(), context
+                        assert non.tobytes() == expect[ys, xs, 1].tobytes(), context
+
+
+def test_refine_clamps_a_non_skin_sum_that_cancels_below_zero():
+    """A pixel among neighbours at exactly 1 has no non-skin mass: p_skin refines to 1.
+
+    Its skin sum, box - own_skin, can round above the neighbour count, so
+    count - skin sum dips a few ulps below 0; unclamped, that would give a
+    negative non-skin product and a refined p_skin above 1. Rounded the
+    other way it leaves a few ulps of non-skin mass, which the accuracy
+    bound allows: gamma_(2ry+2rx+2) below 1.
+    """
+    below_zero = 0
+    for radius in (1, 2, 3, 7):
+        side = 2 * radius + 1
+        for own in np.linspace(0.01, 0.99, 99):
+            p = np.ones((side, side))
+            p[radius, radius] = own
+            skin, _, count = _window_neighbour_sums(ProbabilityMap(p), radius)
+            below_zero += count[radius, radius] - skin[radius, radius] < 0.0
+            for rule in (Rule.SYMMETRIC, Rule.PAPER):
+                refined, mask = refine(ProbabilityMap(p), NeighbourhoodConfig(rule=rule, radius=radius))
+                assert 1.0 - _gamma(4 * radius + 2) <= refined.p_skin[radius, radius] <= 1.0
+                assert mask.pixels[radius, radius], (radius, own, rule)
+    assert below_zero > 0

@@ -178,3 +178,29 @@ def test_distinct_colours_match_unique_and_stage1_matches_per_pixel(models, case
         assert np.array_equal(codes, expected_colours), kind
         expected = PER_PIXEL[kind](model, flat).reshape(pixels.shape[:2])
         assert pmap.p_skin.tobytes() == expected.tobytes(), kind
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1e-300, 1.0 + 2.0**-52])
+def test_stage1_range_check_reads_the_scored_colours(models, bad, monkeypatch):
+    """A score outside [0, 1], or NaN, still stops stage 1 though only the colours are checked."""
+    pixels = np.random.default_rng(8).integers(0, 256, size=(9, 7, 3), dtype=np.uint8)
+
+    def one_bad_score(model, hsv):
+        scores = mlp_predict_batch(model, hsv)
+        scores[len(scores) // 2] = bad
+        return scores
+
+    monkeypatch.setattr(segment, "mlp_predict_batch", one_bad_score)
+    with pytest.raises(ValueError, match=r"probabilities must lie in \[0, 1\]"):
+        segment.stage1_probabilities(Image(pixels=pixels), models["mlp"])
+
+
+def test_probability_map_checks_the_values_it_was_gathered_from():
+    values = np.array([0.25, 0.5, 1.0])
+    index = np.array([[0, 2], [1, 1]])
+    assert ProbabilityMap(values[index], values=values).p_skin.tolist() == [[0.25, 1.0],
+                                                                           [0.5, 0.5]]
+    for bad in (np.nan, -0.5, 1.5):
+        values[1] = bad
+        with pytest.raises(ValueError, match=r"probabilities must lie in \[0, 1\]"):
+            ProbabilityMap(values[index], values=values)
