@@ -33,9 +33,10 @@ from .classifiers import ClassProbabilities
 from .raster import SkinMask
 
 _BAND_PIXELS = 65536  # output pixels per band of refine: about 3 MB of scratch at 1080p, r=7
-# a gathered term costs about ten row-span terms (measured at r = 1, 3 and 7)
-_GATHER_COST = 10
-_GATHER_TERMS = 1 << 18  # terms gathered at once by _gathered_sums: 2 MB per array
+# a gathered term costs about 25 terms of the dense re-sum's shifted adds
+# (measured at r = 1, 3 and 7; 15 to 30 at the crossover)
+_GATHER_COST = 25
+_GATHER_TERMS = 1 << 18  # terms _oracle_order_sums gathers at once: 2 MB per array
 
 
 class Rule(enum.Enum):
@@ -68,16 +69,16 @@ class NeighbourhoodConfig:
 class ProbabilityMap:
     """Per-pixel P(skin) raster; P(non-skin) is derived as 1 - p_skin."""
 
-    def __init__(self, p_skin: np.ndarray, values: np.ndarray | None = None):
-        """values, if given, must hold every value of p_skin (the plane was
-        gathered from it): the [0, 1] check then reads values, not the plane."""
-        p_skin = np.asarray(p_skin, dtype=np.float64)
+    def __init__(self, values: np.ndarray, index: np.ndarray | None = None):
+        """The plane is values, or values[index] if index is given: the [0, 1]
+        check reads values, which hold every value the gathered plane does."""
+        values = np.asarray(values, dtype=np.float64)
+        p_skin = values if index is None else values[index]
         if p_skin.ndim != 2 or p_skin.size == 0:
             raise ValueError(f"probability plane must be non-empty and 2-d, got {p_skin.shape}")
-        checked = p_skin if values is None else np.asarray(values, dtype=np.float64)
-        if not 0.0 <= checked.min() <= checked.max() <= 1.0:  # also catches NaN
+        if not 0.0 <= values.min() <= values.max() <= 1.0:  # also catches NaN
             raise ValueError(
-                f"probabilities must lie in [0, 1], got {checked.min():g}..{checked.max():g}"
+                f"probabilities must lie in [0, 1], got {values.min():g}..{values.max():g}"
             )
         self.p_skin = p_skin
 
@@ -205,72 +206,54 @@ def _extents(n: int, radius: int) -> np.ndarray:
 def _oracle_order_sums(pmap: ProbabilityMap, ys: np.ndarray, xs: np.ndarray, radius: int):
     """Neighbour sums of the pixels (ys, xs), added in refine_brute_oracle's order.
 
-    Both classes' terms come from a copy of the rows that hold those
-    pixels and their halo, over the columns their windows reach, with a
-    zero border for the neighbours outside the map: the non-skin terms
-    are 1 - p_skin of the rows read, and the border is 0.0, not 1 - 0.
-    Adding 0.0 leaves a non-negative sum unchanged, so each sum is the
-    oracle's bit for bit. Pixels that fill their rows' span densely are
-    summed with one shifted add per class for each (dy, dx) of the
-    oracle's loop, over whole rows: about what (2r+1)^2 - 1 full-frame
-    shifted adds cost when every pixel is re-summed. A sparse set, such
-    as a few pixels scattered along a band, instead gathers each pixel's
-    own terms and adds them in that same order, so it costs in
-    proportion to the pixels rather than to their rows' span.
-
-    ys must be non-decreasing and non-empty, as np.nonzero gives them, so
-    each row's pixels form one run.
+    Both classes' terms come from one flat copy of the box the pixels'
+    windows cover, with a zero border for the neighbours outside the map:
+    the non-skin terms are 1 - p_skin of the pixels read, and the border
+    is 0.0, not 1 - 0. Adding 0.0 leaves a non-negative sum unchanged, so
+    each sum is the oracle's bit for bit. Each (dy, dx) of the oracle's
+    loop, centre skipped, is one flat offset dy * width + dx into the copy.
+    A sparse set gathers each pixel's terms at its offsets and adds them
+    in that order, so it costs in proportion to the pixels. A dense set
+    adds, for each offset, one contiguous shifted slice of the copy to two
+    accumulators that span every position from the first pixel to the
+    last, then reads the pixels out of them: about what (2r+1)^2 - 1
+    full-frame shifted adds cost when every pixel is re-summed. Positions
+    between two rows wrap into the next row, but no pixel is read there.
+    The pixels may come in any order; ys must be non-empty.
     """
     h, w = pmap.p_skin.shape
     ry, rx = min(radius, h - 1), min(radius, w - 1)
-    new_row = np.empty(ys.size, dtype=bool)
-    new_row[0] = True
-    np.not_equal(ys[1:], ys[:-1], out=new_row[1:])
-    rows = ys[new_row]
-    x0, x1 = int(xs.min()), int(xs.max()) + 1
-    if ys.size * _GATHER_COST < rows.size * (x1 - x0 + 2 * rx):
-        return _gathered_sums(pmap.p_skin, ys, xs, ry, rx)
-    row_of = np.cumsum(new_row) - 1
-    c0, c1 = max(x0 - rx, 0), min(x1 + rx, w)  # the columns the windows reach
-    skin_acc, non_acc = np.zeros((rows.size, x1 - x0)), np.zeros((rows.size, x1 - x0))
-    for dy in range(-ry, ry + 1):
-        src = rows + dy
-        inside = (src >= 0) & (src < h)
-        skin = np.zeros((rows.size, x1 - x0 + 2 * rx))  # column j is x0 - rx + j
-        non = np.zeros_like(skin)
-        read = pmap.p_skin[src[inside], c0:c1]
-        skin[inside, c0 - x0 + rx : c1 - x0 + rx] = read
-        non[inside, c0 - x0 + rx : c1 - x0 + rx] = 1.0 - read
-        for dx in range(-rx, rx + 1):
-            if dx or dy:
-                skin_acc += skin[:, rx + dx : rx + dx + x1 - x0]
-                non_acc += non[:, rx + dx : rx + dx + x1 - x0]
-    return skin_acc[row_of, xs - x0], non_acc[row_of, xs - x0]
-
-
-def _gathered_sums(p_skin: np.ndarray, ys: np.ndarray, xs: np.ndarray, ry: int, rx: int):
-    """_oracle_order_sums for a sparse set: each pixel's terms gathered, then added in order."""
-    h, w = p_skin.shape
-    top, left = int(ys[0]) - ry, int(xs.min()) - rx  # the padded copy's pixel (0, 0)
-    bottom, right = int(ys[-1]) + ry + 1, int(xs.max()) + rx + 1
-    skin = np.zeros((bottom - top, right - left))
+    top, left = int(ys.min()) - ry, int(xs.min()) - rx  # the copy's pixel (0, 0)
+    bottom, right = int(ys.max()) + ry + 1, int(xs.max()) + rx + 1
+    width = right - left
+    skin = np.zeros((bottom - top, width))
     non = np.zeros_like(skin)
     r0, r1, c0, c1 = max(top, 0), min(bottom, h), max(left, 0), min(right, w)
-    read = p_skin[r0:r1, c0:c1]
+    read = pmap.p_skin[r0:r1, c0:c1]
     skin[r0 - top : r1 - top, c0 - left : c1 - left] = read
-    non[r0 - top : r1 - top, c0 - left : c1 - left] = 1.0 - read
+    np.subtract(1.0, read, out=non[r0 - top : r1 - top, c0 - left : c1 - left])
+    skin, non = skin.reshape(-1), non.reshape(-1)
     dy, dx = np.divmod(np.arange((2 * ry + 1) * (2 * rx + 1)), 2 * rx + 1)
-    offsets = (dy - ry) * skin.shape[1] + (dx - rx)
+    offsets = (dy - ry) * width + (dx - rx)
     offsets = offsets[offsets != 0]  # the oracle's (dy, dx) order, centre skipped
-    centres = (ys - top) * skin.shape[1] + (xs - left)
-    skin_sum, non_sum = np.empty(ys.size), np.empty(ys.size)
-    chunk = max(1, _GATHER_TERMS // offsets.size)
-    for start in range(0, ys.size, chunk):
-        index = offsets[:, None] + centres[None, start : start + chunk]
-        # accumulate adds along axis 0 one term after another, as the oracle does
-        skin_sum[start : start + chunk] = np.add.accumulate(skin.take(index), axis=0)[-1]
-        non_sum[start : start + chunk] = np.add.accumulate(non.take(index), axis=0)[-1]
-    return skin_sum, non_sum
+    centres = (ys - top) * width + (xs - left)
+    first, last = int(centres.min()), int(centres.max()) + 1
+    # each shifted add also costs about 1024 positions' time of its own, so
+    # a few clustered pixels are gathered too
+    if ys.size * _GATHER_COST < last - first + 1024:
+        skin_sum, non_sum = np.empty(ys.size), np.empty(ys.size)
+        chunk = max(1, _GATHER_TERMS // offsets.size)
+        for start in range(0, ys.size, chunk):
+            index = offsets[:, None] + centres[None, start : start + chunk]
+            # accumulate adds along axis 0 one term after another, as the oracle does
+            skin_sum[start : start + chunk] = np.add.accumulate(skin.take(index), axis=0)[-1]
+            non_sum[start : start + chunk] = np.add.accumulate(non.take(index), axis=0)[-1]
+        return skin_sum, non_sum
+    skin_acc, non_acc = np.zeros(last - first), np.zeros(last - first)
+    for offset in offsets.tolist():
+        skin_acc += skin[first + offset : last + offset]
+        non_acc += non[first + offset : last + offset]
+    return skin_acc[centres - first], non_acc[centres - first]
 
 
 def _products(own_skin, own_non, skin_sum, non_sum, count, cfg: NeighbourhoodConfig):
@@ -395,9 +378,9 @@ def refine(
     (2ry+2rx+2) * 2^-53; few pixels of a natural frame qualify. The other
     refined probabilities may differ from oracle-order arithmetic in the
     last bits, as far as those two bounds allow. The re-sum costs
-    (2r+1)^2 - 1 adds per pixel, over whole rows where the flagged pixels
-    are dense, so a map where most pixels tie (a uniform 0.5 region)
-    refines several times slower than one with few ties.
+    (2r+1)^2 - 1 adds per pixel, over every position from the first flagged
+    pixel to the last where they are dense, so a map where most pixels tie
+    (a uniform 0.5 region) refines several times slower than one with few ties.
     """
     height, width = pmap.height, pmap.width
     if height == width == 1:  # the products' total is at least 1/2

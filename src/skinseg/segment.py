@@ -125,7 +125,7 @@ def stage1_probabilities(image: Image, model) -> ProbabilityMap:
     codes, inverse = _distinct_colours(image.pixels)
     colours = np.stack([codes >> 16, (codes >> 8) & 0xFF, codes & 0xFF], axis=1).astype(np.uint8)
     p_colour = score_rgb(model, colours)
-    return ProbabilityMap(p_colour[inverse].reshape(image.height, image.width), values=p_colour)
+    return ProbabilityMap(p_colour, index=inverse.reshape(image.height, image.width))
 
 
 def _decide(pmap: ProbabilityMap) -> SkinMask:

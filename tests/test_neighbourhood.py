@@ -628,9 +628,10 @@ def test_oracle_order_sums_match_the_oracle_whether_gathered_or_by_rows(monkeypa
 
     Maps of random values and of 1 - 1e-15 with near-0 pixels, radii past
     the map's sides included; each set is summed with the path refine
-    would choose, then with the gathered and the row-span path forced.
+    would choose, then with the gathered and the dense path forced, both
+    in np.nonzero's order and shuffled.
     """
-    rng = np.random.default_rng(7)
+    rng, shuffle = np.random.default_rng(7), np.random.default_rng(8)
     default_cost = neighbourhood._GATHER_COST
     for (h, w), radii in (((1, 9), (1, 12)), ((9, 1), (2, 12)), ((7, 7), (1, 3, 9)),
                           ((12, 23), (1, 3, 7))):
@@ -643,12 +644,14 @@ def test_oracle_order_sums_match_the_oracle_whether_gathered_or_by_rows(monkeypa
                     pick = rng.random((h, w)) < density
                     pick.flat[rng.integers(h * w)] = True
                     ys, xs = np.nonzero(pick)
-                    for cost in (default_cost, 0, h * w * 10**6):  # as set, gathered, by rows
-                        monkeypatch.setattr(neighbourhood, "_GATHER_COST", cost)
-                        skin, non = neighbourhood._oracle_order_sums(pm, ys, xs, radius)
-                        context = (h, w, radius, density, cost)
-                        assert skin.tobytes() == expect[ys, xs, 0].tobytes(), context
-                        assert non.tobytes() == expect[ys, xs, 1].tobytes(), context
+                    order = shuffle.permutation(ys.size)
+                    for shuffled, (ys, xs) in enumerate(((ys, xs), (ys[order], xs[order]))):
+                        for cost in (default_cost, 0, h * w * 10**6):  # as set, gathered, dense
+                            monkeypatch.setattr(neighbourhood, "_GATHER_COST", cost)
+                            skin, non = neighbourhood._oracle_order_sums(pm, ys, xs, radius)
+                            context = (h, w, radius, density, cost, shuffled)
+                            assert skin.tobytes() == expect[ys, xs, 0].tobytes(), context
+                            assert non.tobytes() == expect[ys, xs, 1].tobytes(), context
 
 
 def test_refine_clamps_a_non_skin_sum_that_cancels_below_zero():

@@ -198,9 +198,8 @@ def test_stage1_range_check_reads_the_scored_colours(models, bad, monkeypatch):
 def test_probability_map_checks_the_values_it_was_gathered_from():
     values = np.array([0.25, 0.5, 1.0])
     index = np.array([[0, 2], [1, 1]])
-    assert ProbabilityMap(values[index], values=values).p_skin.tolist() == [[0.25, 1.0],
-                                                                           [0.5, 0.5]]
+    assert ProbabilityMap(values, index=index).p_skin.tolist() == [[0.25, 1.0], [0.5, 0.5]]
     for bad in (np.nan, -0.5, 1.5):
         values[1] = bad
         with pytest.raises(ValueError, match=r"probabilities must lie in \[0, 1\]"):
-            ProbabilityMap(values[index], values=values)
+            ProbabilityMap(values, index=index)
