@@ -14,12 +14,16 @@ moment vectors of the same length, in place once per batch. Adam's
 hyperparameters are the module constants ADAM_LR = 0.001,
 ADAM_BETA1 = 0.9, ADAM_BETA2 = 0.999 and ADAM_EPS = 1e-7.
 
-Inference keeps no backprop cache: forward_batch walks the rows in
-blocks of at most FORWARD_BLOCK_ROWS and holds only the current block's
-activations, feature-major ((width, rows), one row of the array per
-unit), so its working memory does not grow with the batch and a row's
-score does not depend on the batch it came in. Training keeps every
-row's activations, row-major, for backward.
+Inference keeps no backprop cache: forward_batch and mlp_predict_batch
+walk the rows in blocks of at most FORWARD_BLOCK_ROWS and hold only one
+buffer per layer input, feature-major ((fan_in + 1, rows), one row of
+the array per unit plus a row of ones), so working memory does not grow
+with the batch and a row's score does not depend on the batch it came
+in. Each layer is one matmul of [W.T | b] with the bias as the last
+column, which adds the bias last and so keeps the bits of W.T @ a + b
+(_softmax_blocks says why, and where one-unit layers differ), and one
+in-place ReLU. Training keeps every row's activations, row-major, for
+backward, and adds its biases as a separate term.
 """
 
 from dataclasses import dataclass, field
@@ -34,11 +38,12 @@ OUTPUT_DIM = 2
 
 _LOG_CLAMP = 1e-12
 
-# rows per forward_batch block: a block's widest activation (32 float64
-# units x 8192 rows) is 2 MB, and each numpy call spans a whole block
-FORWARD_BLOCK_ROWS = 8192
+# rows per inference block: the widest layer input, 32 units plus the
+# ones row by 2048 float64 rows, is 528 KB, so a layer's input and output
+# stay in a 2 MB L2; 2048 scored the noise frames fastest of 1024-8192
+FORWARD_BLOCK_ROWS = 2048
 
-# forward_batch zero-pads a ragged last block to a multiple of this many
+# inference zero-pads a ragged last block to a multiple of this many
 # rows (FORWARD_BLOCK_ROWS is one), so BLAS never sees a ragged edge tile
 _TAIL_ROWS = 16
 
@@ -94,7 +99,7 @@ class MlpModel:
         self.weights, self.biases = views[0::2], views[1::2]
 
 
-def init_model(arch: MlpArchitecture, rng: np.random.Generator) -> MlpModel:
+def init_model(arch: MlpArchitecture, rng: "np.random.Generator") -> MlpModel:
     """Glorot-style uniform init: W ~ U(+/- sqrt(6/(fan_in+fan_out))), b = 0."""
     dims = arch.layer_dims
     weights, biases = [], []
@@ -129,46 +134,74 @@ def _forward_cached(model: MlpModel, x: np.ndarray):
     return activations[-1], (activations, pre_activations)
 
 
-def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """(N, 3) inputs in [0, 1] -> (N, 2) softmax probabilities.
+def _softmax_blocks(model: MlpModel, inputs: np.ndarray, scale: float):
+    """Yield (start, e0, e1, total) for each block of inputs / scale.
 
-    Each block of at most FORWARD_BLOCK_ROWS rows is a transposed view
-    of x, (3, rows), and every layer computes W.T @ a, so a block's
-    activations are (width, rows) and each numpy call runs along a
-    whole block. The last block, if its row count is not a multiple of
-    _TAIL_ROWS, is copied into a zero-padded buffer that is, and the
-    padding columns are dropped before the softmax. BLAS computes the
-    columns of a ragged edge tile differently from those of a full
-    one, so without the padding the last bits of a row's score would
-    depend on where the batch ends; with it a row scores the same
-    alone or in any batch, as _forward_cached scores it in a batch of
-    two or more rows.
-    The result is the transpose of a (2, N) array.
+    A block is at most FORWARD_BLOCK_ROWS rows of the (N, 3) inputs.
+    e0 and e1 are the exponentials of its two logits, shifted by their
+    maximum, and total = e0 + e1, so e0 / total is each row's p_skin.
+
+    Each layer multiplies [W.T | b], (fan_out, fan_in + 1), by its input
+    block (fan_in + 1, rows) whose last row is all ones, and the ReLU
+    runs in place on the next layer's input. So the bias is the last
+    term of every dot product: the BLAS gemm kernel sums over k in order
+    and adds that 1.0 * b term last, which gives the bits of W.T @ a
+    followed by += b. (With the bias first, the sum rounds differently.)
+    numpy hands a one-unit layer's product to gemv instead, whose
+    kernels sum a dot product in groups of columns, so such a layer adds
+    its bias as a pass of its own; and as gemv rounds by layout, a
+    one-unit first layer reads its input row-major, the layout of the
+    rows as they arrive.
+
+    The buffers are allocated once per call and their ones rows filled
+    once. A ragged last block is zero-padded to a multiple of _TAIL_ROWS
+    columns: BLAS computes the columns of a ragged edge tile differently
+    from those of a full one, so without the padding the last bits of a
+    row's score would depend on where the batch ends.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    probs = np.empty((OUTPUT_DIM, x.shape[0]))
-    # (fan_out, fan_in) views of the weights and column views of the biases
-    layers = [(w.T, b[:, None]) for w, b in zip(model.weights, model.biases)]
-    for start in range(0, x.shape[0], FORWARD_BLOCK_ROWS):
-        block = x[start : start + FORWARD_BLOCK_ROWS]
-        rows = block.shape[0]
-        if rows % _TAIL_ROWS:
-            block = np.concatenate([block, np.zeros((-rows % _TAIL_ROWS, INPUT_DIM))])
-        a = block.T
-        for w_t, b in layers[:-1]:
-            a = w_t @ a
-            a += b
-            np.maximum(a, 0.0, out=a)
-        w_t, b = layers[-1]
-        z = w_t @ a
-        z += b
-        z0, z1 = z[0, :rows], z[1, :rows]
+    n = inputs.shape[0]
+    layers = [np.hstack([w.T, b[:, None]]) for w, b in zip(model.weights, model.biases)]
+    width = min(FORWARD_BLOCK_ROWS, n + -n % _TAIL_ROWS)
+    acts = [np.empty((aug.shape[1], width)) for aug in layers]
+    if layers[0].shape[0] == 1:
+        acts[0] = np.empty((width, INPUT_DIM + 1)).T
+    for a in acts:
+        a[-1] = 1.0
+    logits = np.empty((OUTPUT_DIM, width))
+    for start in range(0, n, FORWARD_BLOCK_ROWS):
+        rows = min(FORWARD_BLOCK_ROWS, n - start)
+        cols = rows + -rows % _TAIL_ROWS
+        np.divide(inputs[start : start + rows].T, scale, out=acts[0][:-1, :rows])
+        acts[0][:-1, rows:cols] = 0.0
+        for aug, a, nxt in zip(layers[:-1], acts, acts[1:]):
+            z = nxt[:-1, :cols]
+            if aug.shape[0] > 1:
+                np.matmul(aug, a[:, :cols], out=z)
+            else:
+                np.matmul(aug[:, :-1], a[:-1, :cols], out=z)
+                z += aug[:, -1:]
+            np.maximum(z, 0.0, out=z)
+        z0, z1 = np.matmul(layers[-1], acts[-1][:, :cols], out=logits[:, :cols])[:, :rows]
         mx = np.maximum(z0, z1)
         e0 = np.exp(z0 - mx)
         e1 = np.exp(z1 - mx)
-        total = e0 + e1
-        np.divide(e0, total, out=probs[0, start : start + rows])
-        np.divide(e1, total, out=probs[1, start : start + rows])
+        yield start, e0, e1, e0 + e1
+
+
+def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """(N, 3) inputs in [0, 1] -> (N, 2) softmax probabilities.
+
+    Scores the rows in blocks of at most FORWARD_BLOCK_ROWS, one matmul
+    with the bias folded in and one in-place ReLU per layer (see
+    _softmax_blocks). A row scores the same alone or in any batch, as
+    _forward_cached scores it in a batch of two or more rows. The
+    result is the transpose of a (2, N) array.
+    """
+    x = np.asarray(x)
+    probs = np.empty((OUTPUT_DIM, x.shape[0]))
+    for start, e0, e1, total in _softmax_blocks(model, x, 1.0):
+        np.divide(e0, total, out=probs[0, start : start + total.size])
+        np.divide(e1, total, out=probs[1, start : start + total.size])
     return probs.T
 
 
@@ -294,12 +327,12 @@ def train(
 def mlp_predict_batch(model: MlpModel, hsv: np.ndarray) -> np.ndarray:
     """Vectorized prediction: (N, 3) uint8 HSV rows -> (N,) p_skin.
 
-    Normalizes and scores FORWARD_BLOCK_ROWS rows at a time, the blocks
-    forward_batch walks anyway, so no float copy of the whole batch and
-    no non-skin column are held; a row scores the same in any batch.
+    Walks the blocks forward_batch walks, dividing each uint8 block by
+    255.0 straight into the first layer's input (the bits of
+    normalize_hsv_array), so no float copy of the whole batch and no
+    non-skin column are held; a row scores the same in any batch.
     """
     p_skin = np.empty(hsv.shape[0])
-    for start in range(0, hsv.shape[0], FORWARD_BLOCK_ROWS):
-        block = normalize_hsv_array(hsv[start : start + FORWARD_BLOCK_ROWS])
-        p_skin[start : start + block.shape[0]] = forward_batch(model, block)[:, 0]
+    for start, e0, _, total in _softmax_blocks(model, hsv, 255.0):
+        np.divide(e0, total, out=p_skin[start : start + total.size])
     return p_skin

@@ -3,8 +3,9 @@
 Each function here computes one pixel (or one label pair) at a time in
 straight-line code, and the tests compare the batch paths in
 ``skinseg`` against it element by element, the way ``refine`` is
-compared against ``refine_brute_oracle``. Two references work on whole
-arrays: ``distinct_colours`` finds an image's distinct colours with
+compared against ``refine_brute_oracle``. Three references work on whole
+arrays: ``forward_unfolded`` scores MLP rows with the bias added as its
+own pass, ``distinct_colours`` finds an image's distinct colours with
 ``np.unique``, and ``preorder_right`` finds a tree table's right
 children with a stack walk. Nothing in ``skinseg`` imports this module.
 """
@@ -19,7 +20,7 @@ from skinseg.colorspace import _YCBCR_DEN, YcbcrPixel, _check_channel
 from skinseg.dataset import Label
 from skinseg.metrics import ConfusionMatrix
 from skinseg.neighbourhood import ProbabilityMap
-from skinseg.nn import INPUT_DIM, MlpModel, forward_batch
+from skinseg.nn import FORWARD_BLOCK_ROWS, INPUT_DIM, OUTPUT_DIM, _TAIL_ROWS, MlpModel, forward_batch
 
 SKIN = ClassProbabilities(1.0, 0.0)
 NON_SKIN = ClassProbabilities(0.0, 1.0)
@@ -179,6 +180,39 @@ def forward(model: MlpModel, x) -> ClassProbabilities:
     """Single input (3-vector in [0, 1]^3) -> class probabilities."""
     probs = forward_batch(model, np.asarray(x, dtype=np.float64).reshape(1, INPUT_DIM))[0]
     return ClassProbabilities(float(probs[0]), float(probs[1]))
+
+
+def forward_unfolded(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """(N, 3) inputs -> (N, 2) softmax probabilities, the bias a pass of its own.
+
+    The same blocks, _TAIL_ROWS zero padding and softmax as forward_batch,
+    but each layer computes W.T @ a, then a += b, then the ReLU: the
+    arithmetic that folding the bias into the matmul must reproduce.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    probs = np.empty((OUTPUT_DIM, x.shape[0]))
+    layers = [(w.T, b[:, None]) for w, b in zip(model.weights, model.biases)]
+    for start in range(0, x.shape[0], FORWARD_BLOCK_ROWS):
+        block = x[start : start + FORWARD_BLOCK_ROWS]
+        rows = block.shape[0]
+        if rows % _TAIL_ROWS:
+            block = np.concatenate([block, np.zeros((-rows % _TAIL_ROWS, INPUT_DIM))])
+        a = block.T
+        for w_t, b in layers[:-1]:
+            a = w_t @ a
+            a += b
+            np.maximum(a, 0.0, out=a)
+        w_t, b = layers[-1]
+        z = w_t @ a
+        z += b
+        z0, z1 = z[0, :rows], z[1, :rows]
+        mx = np.maximum(z0, z1)
+        e0 = np.exp(z0 - mx)
+        e1 = np.exp(z1 - mx)
+        total = e0 + e1
+        np.divide(e0, total, out=probs[0, start : start + rows])
+        np.divide(e1, total, out=probs[1, start : start + rows])
+    return probs.T
 
 
 # ---------------------------------------------------------------------------

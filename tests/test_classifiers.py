@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from skinseg.classifiers import (
+    BayesModel,
     ClassProbabilities,
     ThresholdRange,
     DOMAIN_SIZE,
@@ -169,6 +170,32 @@ def test_bayes_fit_rejects_bad_input():
         bayes_fit(_hsv([(1, 1, 1)], [False]), alpha=1.0)  # no skin
     with pytest.raises(ValueError):
         bayes_fit(TOY, alpha=-0.5)
+
+
+def test_bayes_model_rejects_malformed_counts():
+    good = bayes_fit(TOY, alpha=1.0)
+    with pytest.raises(ValueError, match=r"counts must have shape \(3, 2, 256\), got \(3, 2, 255\)"):
+        BayesModel(counts=good.counts[:, :, :255], class_counts=good.class_counts, alpha=1.0)
+    with pytest.raises(ValueError, match=r"class counts must be > 0 .* got class counts \[3, 0\]"):
+        BayesModel(counts=good.counts, class_counts=np.array([3, 0]), alpha=1.0)
+    negative = good.counts.copy()
+    negative[0, 0, 0] = -1
+    with pytest.raises(ValueError, match="value counts >= 0"):
+        BayesModel(counts=negative, class_counts=good.class_counts, alpha=1.0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"min_samples_split": 1}, "min_samples_split must be >= 2"),
+    ({"max_depth": -1}, "max_depth must be >= 0"),
+])
+def test_tree_config_rejects_out_of_range_bounds(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        TreeConfig(**kwargs)
+
+
+def test_tree_fit_rejects_an_empty_training_set():
+    with pytest.raises(ValueError, match="training set is empty"):
+        tree_fit(_hsv([], []))
 
 
 def _bayes_oracle(train, alpha, pixel):

@@ -1,9 +1,11 @@
 """End-to-end command-line coverage on the surrogate dataset."""
 
 import hashlib
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +163,40 @@ def test_cli_subprocess_matches_in_process(workdir, surrogate_file, bayes_model,
     assert proc.returncode == 0, proc.stderr
     assert "model_file:" in proc.stdout
     assert out.read_bytes() == bayes_model.read_bytes()
+
+
+def _run_python(*args):
+    """Run a fresh interpreter that imports skinseg from this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+@pytest.mark.parametrize("module", ["skinseg", "skinseg.cli"])
+def test_python_dash_m_runs_the_cli(module, threshold_model, tmp_path):
+    image = _flat_image(tmp_path / "skin.ppm", SKIN_TONE)
+    mask_path = tmp_path / "mask.pgm"
+    proc = _run_python("-m", module, "segment", "--model", str(threshold_model),
+                       "--input", str(image), "--output", str(mask_path))
+    assert proc.returncode == 0, proc.stderr
+    assert f"mask_file: {mask_path}" in proc.stdout
+    assert np.all(read_pgm(mask_path.read_bytes()) == 255)
+
+    bad = tmp_path / "truncated.ppm"
+    bad.write_bytes(image.read_bytes()[:-1])
+    proc = _run_python("-m", module, "segment", "--model", str(threshold_model),
+                       "--input", str(bad), "--output", str(tmp_path / "bad.pgm"))
+    assert proc.returncode == 2
+    assert str(bad) in proc.stderr
+    assert not (tmp_path / "bad.pgm").exists()
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # nothing the segment and bench commands run draws random numbers
+    proc = _run_python("-c", "import sys, skinseg.cli; print('numpy.random' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_eval_writes_parseable_report(workdir, surrogate_file, bayes_model, tmp_path, capsys):

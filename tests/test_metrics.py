@@ -183,6 +183,11 @@ def test_roc_hand_worked_example():
     assert auc == pytest.approx(0.75, abs=1e-15)
 
 
+def test_roc_rejects_scores_and_labels_of_different_lengths():
+    with pytest.raises(ValueError, match="scores and labels differ in length: 1 vs 2"):
+        roc_auc([0.3], [Label.SKIN, Label.NON_SKIN])
+
+
 def test_roc_single_class_raises():
     with pytest.raises(ValueError):
         roc_auc([0.3, 0.4], [Label.SKIN, Label.SKIN])
@@ -328,3 +333,5 @@ def test_report_parse_rejects_bad_documents():
         parse_report(text.replace("fn 3\n", ""))  # missing field
     with pytest.raises(ValueError):
         parse_report("")
+    with pytest.raises(ValueError, match="malformed report line: 'fn'"):
+        parse_report(text.replace("fn 3\n", "fn\n"))  # a key without a value

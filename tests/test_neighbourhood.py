@@ -116,6 +116,12 @@ def test_neighbour_sums_match_bruteforce():
                 assert s1 + s2 == pytest.approx(c, abs=1e-6)
 
 
+@pytest.mark.parametrize("skin_sum, non_skin_sum, count", [(-0.5, 1.0, 3), (1.0, -0.5, 3), (1.0, 1.0, -1)])
+def test_likeliness_rejects_negative_sums_and_counts(skin_sum, non_skin_sum, count):
+    with pytest.raises(ValueError, match="neighbour sums and count must be non-negative"):
+        likeliness(skin_sum, non_skin_sum, count, ClassProbabilities(0.5, 0.5))
+
+
 def test_neighbour_sums_out_of_bounds():
     pm = _pmap(np.full((2, 2), 0.5))
     with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ from skinseg.nn import (
     _forward_cached,
 )
 
-from oracles import forward
+from oracles import forward, forward_unfolded
 
 
 def _samples(rows, skin) -> HsvSamples:
@@ -110,7 +110,8 @@ def test_forward_matches_straightline_oracle():
     assert got[1] == pytest.approx(expect[1], abs=1e-12)
 
 
-@pytest.mark.parametrize("n_rows", [FORWARD_BLOCK_ROWS + 1, 2 * FORWARD_BLOCK_ROWS + 7])
+@pytest.mark.parametrize("n_rows", [FORWARD_BLOCK_ROWS + 1, 2 * FORWARD_BLOCK_ROWS + 7],
+                         ids=["block+1", "2*block+7"])
 def test_forward_batch_matches_cached_pass(n_rows):
     model = init_model(MlpArchitecture(), np.random.Generator(np.random.PCG64(4)))
     rng = np.random.default_rng(n_rows)
@@ -118,6 +119,26 @@ def test_forward_batch_matches_cached_pass(n_rows):
         b[:] = rng.normal(scale=0.1, size=b.shape)
     x = rng.random((n_rows, 3))
     assert np.array_equal(forward_batch(model, x), _forward_cached(model, x)[0])
+
+
+@pytest.mark.parametrize("hidden", [(1,), (32, 16, 8), (64,), (5, 1)],
+                         ids=["w1", "w32-16-8", "w64", "w5-1"])
+@pytest.mark.parametrize("n_rows", [1, 15, 16, 17, FORWARD_BLOCK_ROWS - 1, FORWARD_BLOCK_ROWS,
+                                    FORWARD_BLOCK_ROWS + 1, 2 * FORWARD_BLOCK_ROWS + 7],
+                         ids=["1", "15", "16", "17", "block-1", "block", "block+1", "2*block+7"])
+def test_folded_bias_matches_unfolded_arithmetic(hidden, n_rows):
+    # the bias as the last column of [W.T | b] against a row of ones gives
+    # the bits of W.T @ a followed by a += b, in both inference entry points;
+    # a one-unit layer, first or later, goes through gemv instead of gemm
+    model = init_model(MlpArchitecture(hidden), np.random.Generator(np.random.PCG64(5)))
+    rng = np.random.default_rng([n_rows, *hidden])
+    for b in model.biases:
+        b[:] = rng.normal(scale=0.5, size=b.shape)
+    hsv = rng.integers(0, 256, size=(n_rows, 3), dtype=np.uint8)
+    x = hsv / 255.0
+    expect = forward_unfolded(model, x)
+    assert np.array_equal(forward_batch(model, x), expect)
+    assert np.array_equal(mlp_predict_batch(model, hsv), expect[:, 0])
 
 
 def test_forward_batch_scores_a_row_the_same_in_any_batch():
