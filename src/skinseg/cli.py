@@ -1,4 +1,4 @@
-"""Command-line surface: train, eval, segment, bench, dataset-stats.
+"""Command-line surface: build_parser names each subcommand and its handler.
 
 Exit codes: 0 success, 1 usage error, 2 data error (an input that
 cannot be read or is malformed, data the library rejects, an output that
@@ -71,47 +71,46 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog=PROG, description="two-stage skin-colour segmentation")
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(metavar="command")
 
-    p_train = sub.add_parser("train", help="fit a model and write it to disk")
-    p_train.add_argument("--dataset", required=True)
-    p_train.add_argument("--model", required=True)
+    # flag groups shared between subcommands, each flag declared once
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", required=True)
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--dataset", required=True)
+    dataset.add_argument("--test-fraction", type=float)
+    split_flags = argparse.ArgumentParser(add_help=False, parents=[dataset, model])
+    split_flags.add_argument("--seed", type=int)
+    image = argparse.ArgumentParser(add_help=False, parents=[model])
+    image.add_argument("--input", required=True)
+    image.add_argument("--rule", choices=[rule.value for rule in Rule])
+    image.add_argument("--radius", type=int)
+    image.add_argument("--tau", type=float)
+
+    def command(name, handler, summary, *parents):
+        cmd = sub.add_parser(name, help=summary, parents=parents)
+        cmd.set_defaults(run=handler)
+        return cmd
+
+    p_train = command("train", cmd_train, "fit a model and write it to disk", split_flags)
     p_train.add_argument("--kind", required=True, choices=model_io.KINDS)
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--test-fraction", type=float)
     p_train.add_argument("--alpha", type=float)
     p_train.add_argument("--epochs", type=int)
     p_train.add_argument("--batch-size", type=int)
-
-    p_eval = sub.add_parser("eval", help="score a model on the held-out split")
-    p_eval.add_argument("--dataset", required=True)
-    p_eval.add_argument("--model", required=True)
-    p_eval.add_argument("--seed", type=int)
-    p_eval.add_argument("--test-fraction", type=float)
+    p_eval = command("eval", cmd_eval, "score a model on the held-out split", split_flags)
     p_eval.add_argument("--output")
-
-    p_seg = sub.add_parser("segment", help="segment a PPM image into a PGM mask")
-    p_seg.add_argument("--model", required=True)
-    p_seg.add_argument("--input", required=True)
+    p_seg = command("segment", cmd_segment, "segment a PPM image into a PGM mask", image)
     p_seg.add_argument("--output", required=True)
     p_seg.add_argument("--refine", action="store_true")
-    p_seg.add_argument("--rule", choices=[rule.value for rule in Rule])
-    p_seg.add_argument("--radius", type=int)
-    p_seg.add_argument("--tau", type=float)
     p_seg.add_argument("--downscale", action="store_true")
     p_seg.add_argument("--prob-out")
+    command("bench", cmd_bench, "median-of-5 timing for the pipeline legs", image)
+    command("dataset-stats", cmd_dataset_stats, "row and class counts plus split sizes", dataset)
 
-    p_bench = sub.add_parser("bench", help="median-of-5 timing for the pipeline legs")
-    p_bench.add_argument("--model", required=True)
-    p_bench.add_argument("--input", required=True)
-    p_bench.add_argument("--rule", choices=[rule.value for rule in Rule])
-    p_bench.add_argument("--radius", type=int)
-    p_bench.add_argument("--tau", type=float)
+    def no_command(_):
+        raise UsageError(f"{PROG}: a subcommand is required ({', '.join(sub.choices)})")
 
-    p_stats = sub.add_parser("dataset-stats", help="row and class counts plus split sizes")
-    p_stats.add_argument("--dataset", required=True)
-    p_stats.add_argument("--test-fraction", type=float)
-
+    parser.set_defaults(run=no_command)  # a subcommand's own default overrides it
     return parser
 
 
@@ -146,6 +145,25 @@ def _load_samples(path):
     return samples
 
 
+def _load_split(path, split_cfg):
+    """(samples, train, test) of the dataset at path."""
+    samples = _load_samples(path)
+    with _failing(f"cannot split dataset {path}", ValueError):
+        return samples, *split(samples, split_cfg)
+
+
+def _summary(samples, n_train: int) -> list[str]:
+    """The dataset summary: row and class counts, then the split sizes."""
+    counts = label_counts(samples)
+    return [
+        f"samples: {len(samples)}",
+        f"skin: {counts[Label.SKIN]}",
+        f"non_skin: {counts[Label.NON_SKIN]}",
+        f"train_size: {n_train}",
+        f"test_size: {len(samples) - n_train}",
+    ]
+
+
 def _load_model(path):
     with (_failing(f"cannot read model {path}", OSError),
           _failing(f"bad model file {path}", ValueError)):
@@ -157,6 +175,12 @@ def _load_image(path):
         data = fh.read()
     with _failing(f"bad image {path}", PnmError):
         return read_ppm(data)
+
+
+def _segment(path, image, model, **kwargs):
+    """segment_image on the image read from path; a value it rejects is a data error."""
+    with _failing(f"cannot segment image {path}", ValueError):
+        return segment_image(image, model, **kwargs)
 
 
 def _write(path, data: bytes, what: str) -> None:
@@ -199,21 +223,9 @@ def cmd_train(args) -> int:
                         seed=split_cfg.seed)
 
     _check_writable(args.model, "model")  # before a fit that may run for minutes
-    samples = _load_samples(args.dataset)
-    counts = label_counts(samples)
-    with _failing(f"cannot split dataset {args.dataset}", ValueError):
-        train_raw, test_raw = split(samples, split_cfg)
-
-    lines = [
-        f"kind: {args.kind}",
-        f"dataset: {args.dataset}",
-        f"samples: {len(samples)}",
-        f"skin: {counts[Label.SKIN]}",
-        f"non_skin: {counts[Label.NON_SKIN]}",
-        f"train_size: {len(train_raw)}",
-        f"test_size: {len(test_raw)}",
-        f"seed: {split_cfg.seed}",
-    ]
+    samples, train_raw, _ = _load_split(args.dataset, split_cfg)
+    lines = [f"kind: {args.kind}", f"dataset: {args.dataset}",
+             *_summary(samples, len(train_raw)), f"seed: {split_cfg.seed}"]
 
     with _failing(f"cannot train on dataset {args.dataset}", ValueError):
         if args.kind == "threshold":
@@ -245,12 +257,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     split_cfg = _config(SplitConfig, test_fraction=args.test_fraction, seed=args.seed)
     saved = _load_model(args.model)
-    samples = _load_samples(args.dataset)
-
     if args.seed is None:
         split_cfg = dataclasses.replace(split_cfg, seed=saved.seed)
-    with _failing(f"cannot split dataset {args.dataset}", ValueError):
-        _, test_raw = split(samples, split_cfg)
+    samples, _, test_raw = _load_split(args.dataset, split_cfg)
 
     # warn only once the split holds, so a failing run prints just its error
     if args.seed is not None and args.seed != saved.seed:
@@ -289,9 +298,8 @@ def cmd_segment(args) -> int:
     saved = _load_model(args.model)
     image = _load_image(args.input)
 
-    with _failing(f"cannot segment image {args.input}", ValueError):
-        result = segment_image(image, saved.model, refine_cfg=refine_cfg,
-                               downscale=args.downscale)
+    result = _segment(args.input, image, saved.model, refine_cfg=refine_cfg,
+                      downscale=args.downscale)
 
     _write(args.output, write_pgm(result.mask), "mask")
     if args.prob_out is not None:
@@ -314,10 +322,8 @@ def cmd_bench(args) -> int:
     image = _load_image(args.input)
 
     def median_time(**kwargs) -> float:
-        with _failing(f"cannot segment image {args.input}", ValueError):
-            times = [segment_image(image, saved.model, **kwargs).elapsed_seconds
-                     for _ in range(5)]
-        return statistics.median(times)
+        return statistics.median(_segment(args.input, image, saved.model, **kwargs)
+                                 .elapsed_seconds for _ in range(5))
 
     stage1 = median_time(refine_cfg=None, downscale=False)
     full = median_time(refine_cfg=refine_cfg, downscale=False)
@@ -334,34 +340,16 @@ def cmd_bench(args) -> int:
 def cmd_dataset_stats(args) -> int:
     split_cfg = _config(SplitConfig, test_fraction=args.test_fraction)
     samples = _load_samples(args.dataset)
-    counts = label_counts(samples)
-    n_train = train_size(len(samples), split_cfg.test_fraction)
-    print(f"samples: {len(samples)}")
-    print(f"skin: {counts[Label.SKIN]}")
-    print(f"non_skin: {counts[Label.NON_SKIN]}")
-    print(f"train_size: {n_train}")
-    print(f"test_size: {len(samples) - n_train}")
+    print("\n".join(_summary(samples, train_size(len(samples), split_cfg.test_fraction))))
     print(f"fingerprint: {model_io.dataset_fingerprint(samples)}")
     return EXIT_OK
-
-
-_COMMANDS = {
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "segment": cmd_segment,
-    "bench": cmd_bench,
-    "dataset-stats": cmd_dataset_stats,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
-            raise UsageError(f"{PROG}: a subcommand is required "
-                             f"(train, eval, segment, bench, dataset-stats)")
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -193,8 +193,8 @@ def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
     Scores the rows in blocks of at most FORWARD_BLOCK_ROWS, one matmul
     with the bias folded in and one in-place ReLU per layer (see
-    _softmax_blocks). A row scores the same alone or in any batch, as
-    _forward_cached scores it in a batch of two or more rows. The
+    _softmax_blocks). A row scores the same alone or in any batch, and
+    as _forward_cached scores it up to the gemm kernel's rounding. The
     result is the transpose of a (2, N) array.
     """
     x = np.asarray(x)

@@ -15,23 +15,7 @@ import numpy as np
 
 
 class PnmError(ValueError):
-    """Base for netpbm parse failures."""
-
-
-class PnmMagicError(PnmError):
-    """Wrong or unknown magic number."""
-
-
-class PnmHeaderError(PnmError):
-    """Malformed header (missing or non-integer fields, bad dimensions)."""
-
-
-class PnmDepthError(PnmError):
-    """Unsupported maxval (only 255 is accepted)."""
-
-
-class PnmTruncatedError(PnmError):
-    """Payload shorter than the header promises."""
+    """A netpbm file that cannot be parsed; the message says why."""
 
 
 @dataclass(frozen=True)
@@ -102,26 +86,26 @@ def _read_header(data: bytes, expected_magic: bytes):
         match = _TOKEN.match(data, pos)
         pos = match.end()
         if not match.group(1):
-            raise PnmHeaderError("unexpected end of header")
+            raise PnmError("unexpected end of header")
         return match.group(1)
 
     magic = next_token()
     if magic != expected_magic:
-        raise PnmMagicError(f"expected magic {expected_magic.decode()}, got {_quote(magic)}")
+        raise PnmError(f"expected magic {expected_magic.decode()}, got {_quote(magic)}")
     fields = []
     for name in ("width", "height", "maxval"):
         token = next_token()
         try:
             fields.append(int(token))
         except ValueError:
-            raise PnmHeaderError(f"non-integer {name} field: {_quote(token)}") from None
+            raise PnmError(f"non-integer {name} field: {_quote(token)}") from None
     width, height, maxval = fields
     if width <= 0 or height <= 0:
-        raise PnmHeaderError(f"dimensions must be positive, got {width}x{height}")
+        raise PnmError(f"dimensions must be positive, got {width}x{height}")
     if maxval != 255:
-        raise PnmDepthError(f"unsupported maxval {maxval}, only 255 is handled")
+        raise PnmError(f"unsupported maxval {maxval}, only 255 is handled")
     if pos >= len(data) or not data[pos : pos + 1].isspace():
-        raise PnmHeaderError("missing whitespace byte after maxval")
+        raise PnmError("missing whitespace byte after maxval")
     return width, height, pos + 1
 
 
@@ -130,9 +114,7 @@ def _read_payload(data: bytes, magic: bytes, channels: int) -> np.ndarray:
     width, height, offset = _read_header(data, magic)
     expected = channels * width * height
     if len(data) - offset < expected:
-        raise PnmTruncatedError(
-            f"payload holds {len(data) - offset} bytes, header promises {expected}"
-        )
+        raise PnmError(f"payload holds {len(data) - offset} bytes, header promises {expected}")
     pixels = np.frombuffer(data, dtype=np.uint8, count=expected, offset=offset)
     return pixels.reshape(height, width, channels).copy()
 

@@ -907,3 +907,20 @@ def test_data_errors_exit_2(workdir, surrogate_file, bayes_model, tmp_path, caps
         *warnings, line = capsys.readouterr().err.splitlines(keepends=True)
         assert line.startswith(f"error: {message}") and line.endswith("\n"), (argv, line)
         assert not warnings, (argv, warnings)  # one error line, and no warning before it
+
+
+def test_no_subcommand_exits_1_naming_every_subcommand(capsys):
+    assert cli.main([]) == 1
+    assert capsys.readouterr().err == ("error: skinseg: a subcommand is required "
+                                       "(train, eval, segment, bench, dataset-stats)\n")
+
+
+def test_unexpected_exception_exits_3(surrogate_file, monkeypatch, capsys):
+    def boom(path):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "load_uci", boom)
+    assert cli.main(["dataset-stats", "--dataset", str(surrogate_file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: boom\n"
+    assert captured.out == ""

@@ -7,11 +7,7 @@ import pytest
 
 from skinseg.raster import (
     Image,
-    PnmDepthError,
     PnmError,
-    PnmHeaderError,
-    PnmMagicError,
-    PnmTruncatedError,
     SkinMask,
     downscale_half,
     read_pgm,
@@ -41,27 +37,27 @@ def test_read_ppm_newline_header_and_comments():
 
 
 def test_read_ppm_rejects_wrong_magic():
-    with pytest.raises(PnmMagicError):
+    with pytest.raises(PnmError, match="^expected magic P6, got b'P5'$"):
         read_ppm(b"P5 1 1 255 " + bytes(3))
-    with pytest.raises(PnmMagicError):
+    with pytest.raises(PnmError, match="^expected magic P6, got b'P3'$"):
         read_ppm(b"P3 1 1 255 0 0 0")
 
 
 def test_read_ppm_rejects_high_depth():
-    with pytest.raises(PnmDepthError):
+    with pytest.raises(PnmError, match="^unsupported maxval 65535, only 255 is handled$"):
         read_ppm(b"P6 1 1 65535 " + bytes(6))
 
 
 def test_read_ppm_rejects_truncation_and_garbage():
-    with pytest.raises(PnmTruncatedError):
+    with pytest.raises(PnmError, match="^payload holds 11 bytes, header promises 12$"):
         read_ppm(b"P6 2 2 255 " + bytes(11))  # needs 12 payload bytes
-    with pytest.raises(PnmHeaderError):
+    with pytest.raises(PnmError, match="^non-integer width field: b'two'$"):
         read_ppm(b"P6 two 2 255 ")
-    with pytest.raises(PnmHeaderError):
+    with pytest.raises(PnmError, match="^missing whitespace byte after maxval$"):
         read_ppm(b"P6 2 2 255")  # no separator byte after maxval
-    with pytest.raises(PnmHeaderError):
+    with pytest.raises(PnmError, match="^dimensions must be positive, got 0x2$"):
         read_ppm(b"P6 0 2 255 ")
-    with pytest.raises(PnmError):
+    with pytest.raises(PnmError, match="^unexpected end of header$"):
         read_ppm(b"")
 
 
