@@ -51,11 +51,11 @@ EXIT_INTERNAL = 3
 
 
 class UsageError(Exception):
-    pass
+    exit_code = EXIT_USAGE
 
 
 class DataError(Exception):
-    pass
+    exit_code = EXIT_DATA
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,7 +89,7 @@ def build_parser() -> _Parser:
 
     def command(name, handler, summary, *parents):
         cmd = sub.add_parser(name, help=summary, parents=parents)
-        cmd.set_defaults(run=handler)
+        cmd.set_defaults(run=handler, parser=cmd)
         return cmd
 
     p_train = command("train", cmd_train, "fit a model and write it to disk", split_flags)
@@ -110,7 +110,7 @@ def build_parser() -> _Parser:
     def no_command(_):
         raise UsageError(f"{PROG}: a subcommand is required ({', '.join(sub.choices)})")
 
-    parser.set_defaults(run=no_command)  # a subcommand's own default overrides it
+    parser.set_defaults(run=no_command, parser=parser)  # a subcommand's defaults override these
     return parser
 
 
@@ -348,14 +348,13 @@ def cmd_dataset_stats(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:  # reported by the subcommand's parser, so under its prog
+            args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
         return args.run(args)
-    except UsageError as exc:
+    except (UsageError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return exc.exit_code
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports everything
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -199,6 +199,16 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_package_root_binds_only_the_version():
+    # library names come from their defining modules, so importing the
+    # package alone loads no submodule and no numpy
+    proc = _run_python("-c", "import sys, skinseg; print(skinseg.__version__); "
+                             "print(sorted(m for m in sys.modules "
+                             "if m.startswith(('skinseg.', 'numpy'))))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1.0.0\n[]\n"
+
+
 def test_eval_writes_parseable_report(workdir, surrogate_file, bayes_model, tmp_path, capsys):
     report_path = tmp_path / "report.txt"
     rc = cli.main(["eval", "--dataset", str(surrogate_file), "--model", str(bayes_model),
@@ -913,6 +923,16 @@ def test_no_subcommand_exits_1_naming_every_subcommand(capsys):
     assert cli.main([]) == 1
     assert capsys.readouterr().err == ("error: skinseg: a subcommand is required "
                                        "(train, eval, segment, bench, dataset-stats)\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dataset-stats", "--dataset", "d", "--seed", "1"],
+     "skinseg dataset-stats: unrecognized arguments: --seed 1"),
+    (["--bogus"], "skinseg: unrecognized arguments: --bogus"),
+], ids=["subcommand", "top-level"])
+def test_unrecognised_flag_is_reported_under_the_command_given(argv, message, capsys):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_unexpected_exception_exits_3(surrogate_file, monkeypatch, capsys):
