@@ -39,7 +39,7 @@ from .metrics import (
 )
 from .neighbourhood import NeighbourhoodConfig, Rule
 from .nn import TrainConfig, train as train_mlp
-from .raster import PnmError, read_ppm, write_gray_pgm, write_pgm
+from .raster import PnmError, downscale_half, read_ppm, write_gray_pgm, write_pgm
 from .segment import probability_rendering, score_rgb, segment_image
 
 PROG = "skinseg"
@@ -320,6 +320,9 @@ def cmd_bench(args) -> int:
     refine_cfg = _refine_config(args.rule, args.radius, args.tau)
     saved = _load_model(args.model)
     image = _load_image(args.input)
+    # the half-resolution leg's own check, before any leg is timed
+    with _failing(f"cannot segment image {args.input}", ValueError):
+        downscale_half(image)
 
     def median_time(**kwargs) -> float:
         return statistics.median(_segment(args.input, image, saved.model, **kwargs)

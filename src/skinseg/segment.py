@@ -20,17 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import (
-    BayesModel,
-    ThresholdRange,
-    TreeModel,
-    bayes_predict_batch,
-    threshold_scores,
-    tree_predict_batch,
-)
+from . import model_io
+from .classifiers import bayes_predict_batch, threshold_scores, tree_predict_batch
 from .colorspace import rgb_to_hsv_array
 from .neighbourhood import NeighbourhoodConfig, ProbabilityMap, refine
-from .nn import MlpModel, mlp_predict_batch
+from .nn import mlp_predict_batch
 from .raster import Image, SkinMask, downscale_half, upscale_mask_2x
 
 
@@ -48,21 +42,16 @@ class SegmentResult:
 def score_rgb(model, rgb: np.ndarray) -> np.ndarray:
     """P(skin) of each (N, 3) uint8 RGB row under any stage-1 model, as (N,).
 
-    The only model-type dispatch for scoring: the threshold box reads RGB,
-    the other kinds score the HSV conversion. Predictors are looked up by
-    their module-level names at call time, so a patched name is the one
-    that runs. Raises ValueError for an object of any other type.
+    The model's kind comes from model_io.model_kind, which raises
+    ValueError for an object of any other type. The threshold box reads
+    RGB, the other kinds score the HSV conversion. The predictor table is
+    built on each call from the module-level names, so a patched name is
+    the one that runs.
     """
-    if isinstance(model, ThresholdRange):
+    kind = model_io.model_kind(model)
+    if kind == "threshold":
         return threshold_scores(rgb, model)
-    if isinstance(model, BayesModel):
-        predict = bayes_predict_batch
-    elif isinstance(model, TreeModel):
-        predict = tree_predict_batch
-    elif isinstance(model, MlpModel):
-        predict = mlp_predict_batch
-    else:
-        raise ValueError(f"unknown model type: {type(model).__name__}")
+    predict = {"bayes": bayes_predict_batch, "tree": tree_predict_batch, "mlp": mlp_predict_batch}[kind]
     return predict(model, rgb_to_hsv_array(rgb))
 
 

@@ -484,6 +484,18 @@ def test_image_too_small_to_halve_exits_2_naming_it(command, w, h, workdir, thre
     assert f"cannot segment image {image}: " in err
 
 
+def test_bench_rejects_an_image_it_cannot_halve_before_timing(workdir, threshold_model,
+                                                                  tmp_path, capsys, monkeypatch):
+    image = _flat_image(tmp_path / "tiny-1x5.ppm", SKIN_TONE, w=1, h=5)
+    calls = []
+    monkeypatch.setattr(cli, "segment_image", lambda *a, **k: calls.append(a))
+    rc = cli.main(["bench", "--model", str(threshold_model), "--input", str(image)])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: cannot segment image {image}: "
+                                       "image too small to halve: 1x5\n")
+    assert calls == []
+
+
 def test_dataset_stats(workdir, surrogate_file, surrogate_samples, capsys):
     rc = cli.main(["dataset-stats", "--dataset", str(surrogate_file)])
     out = capsys.readouterr().out

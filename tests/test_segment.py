@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from skinseg import segment
+from skinseg import model_io, segment
 from skinseg.classifiers import (
     ThresholdRange,
     TreeConfig,
@@ -29,12 +29,16 @@ def models(surrogate_samples):
     rng = np.random.default_rng(6)
     for b in mlp.biases:
         b[:] = rng.normal(scale=0.1, size=b.shape)
-    return {
+    by_kind = {
         "threshold": ThresholdRange(),
         "bayes": bayes_fit(hsv_train),
         "tree": tree_fit(hsv_train, TreeConfig(max_depth=10)),
         "mlp": mlp,
     }
+    # one model of every kind a model file can hold, so a kind added there
+    # without a stage-1 predictor fails here
+    assert tuple(by_kind) == model_io.KINDS
+    return by_kind
 
 
 # reference stage 1: every pixel scored, repeats and all
