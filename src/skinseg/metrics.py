@@ -6,6 +6,8 @@ undefined (None), never silently coerced to 0. The report serializes to
 a flat, versioned key-value text document.
 """
 
+import itertools
+import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -117,7 +119,8 @@ def roc_auc(scores: Sequence[float], labels: Sequence[Label]) -> tuple[RocCurve,
     a score is NaN.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    truth = np.array([lab is Label.SKIN for lab in labels], dtype=bool)
+    skin = map(operator.is_, labels, itertools.repeat(Label.SKIN))
+    truth = np.fromiter(skin, dtype=bool, count=len(labels))
     if scores.shape[0] != truth.shape[0]:
         raise ValueError(
             f"scores and labels differ in length: {scores.shape[0]} vs {truth.shape[0]}"

@@ -14,6 +14,16 @@ moment vectors of the same length, in place once per batch. Adam's
 hyperparameters are the module constants ADAM_LR = 0.001,
 ADAM_BETA1 = 0.9, ADAM_BETA2 = 0.999 and ADAM_EPS = 1e-7.
 
+A training step works on arrays of at most batch_size x 32, so the
+number of numpy calls sets its cost. Once per epoch, train gathers the
+uint8 HSV rows and skin flags in the shuffled order and builds the
+scaled inputs and one-hot targets from them, into buffers allocated
+once, so a batch is a contiguous slice; the softmax and the loss read
+the two output columns instead of reducing over a length-2 axis; and
+backward writes the gradients into views of the flat vector adam_step
+reads. The bits are those of a loop that indexes each batch, applies
+softmax and concatenates the gradient list.
+
 Inference keeps no backprop cache: forward_batch and mlp_predict_batch
 walk the rows in blocks of at most FORWARD_BLOCK_ROWS and hold only one
 buffer per layer input, feature-major ((fan_in + 1, rows), one row of
@@ -30,7 +40,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .colorspace import normalize_hsv_array
 from .dataset import HsvSamples, hsv_arrays
 
 INPUT_DIM = 3
@@ -120,16 +129,22 @@ def _forward_cached(model: MlpModel, x: np.ndarray):
     """Forward pass over a (N, 3) batch; returns (probs, cache).
 
     cache holds the input and every pre-activation, which is exactly what
-    backprop needs.
+    backprop needs. The softmax takes the maximum and the sum of the two
+    logit columns with one np.maximum and one add, the bits of softmax.
     """
     activations = [x]
     pre_activations = []
     a = x
     last = len(model.weights) - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
+        z = a @ w
+        z += b
         pre_activations.append(z)
-        a = softmax(z) if l == last else np.maximum(z, 0.0)
+        if l < last:
+            a = np.maximum(z, 0.0)
+        else:
+            a = np.exp(z - np.maximum(z[:, 0], z[:, 1])[:, None])
+            a /= (a[:, 0] + a[:, 1])[:, None]
         activations.append(a)
     return activations[-1], (activations, pre_activations)
 
@@ -212,28 +227,27 @@ def cross_entropy_loss(probs, target_one_hot) -> float:
     return -float(np.log(np.clip(p_true, _LOG_CLAMP, 1.0)))
 
 
-def _batch_mean_loss(probs: np.ndarray, targets: np.ndarray) -> float:
-    p_true = np.clip((probs * targets).sum(axis=1), _LOG_CLAMP, 1.0)
-    return float(-np.log(p_true).mean())
-
-
-def backward(model: MlpModel, cache, targets: np.ndarray) -> list[np.ndarray]:
+def backward(model: MlpModel, cache, targets: np.ndarray, out=None) -> list[np.ndarray]:
     """Gradients of the batch-mean cross-entropy as [dW0, db0, dW1, db1, ...].
 
     The softmax + cross-entropy head collapses to (probs - one_hot) at the
-    output; hidden layers propagate through the ReLU mask.
+    output; hidden layers propagate through the ReLU mask. Each gradient
+    is written into out, a list of arrays of those shapes (train passes
+    views of one flat vector), or into a fresh list when out is None;
+    the list is returned either way.
     """
     activations, pre_activations = cache
     n = targets.shape[0]
-    grads: list[np.ndarray] = [None] * (2 * len(model.weights))
+    if out is None:
+        out = [np.empty_like(p) for pair in zip(model.weights, model.biases) for p in pair]
     dz = (activations[-1] - targets) / n
     for l in range(len(model.weights) - 1, -1, -1):
-        grads[2 * l] = activations[l].T @ dz
-        grads[2 * l + 1] = dz.sum(axis=0)
+        np.matmul(activations[l].T, dz, out=out[2 * l])
+        np.add.reduce(dz, 0, out=out[2 * l + 1])
         if l > 0:
-            da = dz @ model.weights[l].T
-            dz = da * (pre_activations[l - 1] > 0.0)
-    return grads
+            dz = dz @ model.weights[l].T
+            dz *= pre_activations[l - 1] > 0.0
+    return out
 
 
 @dataclass
@@ -288,38 +302,55 @@ def train(
     """Mini-batch Adam training; returns the model and per-epoch mean loss.
 
     Inputs are the HSV channels scaled onto [0, 1]. Each epoch draws a
-    fresh shuffle from the session generator, walks batches of
-    cfg.batch_size (final short batch allowed), averages gradients over
-    the batch and applies one Adam step per batch. The recorded epoch
-    loss is the sample-weighted mean of the batch losses, i.e. the mean
-    loss over all samples as each was visited during the epoch.
+    fresh shuffle from the session generator, gathers the HSV rows and
+    skin flags in that order once and scales them into the inputs and
+    one-hot targets, then walks batches of cfg.batch_size (final short
+    batch allowed) as slices of them, averages gradients over the batch
+    and applies one Adam step per batch. Backward writes the gradients
+    into one flat vector, which Adam reads as it is. A batch's loss is
+    the mean of -log of each row's true-class probability, clamped to
+    [1e-12, 1]. The recorded epoch loss is the sample-weighted mean of
+    the batch losses, i.e. the mean loss over all samples as each was
+    visited during the epoch.
     """
     if not train_set:
         raise ValueError("training set is empty")
     hsv, skin = hsv_arrays(train_set)
     if skin.all() or not skin.any():
         raise ValueError("training set must contain both classes")
-    x = normalize_hsv_array(hsv)
-    targets = np.zeros((len(train_set), OUTPUT_DIM))
-    targets[skin, 0] = 1.0
-    targets[~skin, 1] = 1.0
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     model = init_model(arch, rng)
     state = AdamState.fresh(model.params)
     n = len(train_set)
 
+    # backward writes into views of grad.params, the vector adam_step reads
+    grad = MlpModel(arch, model.weights, model.biases)
+    grads = [g for pair in zip(grad.weights, grad.biases) for g in pair]
+    hs, skins = np.empty_like(hsv), np.empty_like(skin)
+    xs, ts = np.empty(hsv.shape), np.empty((n, OUTPUT_DIM))
     history = []
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
+        # every index of a permutation is in range; mode="raise" would
+        # gather through a temporary before writing out
+        np.take(hsv, perm, axis=0, out=hs, mode="clip")
+        np.take(skin, perm, axis=0, out=skins, mode="clip")
+        np.divide(hs, 255.0, out=xs)  # the bits of normalize_hsv_array
+        ts[:, 0] = skins
+        ts[:, 1] = ~skins
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
-            batch = perm[start : start + cfg.batch_size]
-            batch_targets = targets[batch]
-            probs, cache = _forward_cached(model, x[batch])
-            loss_sum += _batch_mean_loss(probs, batch_targets) * batch.size
-            grads = backward(model, cache, batch_targets)
-            adam_step(state, model.params, np.concatenate(grads, axis=None))
+            stop = start + cfg.batch_size
+            probs, cache = _forward_cached(model, xs[start:stop])
+            p_true = np.where(skins[start:stop], probs[:, 0], probs[:, 1])
+            np.maximum(p_true, _LOG_CLAMP, out=p_true)
+            np.minimum(p_true, 1.0, out=p_true)
+            # the batch's mean loss (what .mean() computes), weighted by its size
+            m = p_true.shape[0]
+            loss_sum -= float(np.add.reduce(np.log(p_true)) / m) * m
+            backward(model, cache, ts[start:stop], out=grads)
+            adam_step(state, model.params, grad.params)
         history.append(loss_sum / n)
     return model, history
 

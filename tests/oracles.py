@@ -3,9 +3,11 @@
 Each function here computes one pixel (or one label pair) at a time in
 straight-line code, and the tests compare the batch paths in
 ``skinseg`` against it element by element, the way ``refine`` is
-compared against ``refine_brute_oracle``. Three references work on whole
+compared against ``refine_brute_oracle``. Four references work on whole
 arrays: ``forward_unfolded`` scores MLP rows with the bias added as its
-own pass, ``distinct_colours`` finds an image's distinct colours with
+own pass, ``train_unfused`` trains an MLP with a gather, a softmax, a
+loss reduction and a gradient concatenation per batch,
+``distinct_colours`` finds an image's distinct colours with
 ``np.unique``, and ``preorder_right`` finds a tree table's right
 children with a stack walk. Nothing in ``skinseg`` imports this module.
 """
@@ -16,11 +18,26 @@ from typing import Sequence
 import numpy as np
 
 from skinseg.classifiers import BayesModel, ClassProbabilities, ThresholdRange, TreeModel
-from skinseg.colorspace import _YCBCR_DEN, YcbcrPixel, _check_channel
-from skinseg.dataset import Label
+from skinseg.colorspace import _YCBCR_DEN, YcbcrPixel, _check_channel, normalize_hsv_array
+from skinseg.dataset import HsvSamples, Label, hsv_arrays
 from skinseg.metrics import ConfusionMatrix
 from skinseg.neighbourhood import ProbabilityMap
-from skinseg.nn import FORWARD_BLOCK_ROWS, INPUT_DIM, OUTPUT_DIM, _TAIL_ROWS, MlpModel, forward_batch
+from skinseg.nn import (
+    _LOG_CLAMP,
+    _TAIL_ROWS,
+    FORWARD_BLOCK_ROWS,
+    INPUT_DIM,
+    OUTPUT_DIM,
+    AdamState,
+    MlpArchitecture,
+    MlpModel,
+    TrainConfig,
+    adam_step,
+    backward,
+    forward_batch,
+    init_model,
+    softmax,
+)
 
 SKIN = ClassProbabilities(1.0, 0.0)
 NON_SKIN = ClassProbabilities(0.0, 1.0)
@@ -213,6 +230,53 @@ def forward_unfolded(model: MlpModel, x: np.ndarray) -> np.ndarray:
         np.divide(e0, total, out=probs[0, start : start + rows])
         np.divide(e1, total, out=probs[1, start : start + rows])
     return probs.T
+
+
+def train_unfused(
+    train_set: HsvSamples,
+    arch: MlpArchitecture = MlpArchitecture(),
+    cfg: TrainConfig = TrainConfig(),
+) -> tuple[MlpModel, list[float]]:
+    """nn.train written with one numpy call per step of the arithmetic.
+
+    Each batch fancy-indexes x and the one-hot targets with its slice of
+    the epoch's permutation, runs the forward pass with a + b and
+    softmax over the last axis, takes the loss from (probs * targets)
+    summed over the classes, clipped and averaged with .mean(), and
+    hands Adam the concatenation of backward's gradient list. nn.train
+    must give the same bits.
+    """
+    hsv, skin = hsv_arrays(train_set)
+    x = normalize_hsv_array(hsv)
+    targets = np.zeros((len(train_set), OUTPUT_DIM))
+    targets[skin, 0] = 1.0
+    targets[~skin, 1] = 1.0
+
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    model = init_model(arch, rng)
+    state = AdamState.fresh(model.params)
+    n = len(train_set)
+    last = len(model.weights) - 1
+
+    history = []
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        loss_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            batch = perm[start : start + cfg.batch_size]
+            batch_targets = targets[batch]
+            activations, pre_activations = [x[batch]], []
+            for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+                z = activations[-1] @ w + b
+                pre_activations.append(z)
+                activations.append(softmax(z) if l == last else np.maximum(z, 0.0))
+            probs = activations[-1]
+            p_true = np.clip((probs * batch_targets).sum(axis=1), _LOG_CLAMP, 1.0)
+            loss_sum += float(-np.log(p_true).mean()) * batch.size
+            grads = backward(model, (activations, pre_activations), batch_targets)
+            adam_step(state, model.params, np.concatenate(grads, axis=None))
+        history.append(loss_sum / n)
+    return model, history
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,21 @@ def test_roc_rejects_nan_scores():
         roc_auc([0.3, float("nan")], [Label.SKIN, Label.NON_SKIN])
 
 
+def test_roc_reads_a_list_a_tuple_and_an_object_array_alike():
+    rng = np.random.default_rng(4)
+    scores = rng.integers(0, 7, size=300) / 6.0
+    truth = rng.random(300) < 0.5
+    labels = [Label.SKIN if t else Label.NON_SKIN for t in truth]
+    as_array = np.where(truth, Label.SKIN, Label.NON_SKIN)
+    assert as_array.dtype == object
+    curve, auc = roc_auc(scores, labels)
+    for other in (tuple(labels), as_array):
+        other_curve, other_auc = roc_auc(scores, other)
+        assert other_curve.fpr.tobytes() == curve.fpr.tobytes()
+        assert other_curve.tpr.tobytes() == curve.tpr.tobytes()
+        assert other_auc == auc
+
+
 # ------------------------------------------------------------ report format
 
 

@@ -23,7 +23,7 @@ from skinseg.nn import (
     _forward_cached,
 )
 
-from oracles import forward, forward_unfolded
+from oracles import forward, forward_unfolded, train_unfused
 
 
 def _samples(rows, skin) -> HsvSamples:
@@ -450,6 +450,27 @@ def test_train_replicated_by_straightline_script():
     assert history == script_history
     for got, expect in zip(model.weights + model.biases, [w0, w1, b0, b1]):
         assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("hidden", [(32, 16, 8), (1,), (5, 1)])
+@pytest.mark.parametrize(
+    "n_rows, batch_size",
+    [(107, 53), (100, 16), (30, 1)],
+    ids=["last-batch-one-row", "short-last-batch", "batch-size-1"],
+)
+def test_train_matches_unfused_loop(hidden, n_rows, batch_size):
+    """train's per-epoch gather, two-column softmax, true-class loss and
+    flat gradient vector give the bits of one call per step."""
+    rng = np.random.default_rng(n_rows)
+    skin = rng.random(n_rows) < 0.4
+    skin[:2] = True, False
+    samples = _samples(rng.integers(0, 256, size=(n_rows, 3)), skin)
+    arch = MlpArchitecture(hidden_layers=hidden)
+    cfg = TrainConfig(epochs=3, batch_size=batch_size, seed=7)
+    model, history = train(samples, arch, cfg)
+    expect_model, expect_history = train_unfused(samples, arch, cfg)
+    assert history == expect_history
+    assert model.params.tobytes() == expect_model.params.tobytes()
 
 
 def test_predict_batch_matches_forward():
