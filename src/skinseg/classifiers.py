@@ -200,6 +200,7 @@ class TreeModel:
     config: TreeConfig
     n_samples: int
     right: np.ndarray = field(init=False)
+    _depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, dtype in (("attribute", np.int64), ("threshold", np.float64),
@@ -245,9 +246,12 @@ class TreeModel:
         if self.n_samples != int(counts[0].sum()):
             raise ValueError(f"tree samples {self.n_samples} differ from the root's "
                              f"total {int(counts[0].sum())}")
-        # each node's [lo, hi] range of each attribute, carried down one depth at a time
+        # each node's [lo, hi] range of each attribute, carried down one depth
+        # at a time; the last depth visited holds only leaves
         nodes, box = np.zeros(1, dtype=np.int64), np.array([[[0.0] * 3, [255.0] * 3]])
+        depth = -1
         while nodes.size:
+            depth += 1
             inner = attribute[nodes] >= 0
             nodes, box = nodes[inner], box[inner]
             rows, attr, thr = np.arange(nodes.size), attribute[nodes], self.threshold[nodes]
@@ -264,15 +268,11 @@ class TreeModel:
             box[rows, 1, attr] = np.floor(thr)
             box[rows + nodes.size, 0, attr] = np.floor(thr) + 1
             nodes = np.concatenate((nodes + 1, right[nodes]))
+        object.__setattr__(self, "_depth", depth)
 
     def depth(self) -> int:
-        level, nodes = 0, np.zeros(1, dtype=np.int64)
-        while True:
-            nodes = nodes[self.attribute[nodes] >= 0]
-            if nodes.size == 0:
-                return level
-            nodes = np.concatenate((nodes + 1, self.right[nodes]))
-            level += 1
+        """Splits on the longest root-to-leaf path, counted by __post_init__."""
+        return self._depth
 
     def node_count(self) -> tuple[int, int]:
         """(internal nodes, leaves)."""

@@ -276,10 +276,9 @@ def cmd_eval(args) -> int:
     truth = test_raw.skin
     scores = score_rgb(saved.model, test_raw.channels[:, ::-1])
     matrix = confusion_from_flags(scores >= 0.5, truth)
-    try:
+    auc = None  # a single-class test split has no ROC curve
+    if truth.any() and not truth.all():
         _, auc = roc_auc(scores, np.where(truth, Label.SKIN, Label.NON_SKIN))
-    except ValueError:
-        auc = None  # single-class test split: the curve is undefined
     report = scalar_metrics(matrix, auc=auc)
     document = format_report(report, matrix)
     document += "".join(f"# {name} {format_percent(value)}\n"

@@ -21,8 +21,11 @@ scaled inputs and one-hot targets from them, into buffers allocated
 once, so a batch is a contiguous slice; the softmax and the loss read
 the two output columns instead of reducing over a length-2 axis; and
 backward writes the gradients into views of the flat vector adam_step
-reads. The bits are those of a loop that indexes each batch, applies
-softmax and concatenates the gradient list.
+reads. For backward a step keeps one array per layer: the batch, then
+each layer's output, row-major. A ReLU output is above 0 exactly where
+its pre-activation is, so backward reads its masks from the outputs and
+no pre-activation is kept. The bits are those of a loop that indexes
+each batch, applies softmax and concatenates the gradient list.
 
 Inference keeps no backprop cache: forward_batch and mlp_predict_batch
 walk the rows in blocks of at most FORWARD_BLOCK_ROWS and hold only one
@@ -32,8 +35,7 @@ with the batch and a row's score does not depend on the batch it came
 in. Each layer is one matmul of [W.T | b] with the bias as the last
 column, which adds the bias last and so keeps the bits of W.T @ a + b
 (_softmax_blocks says why, and where one-unit layers differ), and one
-in-place ReLU. Training keeps every row's activations, row-major, for
-backward, and adds its biases as a separate term.
+in-place ReLU. Training adds its biases as a separate term.
 """
 
 from dataclasses import dataclass, field
@@ -126,27 +128,27 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _forward_cached(model: MlpModel, x: np.ndarray):
-    """Forward pass over a (N, 3) batch; returns (probs, cache).
+    """Forward pass over a (N, 3) batch; returns (probs, activations).
 
-    cache holds the input and every pre-activation, which is exactly what
-    backprop needs. The softmax takes the maximum and the sum of the two
-    logit columns with one np.maximum and one add, the bits of softmax.
+    activations holds one array per layer, which is all backward needs:
+    the input, then each layer's output, probs last. No pre-activation
+    is kept: each layer adds its bias to its matmul's output in place and
+    runs its ReLU, or the softmax head, there too. The softmax takes the
+    maximum and the sum of the two logit columns with one np.maximum and
+    one add, the bits of softmax.
     """
     activations = [x]
-    pre_activations = []
-    a = x
     last = len(model.weights) - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w
-        z += b
-        pre_activations.append(z)
+        a = activations[-1] @ w
+        a += b
         if l < last:
-            a = np.maximum(z, 0.0)
-        else:
-            a = np.exp(z - np.maximum(z[:, 0], z[:, 1])[:, None])
-            a /= (a[:, 0] + a[:, 1])[:, None]
+            np.maximum(a, 0.0, out=a)
         activations.append(a)
-    return activations[-1], (activations, pre_activations)
+    a -= np.maximum(a[:, 0], a[:, 1])[:, None]
+    np.exp(a, out=a)
+    a /= (a[:, 0] + a[:, 1])[:, None]
+    return a, activations
 
 
 def _softmax_blocks(model: MlpModel, inputs: np.ndarray, scale: float):
@@ -227,16 +229,18 @@ def cross_entropy_loss(probs, target_one_hot) -> float:
     return -float(np.log(np.clip(p_true, _LOG_CLAMP, 1.0)))
 
 
-def backward(model: MlpModel, cache, targets: np.ndarray, out=None) -> list[np.ndarray]:
+def backward(model: MlpModel, activations, targets: np.ndarray, out=None) -> list[np.ndarray]:
     """Gradients of the batch-mean cross-entropy as [dW0, db0, dW1, db1, ...].
 
-    The softmax + cross-entropy head collapses to (probs - one_hot) at the
-    output; hidden layers propagate through the ReLU mask. Each gradient
-    is written into out, a list of arrays of those shapes (train passes
-    views of one flat vector), or into a fresh list when out is None;
-    the list is returned either way.
+    activations is _forward_cached's list: the input, then each layer's
+    output. The softmax + cross-entropy head collapses to (probs -
+    one_hot) at the output; hidden layers propagate through the ReLU
+    mask, read from each output as output > 0, which holds exactly where
+    the pre-activation is > 0 (NaN is neither). Each gradient is written
+    into out, a list of arrays of those shapes (train passes views of
+    one flat vector), or into a fresh list when out is None; the list is
+    returned either way.
     """
-    activations, pre_activations = cache
     n = targets.shape[0]
     if out is None:
         out = [np.empty_like(p) for pair in zip(model.weights, model.biases) for p in pair]
@@ -246,7 +250,7 @@ def backward(model: MlpModel, cache, targets: np.ndarray, out=None) -> list[np.n
         np.add.reduce(dz, 0, out=out[2 * l + 1])
         if l > 0:
             dz = dz @ model.weights[l].T
-            dz *= pre_activations[l - 1] > 0.0
+            dz *= activations[l] > 0.0
     return out
 
 
@@ -342,14 +346,14 @@ def train(
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             stop = start + cfg.batch_size
-            probs, cache = _forward_cached(model, xs[start:stop])
+            probs, activations = _forward_cached(model, xs[start:stop])
             p_true = np.where(skins[start:stop], probs[:, 0], probs[:, 1])
             np.maximum(p_true, _LOG_CLAMP, out=p_true)
             np.minimum(p_true, 1.0, out=p_true)
             # the batch's mean loss (what .mean() computes), weighted by its size
             m = p_true.shape[0]
             loss_sum -= float(np.add.reduce(np.log(p_true)) / m) * m
-            backward(model, cache, ts[start:stop], out=grads)
+            backward(model, activations, ts[start:stop], out=grads)
             adam_step(state, model.params, grad.params)
         history.append(loss_sum / n)
     return model, history

@@ -3,13 +3,15 @@
 Each function here computes one pixel (or one label pair) at a time in
 straight-line code, and the tests compare the batch paths in
 ``skinseg`` against it element by element, the way ``refine`` is
-compared against ``refine_brute_oracle``. Four references work on whole
+compared against ``refine_brute_oracle``. Five references work on whole
 arrays: ``forward_unfolded`` scores MLP rows with the bias added as its
 own pass, ``train_unfused`` trains an MLP with a gather, a softmax, a
 loss reduction and a gradient concatenation per batch,
-``distinct_colours`` finds an image's distinct colours with
-``np.unique``, and ``preorder_right`` finds a tree table's right
-children with a stack walk. Nothing in ``skinseg`` imports this module.
+``backward_from_pre_activations`` takes an MLP's gradients with ReLU
+masks read from the pre-activations, ``distinct_colours`` finds an
+image's distinct colours with ``np.unique``, and ``preorder_right``
+finds a tree table's right children with a stack walk. Nothing in
+``skinseg`` imports this module.
 """
 
 from dataclasses import dataclass
@@ -265,18 +267,47 @@ def train_unfused(
         for start in range(0, n, cfg.batch_size):
             batch = perm[start : start + cfg.batch_size]
             batch_targets = targets[batch]
-            activations, pre_activations = [x[batch]], []
+            activations = [x[batch]]
             for l, (w, b) in enumerate(zip(model.weights, model.biases)):
                 z = activations[-1] @ w + b
-                pre_activations.append(z)
                 activations.append(softmax(z) if l == last else np.maximum(z, 0.0))
             probs = activations[-1]
             p_true = np.clip((probs * batch_targets).sum(axis=1), _LOG_CLAMP, 1.0)
             loss_sum += float(-np.log(p_true).mean()) * batch.size
-            grads = backward(model, (activations, pre_activations), batch_targets)
+            grads = backward(model, activations, batch_targets)
             adam_step(state, model.params, np.concatenate(grads, axis=None))
         history.append(loss_sum / n)
     return model, history
+
+
+def pre_activations(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
+    """Every layer's z = a @ w + b over the (N, 3) batch x, logits last."""
+    zs, a = [], x
+    for w, b in zip(model.weights, model.biases):
+        zs.append(a @ w + b)
+        a = np.maximum(zs[-1], 0.0)
+    return zs
+
+
+def backward_from_pre_activations(model: MlpModel, x: np.ndarray,
+                                  targets: np.ndarray) -> list[np.ndarray]:
+    """nn.backward's [dW0, db0, dW1, db1, ...] at the batch x, masked by z > 0.
+
+    Recomputes the pre-activations and takes each hidden layer's ReLU
+    mask from them, where nn.backward reads it from the layer outputs
+    as max(z, 0) > 0. The rest is nn.backward's arithmetic, so the two
+    give the same bits exactly where their masks agree, the ReLU kink
+    z = +-0.0 included.
+    """
+    zs = pre_activations(model, x)
+    inputs = [x] + [np.maximum(z, 0.0) for z in zs[:-1]]
+    dz = (softmax(zs[-1]) - targets) / targets.shape[0]
+    grads = []
+    for l in range(len(zs) - 1, -1, -1):
+        grads[:0] = [inputs[l].T @ dz, dz.sum(axis=0)]
+        if l > 0:
+            dz = (dz @ model.weights[l].T) * (zs[l - 1] > 0.0)
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,37 @@ def test_eval_fingerprint_mismatch_warns(workdir, bayes_model, tmp_path, capsys)
     assert "fingerprint does not match" in captured.err
 
 
+def test_eval_single_class_split_reports_auc_undefined(workdir, bayes_model, tmp_path, capsys):
+    # every held-out row is non-skin, so the ROC curve has no positives
+    one_class = tmp_path / "non_skin_only.txt"
+    one_class.write_text("\n".join(surrogate_rows(n_skin=0, n_non=40)) + "\n", encoding="ascii")
+    rc = cli.main(["eval", "--dataset", str(one_class), "--model", str(bayes_model)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    report, matrix = parse_report(out)
+    assert report.auc is None and "\nauc undefined\n" in out
+    assert matrix.tp + matrix.fn == 0 and matrix.total == 12
+
+
+def test_eval_nan_score_is_an_internal_error(workdir, surrogate_file, bayes_model,
+                                             monkeypatch, capsys):
+    # a NaN score is a fault in scoring, not a single-class split: roc_auc's
+    # error must reach the CLI boundary instead of reading as auc undefined
+    score_rgb = cli.score_rgb
+
+    def one_nan(model, rgb):
+        scores = np.array(score_rgb(model, rgb), dtype=np.float64)
+        scores[0] = np.nan
+        return scores
+
+    monkeypatch.setattr(cli, "score_rgb", one_nan)
+    rc = cli.main(["eval", "--dataset", str(surrogate_file), "--model", str(bayes_model)])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_INTERNAL == 3
+    assert captured.out == ""
+    assert "ROC scores must not be NaN" in captured.err
+
+
 def test_segment_all_blue_is_empty_mask(workdir, threshold_model, tmp_path, capsys):
     image = _flat_image(tmp_path / "blue.ppm", COOL_BLUE)
     mask_path = tmp_path / "mask.pgm"

@@ -287,6 +287,32 @@ def test_refine_degenerate_products_keep_original_pair():
     assert np.array_equal(mask.pixels, oracle.pixels)
 
 
+def test_refine_keeps_a_zero_one_map_and_marks_only_its_surrounded_zeros():
+    # a p of 0 or 1 has a zero product for the class it lacks, so the
+    # refined map is the stage-1 map; but a 0 pixel whose whole clipped
+    # window is 1 gets products 0 and 0, and skin >= non marks it skin
+    rng = np.random.default_rng(1800)
+    surrounded_seen = 0
+    for _ in range(100):
+        h, w = (int(n) for n in rng.integers(1, 12, size=2))
+        p = (rng.random((h, w)) < rng.choice([0.5, 0.9])).astype(np.float64)
+        pm = _pmap(p)
+        for radius in (1, 3, 7):
+            surrounded = np.zeros((h, w), dtype=bool)
+            for y in range(h):
+                for x in range(w):
+                    _, non_sum, count = neighbour_sums(pm, x, y, radius)
+                    surrounded[y, x] = p[y, x] == 0.0 and count > 0 and non_sum == 0.0
+            surrounded_seen += int(surrounded.sum())
+            for rule in (Rule.SYMMETRIC, Rule.PAPER):
+                cfg = NeighbourhoodConfig(rule=rule, radius=radius)
+                refined, mask = refine(pm, cfg)
+                assert refined.p_skin.tobytes() == p.tobytes(), (h, w, rule, radius)
+                assert np.array_equal(mask.pixels, (p == 1.0) | surrounded), (h, w, rule, radius)
+                assert np.array_equal(mask.pixels, refine_brute_oracle(pm, cfg).pixels)
+    assert surrounded_seen >= 100
+
+
 def test_refine_paper_lock_sees_a_neighbour_absorbed_by_the_box_sum():
     # 0.9 + 1e-20 rounds to 0.9, so the window sum minus the centre reads
     # 0; the oracle's neighbour sum is 1e-20, so the pixel locks to (1, 0)

@@ -23,7 +23,13 @@ from skinseg.nn import (
     _forward_cached,
 )
 
-from oracles import forward, forward_unfolded, train_unfused
+from oracles import (
+    backward_from_pre_activations,
+    forward,
+    forward_unfolded,
+    pre_activations,
+    train_unfused,
+)
 
 
 def _samples(rows, skin) -> HsvSamples:
@@ -181,6 +187,28 @@ def test_zero_input_kills_first_layer_weight_gradient():
     assert np.any(grads[1] != 0.0)  # the bias gradient survives
 
 
+@pytest.mark.parametrize("hidden", [(32, 16, 8), (4,), (3, 2), (1,)],
+                         ids=["w32-16-8", "w4", "w3-2", "w1"])
+def test_backward_masks_match_pre_activation_masks_at_the_relu_kink(hidden):
+    # init_model's biases are 0, so a black row gives every unit of every
+    # layer a pre-activation of exactly +-0.0; the mask backward reads from
+    # max(z, 0) > 0 must give the bits of one read from z > 0 there too
+    model = init_model(MlpArchitecture(hidden), np.random.Generator(np.random.PCG64(6)))
+    rng = np.random.default_rng([8, *hidden])
+    hsv = rng.integers(0, 256, size=(53, 3), dtype=np.uint8)
+    hsv[::4] = 0
+    x = hsv / 255.0
+    skin = rng.random(53) < 0.5
+    targets = np.stack([skin, ~skin], axis=1).astype(np.float64)
+    assert np.all(pre_activations(model, x)[0][::4] == 0.0)
+
+    _, activations = _forward_cached(model, x)
+    got = backward(model, activations, targets)
+    expect = backward_from_pre_activations(model, x, targets)
+    assert [g.shape for g in got] == [e.shape for e in expect]
+    assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expect))
+
+
 def test_output_gradient_zero_at_perfect_prediction():
     # drive the output softmax to (~1, ~0) with a huge bias, label skin
     arch = MlpArchitecture(hidden_layers=(2,))
@@ -218,11 +246,11 @@ def gradient_check_pairs(n_pairs: int, seed: int, *, step=1e-5, tol=1e-4):
         model = init_model(arch, np.random.Generator(np.random.PCG64(int(rng.integers(1 << 30)))))
         x = rng.random(3)
         target = np.array([1.0, 0.0]) if rng.random() < 0.5 else np.array([0.0, 1.0])
-        _, cache = _forward_cached(model, x.reshape(1, 3))
-        _, pre = cache
-        if min(float(np.min(np.abs(z))) for z in pre[:-1]) < 1e-4:
+        hidden = pre_activations(model, x.reshape(1, 3))[:-1]
+        if min(float(np.min(np.abs(z))) for z in hidden) < 1e-4:
             continue
-        analytic = backward(model, cache, target.reshape(1, 2))
+        _, activations = _forward_cached(model, x.reshape(1, 3))
+        analytic = backward(model, activations, target.reshape(1, 2))
         params = [a for pair in zip(model.weights, model.biases) for a in pair]
         for p_idx, param in enumerate(params):
             flat = param.reshape(-1)
