@@ -5,10 +5,10 @@ base-10 integers ``B G R label`` with label 1 = skin, 2 = non-skin.
 
 A dataset is held as columns: an (N, 3) uint8 channel array and an (N,)
 bool skin vector. ``RawSamples`` (B, G, R channels) and ``HsvSamples``
-(H, S, V) wrap the pair; every function here takes and returns these
-column views. A slice or an integer index array gives another view.
-``RawSamples`` also builds ``RawSample`` objects on demand, one for an
-int index and one per row when iterated; ``HsvSamples`` has no items.
+(H, S, V) wrap the pair; every function here takes and returns them. A
+slice selects a view of the rows, an index array or list a gathered copy.
+``RawSamples`` also builds ``RawSample`` named tuples, one for an integer
+index and one per row when iterated; ``HsvSamples`` has no items.
 
 ``load_uci`` reads the file's bytes and parses them in blocks of about
 1 MiB, cut at a newline, one vectorised pass per block. That fast path
@@ -29,11 +29,12 @@ N = 299,629 at test fraction 0.30 always lands on 209,740 / 89,889.
 """
 
 import enum
+import functools
 import io
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,19 +53,22 @@ class DatasetError(ValueError):
     """Raised for malformed dataset files; message names the offending line."""
 
 
-@dataclass(frozen=True)
-class RawSample:
+class RawSample(NamedTuple):
     b: int
     g: int
     r: int
     label: Label
 
 
+_LABELS = (Label.NON_SKIN, Label.SKIN)  # indexed by a Python bool skin flag
+_new_sample = functools.partial(tuple.__new__, RawSample)  # a RawSample from a 4-tuple, in C
+
+
 class _Columns:
     """An (N, 3) uint8 channel array and an (N,) bool skin vector.
 
-    The arrays are held as given, not copied. A slice or an integer
-    index array gives another view of the selected rows.
+    The arrays are held as given, not copied. A slice selects rows as
+    views, an integer index array or list as gathered copies.
     """
 
     def __init__(self, channels: np.ndarray, skin: np.ndarray):
@@ -79,33 +83,34 @@ class _Columns:
         return self.skin.shape[0]
 
     def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)) and not isinstance(index, bool):
+            return self._item(index)
         return type(self)(self.channels[index], self.skin[index])
+
+    def _item(self, index):
+        raise TypeError(f"{type(self).__name__} has no items; index it with a slice or an array")
 
 
 class RawSamples(_Columns):
-    """A dataset as read from disk: B, G, R channels and the skin flags.
-
-    An int index builds one RawSample; iterating builds one per row.
-    """
+    """A dataset as read from disk; an int index builds a RawSample, iterating one per row."""
 
     @classmethod
     def of(cls, samples):
-        """The samples as columns; a list of RawSample is converted once."""
+        """The samples as columns; any iterable of RawSample is read once."""
         if isinstance(samples, cls):
             return samples
-        channels = np.array([(s.b, s.g, s.r) for s in samples], dtype=np.uint8)
-        skin = np.array([s.label is Label.SKIN for s in samples], dtype=bool)
-        return cls(channels.reshape(-1, 3), skin)
+        rows = [(b, g, r, label is Label.SKIN) for b, g, r, label in samples]
+        table = np.array(rows, dtype=np.uint8).reshape(-1, 4)
+        return cls(np.ascontiguousarray(table[:, :3]), table[:, 3].astype(bool))
 
-    def __getitem__(self, index):
-        if isinstance(index, (slice, np.ndarray)):
-            return super().__getitem__(index)
+    def _item(self, index):
         b, g, r = self.channels[index].tolist()
+        # a tuple cannot be indexed by the numpy.bool_ that self.skin[index] is
         return RawSample(b, g, r, Label.SKIN if self.skin[index] else Label.NON_SKIN)
 
     def __iter__(self) -> Iterator[RawSample]:
-        for (b, g, r), skin in zip(self.channels.tolist(), self.skin.tolist()):
-            yield RawSample(b, g, r, Label.SKIN if skin else Label.NON_SKIN)
+        labels = map(_LABELS.__getitem__, self.skin.tolist())
+        return map(_new_sample, zip(*self.channels.T.tolist(), labels))
 
 
 class HsvSamples(_Columns):
@@ -239,8 +244,8 @@ def label_counts(samples: RawSamples | HsvSamples) -> dict[Label, int]:
     return {Label.SKIN: skin, Label.NON_SKIN: len(samples) - skin}
 
 
-def to_hsv_samples(raw: RawSamples | list[RawSample]) -> HsvSamples:
-    """Convert raw BGR samples (or a list of RawSample) to quantized HSV, order preserved."""
+def to_hsv_samples(raw: RawSamples | Iterable[RawSample]) -> HsvSamples:
+    """Convert raw BGR samples (or RawSample rows) to quantized HSV, order preserved."""
     raw = RawSamples.of(raw)
     return HsvSamples(rgb_to_hsv_array(raw.channels[:, ::-1]), raw.skin)
 

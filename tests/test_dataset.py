@@ -212,6 +212,75 @@ def test_hsv_columns_pass_through_without_copies():
     assert isinstance(train, RawSamples) and isinstance(test, RawSamples)
 
 
+def test_raw_sample_is_a_named_tuple():
+    sample = RawSample(10, 20, 30, Label.SKIN)
+    assert sample == (10, 20, 30, Label.SKIN) and len(sample) == 4
+    b, g, r, label = sample
+    assert (b, g, r, label) == (sample.b, sample.g, sample.r, sample.label)
+    assert hash(sample) == hash((10, 20, 30, Label.SKIN))
+    assert repr(sample) == "RawSample(b=10, g=20, r=30, label=<Label.SKIN: 1>)"
+    assert sample != RawSample(10, 20, 30, Label.NON_SKIN)
+    with pytest.raises(AttributeError):
+        sample.b = 0
+
+
+def _random_raw(n: int) -> RawSamples:
+    rng = np.random.default_rng(n)
+    return RawSamples(rng.integers(0, 256, size=(n, 3), dtype=np.uint8), rng.random(n) < 0.3)
+
+
+def _selections():
+    """Whole columns of 0, 1 and 1,000 rows, a stepped slice and an index-array selection."""
+    big = _random_raw(1000)
+    return [_random_raw(0), _random_raw(1), big, big[3::7],
+            big[np.random.default_rng(5).permutation(1000)[:400]]]
+
+
+@pytest.mark.parametrize("raw", _selections(), ids=["0", "1", "1000", "stepped", "gathered"])
+def test_iteration_matches_int_indexing_and_round_trips(raw):
+    rows = list(raw)
+    assert rows == [raw[i] for i in range(len(raw))]
+    assert list(raw) == rows
+    for row in rows:
+        assert type(row) is RawSample
+        assert [type(v) for v in row[:3]] == [int, int, int] and type(row.label) is Label
+    again = RawSamples.of(rows)
+    for got, want in ((again.channels, raw.channels), (again.skin, raw.skin)):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize("rows", [list, lambda raw: (s for s in raw), iter],
+                         ids=["list", "generator", "iterator"])
+def test_of_reads_its_argument_once(rows):
+    raw = _random_raw(50)
+    assert _same(RawSamples.of(rows(raw)), raw)
+    assert _same(to_hsv_samples(rows(raw)), to_hsv_samples(raw))
+
+
+def test_of_an_empty_list_gives_empty_columns():
+    empty = RawSamples.of([])
+    assert (empty.channels.dtype, empty.channels.shape) == (np.uint8, (0, 3))
+    assert (empty.skin.dtype, empty.skin.shape) == (bool, (0,))
+    assert to_hsv_samples([]).channels.shape == (0, 3)
+
+
+def test_index_lists_select_rows_like_index_arrays():
+    raw = _random_raw(10)
+    for index in ([0, 2], [0, 1, 2], [9, 0, 9], []):
+        picked = raw[index]
+        assert isinstance(picked, RawSamples) and _same(picked, raw[np.array(index, dtype=np.intp)])
+    for index in (3, -1, np.int64(3), np.uint8(3), np.int32(-1)):
+        assert raw[index] == list(raw)[int(index)]
+    for index in (True, np.True_):  # numpy reads a bool as a mask, not as row 1
+        with pytest.raises(ValueError, match=r"expected \(N, 3\) uint8 channels"):
+            raw[index]
+    hsv = to_hsv_samples(raw)
+    assert _same(hsv[[1, 4]], hsv[np.array([1, 4])])
+    for index in (1, np.int64(1)):
+        with pytest.raises(TypeError, match="HsvSamples has no items"):
+            hsv[index]
+
+
 def _reference_parse(path):
     """parse_uci over the file's lines, read as text with universal newlines."""
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
