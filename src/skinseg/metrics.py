@@ -8,15 +8,15 @@ a flat, versioned key-value text document.
 
 import itertools
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .dataset import Label
 
-MetricValue = Union[Fraction, float, None]
+MetricValue = Fraction | float | None
 
 REPORT_HEADER = "skinseg-report 1"
 
@@ -76,7 +76,7 @@ def confusion_from_flags(pred_skin: np.ndarray, true_skin: np.ndarray) -> Confus
     )
 
 
-def _ratio(num: int, den: int) -> Optional[Fraction]:
+def _ratio(num: int, den: int) -> Fraction | None:
     return None if den == 0 else Fraction(num, den)
 
 
@@ -132,7 +132,10 @@ def roc_auc(scores: Sequence[float], labels: Sequence[Label]) -> tuple[RocCurve,
     if np.isnan(scores).any():
         raise ValueError("ROC scores must not be NaN")
 
-    order = np.argsort(-scores, kind="stable")
+    # a tie group's positive count is read only at its last row, so the
+    # order within a group, which an unstable sort leaves open, cannot
+    # change the curve
+    order = np.argsort(-scores)
     sorted_scores = scores[order]
     # the last row of each tie group: every threshold flips a whole group
     ends = np.flatnonzero(np.append(sorted_scores[1:] != sorted_scores[:-1], True))

@@ -12,7 +12,12 @@ stage 1 converts and scores each distinct colour of the image once and
 gathers the scores back to the pixels. Scoring then costs in
 proportion to the distinct colours; finding them is one sort of the
 pixels' 24-bit codes, each packed with its pixel index into one 64-bit
-key (see _distinct_colours).
+key (see _distinct_colours). The sort's run flags count the distinct
+colours, and when they are more than _PIXEL_PATH_SHARE of the pixels,
+as on noise-like frames, stage 1 scores the pixels as they are instead:
+per-colour scoring would score nearly as many rows and still pay for
+the gather back. Both paths give the same bits, since a colour scores
+the same in any batch.
 """
 
 import time
@@ -55,13 +60,24 @@ def score_rgb(model, rgb: np.ndarray) -> np.ndarray:
     return predict(model, rgb_to_hsv_array(rgb))
 
 
-def _distinct_colours(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct colours of (..., 3) uint8 pixels (at least one), and each pixel's among them.
+# Above this share of distinct colours among its pixels, a frame is scored
+# pixel by pixel: per-colour scoring would score nearly as many rows and
+# still pay for the slots, the inverse scatter and the gather back. On
+# 450x600 frames the two paths broke even at 0.84-0.89 of the pixels for
+# the MLP, 0.7-0.75 for threshold and bayes and 0.92-0.95 for the tree
+# (BENCH_33.json); 13/16 sits a little below the MLP's, and as a dyadic
+# fraction its product with the pixel count is exact.
+_PIXEL_PATH_SHARE = 13 / 16
 
-    Returns (colours, inverse): the distinct 24-bit RGB codes as uint32 in
-    ascending order, and per pixel (in pixel order) the int32 index of its
-    code, so colours[inverse] is every pixel's code. That is what
-    np.unique(codes, return_inverse=True) gives, in less time and memory.
+
+def _colour_runs(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sort/flags phase of _distinct_colours for (..., 3) uint8 pixels (at least one).
+
+    Returns (codes, pixel, first), each of the pixel count's length: the
+    pixels' 24-bit RGB codes as uint64 in ascending order, the int64
+    index of the pixel each sorted code came from, and a bool flag on
+    the first code of each run of equal codes, so the flags count the
+    distinct colours.
     """
     # 24-bit codes built in place from the uint8 channels: no (N, 3) uint32
     # copy of the frame; each full-frame temporary below is dropped once
@@ -85,33 +101,63 @@ def _distinct_colours(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys.sort()
     # the index buffer takes back each sorted key's pixel index
     np.bitwise_and(keys, np.uint64((1 << s) - 1), out=pixel)
-    pixel = pixel.view(np.int64)
     keys >>= s  # now the sorted codes
     first = np.empty(n, dtype=bool)
     first[0] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    colours = keys[first].astype(np.uint32)
-    del keys
+    return keys, pixel.view(np.int64), first
+
+
+def _slots(codes: np.ndarray, pixel: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slots phase of _distinct_colours: its (colours, inverse) from _colour_runs' arrays.
+
+    Overwrites codes: once the distinct codes are taken out, its buffer
+    holds the int32 slots in its first half and the inverse in its
+    second, so the phase allocates only the distinct colours.
+    """
+    n = codes.size
+    colours = codes[first].astype(np.uint32)
     # slots are below 2**24, so int32 holds them; summed in place, as
     # np.cumsum(first, dtype=np.int32) would also make an int32 copy of first
-    slot = first.astype(np.int32)
-    del first
+    halves = codes.view(np.int32)
+    slot, inverse = halves[:n], halves[n:]
+    np.copyto(slot, first)
     np.cumsum(slot, out=slot)
     slot -= 1
-    inverse = np.empty(n, dtype=np.int32)
     inverse[pixel] = slot
     return colours, inverse
+
+
+def _distinct_colours(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct colours of (..., 3) uint8 pixels (at least one), and each pixel's among them.
+
+    Returns (colours, inverse): the distinct 24-bit RGB codes as uint32 in
+    ascending order, and per pixel (in pixel order) the int32 index of its
+    code, so colours[inverse] is every pixel's code. That is what
+    np.unique(codes, return_inverse=True) gives, in less time and memory.
+    """
+    return _slots(*_colour_runs(pixels))
 
 
 def stage1_probabilities(image: Image, model) -> ProbabilityMap:
     """Per-pixel P(colour = skin) for the whole image, as a 2-d map.
 
-    Each distinct colour is scored once; the scores are the ones the
-    model gives that colour, gathered back to every pixel holding it.
-    The colours are scored in ascending code order, one batch, and the
-    [0, 1] check reads those scores, which are every value the map holds.
+    A frame whose distinct colours are more than _PIXEL_PATH_SHARE of
+    its pixels is scored in one batch of its pixels, in pixel order.
+    Otherwise each distinct colour is scored once, in one batch in
+    ascending code order, and the scores are gathered back to every
+    pixel holding that colour; the [0, 1] check then reads those scores,
+    which are every value the map holds. Either way a pixel gets the
+    score the model gives its colour, since a colour scores the same in
+    any batch.
     """
-    codes, inverse = _distinct_colours(image.pixels)
+    codes, pixel, first = _colour_runs(image.pixels)
+    if np.count_nonzero(first) > _PIXEL_PATH_SHARE * first.size:
+        del codes, pixel, first  # freed before scoring
+        p_skin = score_rgb(model, image.pixels.reshape(-1, 3))
+        return ProbabilityMap(p_skin.reshape(image.height, image.width))
+    codes, inverse = _slots(codes, pixel, first)
+    del pixel, first  # freed before scoring; inverse lives in the sorted codes' buffer
     colours = np.stack([codes >> 16, (codes >> 8) & 0xFF, codes & 0xFF], axis=1).astype(np.uint8)
     p_colour = score_rgb(model, colours)
     return ProbabilityMap(p_colour, index=inverse.reshape(image.height, image.width))

@@ -284,6 +284,25 @@ def test_roc_matches_loop_oracle_bit_for_bit(levels):
         assert auc == expect
 
 
+@pytest.mark.parametrize("levels", [1, 2, 3, 300])
+def test_roc_ignores_row_order_within_tie_groups(levels):
+    """Shuffling the rows of a heavy-tie input, and so the order inside each
+    tie group, gives the same curve and AUC bytes."""
+    rng = np.random.default_rng(33 + levels)
+    for n in (2, 17, 5000, 20000):
+        scores = rng.integers(0, levels, size=n) / levels
+        flags = rng.random(n) < 0.3
+        flags[0], flags[1] = True, False
+        labels = np.where(flags, Label.SKIN, Label.NON_SKIN)
+        curve, auc = roc_auc(scores, labels)
+        for _ in range(5):
+            perm = rng.permutation(n)
+            other_curve, other_auc = roc_auc(scores[perm], labels[perm])
+            assert other_curve.fpr.tobytes() == curve.fpr.tobytes()
+            assert other_curve.tpr.tobytes() == curve.tpr.tobytes()
+            assert other_auc.hex() == auc.hex()
+
+
 def test_roc_rejects_nan_scores():
     with pytest.raises(ValueError, match="NaN"):
         roc_auc([0.3, float("nan")], [Label.SKIN, Label.NON_SKIN])

@@ -1,4 +1,5 @@
-"""Stage-1 scoring of whole images: per distinct colour, gathered to pixels."""
+"""Stage-1 scoring of whole images: per distinct colour, gathered to pixels,
+or per pixel when most of a frame's colours are distinct."""
 
 import numpy as np
 import pytest
@@ -64,32 +65,104 @@ def _noise_image():
     return np.random.default_rng(12).integers(0, 256, size=(100, 100, 3), dtype=np.uint8)
 
 
+def _stage1_batch(pixels):
+    """The RGB rows stage 1 must score for (h, w, 3) pixels: the pixels in
+    pixel order when their distinct colours are more than
+    _PIXEL_PATH_SHARE of them, else each distinct colour once, in
+    ascending code order (np.unique sorts rows by r, then g, then b)."""
+    flat = pixels.reshape(-1, 3)
+    colours = np.unique(flat, axis=0)
+    if colours.shape[0] > segment._PIXEL_PATH_SHARE * flat.shape[0]:
+        return flat
+    return colours
+
+
+def _record_predictor_batches(monkeypatch):
+    """Log the batch each of the four predictors receives from segment:
+    RGB rows for the threshold box, HSV rows for the other kinds."""
+    batches = []
+    for name in ("threshold_scores", "bayes_predict_batch", "tree_predict_batch",
+                 "mlp_predict_batch"):
+        real = getattr(segment, name)
+
+        def recording(*args, real=real):
+            batches.append(np.array(args[0] if real is threshold_scores else args[1]))
+            return real(*args)
+
+        monkeypatch.setattr(segment, name, recording)
+    return batches
+
+
+def _predictor_batch(kind, rgb):
+    return rgb if kind == "threshold" else rgb_to_hsv_array(rgb)
+
+
 @pytest.mark.parametrize("kind", ["threshold", "bayes", "tree", "mlp"])
 @pytest.mark.parametrize("make_pixels", [_palette_image, _noise_image])
 def test_stage1_matches_per_pixel_path(models, kind, make_pixels, monkeypatch):
     model = models[kind]
     pixels = make_pixels()
     flat = pixels.reshape(-1, 3)
-    n_colours = np.unique(flat, axis=0).shape[0]
+    rgb = _stage1_batch(pixels)
     if make_pixels is _noise_image:
-        assert n_colours > FORWARD_BLOCK_ROWS
+        # nearly every colour distinct: the pixels are scored as they are,
+        # in more rows than one forward block holds
+        assert rgb.shape[0] == flat.shape[0]
+        assert np.unique(flat, axis=0).shape[0] > FORWARD_BLOCK_ROWS
+    else:
+        assert rgb.shape[0] == 40
 
-    scored = []
-    for name in ("threshold_scores", "bayes_predict_batch", "tree_predict_batch",
-                 "mlp_predict_batch"):
-        real = getattr(segment, name)
-
-        def counting(*args, real=real):
-            scored.append(len(args[0] if real is threshold_scores else args[1]))
-            return real(*args)
-
-        monkeypatch.setattr(segment, name, counting)
-
+    batches = _record_predictor_batches(monkeypatch)
     pmap = segment.stage1_probabilities(Image(pixels=pixels), model)
-    assert scored == [n_colours]
+    [batch] = batches
+    expected_batch = _predictor_batch(kind, rgb)
+    assert batch.dtype == expected_batch.dtype and batch.tobytes() == expected_batch.tobytes()
     expected = PER_PIXEL[kind](model, flat).reshape(pixels.shape[:2])
     assert np.array_equal(pmap.p_skin, expected)
     assert np.array_equal(pmap.p_non_skin, 1.0 - expected)
+
+
+def _frame_with_distinct(height, width, d, seed):
+    """(height, width, 3) uint8 pixels holding exactly d distinct colours in scrambled order."""
+    rng = np.random.default_rng(seed)
+    n = height * width
+    palette = rng.choice(1 << 24, size=d, replace=False)
+    codes = rng.permutation(np.concatenate([palette, palette[rng.integers(0, d, size=n - d)]]))
+    rgb = np.stack([codes >> 16, (codes >> 8) & 0xFF, codes & 0xFF], axis=1).astype(np.uint8)
+    return rgb.reshape(height, width, 3)
+
+
+@pytest.mark.parametrize("kind", ["threshold", "bayes", "tree", "mlp"])
+@pytest.mark.parametrize("shape", [(4, 4), (50, 60)])
+def test_stage1_path_switches_at_the_distinct_colour_share(models, kind, shape, monkeypatch):
+    """At most _PIXEL_PATH_SHARE of the pixels' colours distinct: the predictor
+    gets the distinct colours in ascending code order; one more: it gets the
+    pixels in pixel order. The map is the per-pixel path's, bit for bit, both sides.
+
+    The 4x4 frame's cut, 13 of 16 pixels, is a whole number of colours; the
+    50x60 frame's is not, and both of its batches span more than one forward
+    block."""
+    height, width = shape
+    n = height * width
+    cut = int(segment._PIXEL_PATH_SHARE * n)
+    if shape == (50, 60):
+        assert cut > FORWARD_BLOCK_ROWS and cut < segment._PIXEL_PATH_SHARE * n
+    else:
+        assert cut == segment._PIXEL_PATH_SHARE * n
+    batches = _record_predictor_batches(monkeypatch)
+    for d in (cut, cut + 1):
+        pixels = _frame_with_distinct(height, width, d, seed=d)
+        flat = pixels.reshape(-1, 3)
+        colours = np.unique(flat, axis=0)
+        assert colours.shape[0] == d
+        batches.clear()
+        pmap = segment.stage1_probabilities(Image(pixels=pixels), models[kind])
+        [batch] = batches
+        expected_batch = _predictor_batch(kind, colours if d == cut else flat)
+        assert batch.dtype == expected_batch.dtype, d
+        assert batch.tobytes() == expected_batch.tobytes(), d
+        expected = PER_PIXEL[kind](models[kind], flat).reshape(shape)
+        assert pmap.p_skin.tobytes() == expected.tobytes(), d
 
 
 @pytest.mark.parametrize("kind", ["threshold", "bayes", "tree", "mlp"])
@@ -172,22 +245,32 @@ def test_distinct_colours_match_unique_and_stage1_matches_per_pixel(models, case
     real = segment.score_rgb
     monkeypatch.setattr(segment, "score_rgb", recording)
     flat = pixels.reshape(-1, 3)
+    per_pixel = expected_colours.size > segment._PIXEL_PATH_SHARE * flat.shape[0]
     for kind, model in models.items():
         batches.clear()
         pmap = segment.stage1_probabilities(Image(pixels=pixels), model)
-        # one batch: every distinct colour once, in strictly ascending order
         [rgb] = batches
-        codes = _codes(rgb)
-        assert np.all(codes[1:] > codes[:-1]), kind
-        assert np.array_equal(codes, expected_colours), kind
+        assert rgb.dtype == np.uint8, kind
+        if per_pixel:
+            # one batch: every pixel once, in pixel order
+            assert rgb.tobytes() == flat.tobytes(), kind
+        else:
+            # one batch: every distinct colour once, in strictly ascending order
+            codes = _codes(rgb)
+            assert np.all(codes[1:] > codes[:-1]), kind
+            assert np.array_equal(codes, expected_colours), kind
         expected = PER_PIXEL[kind](model, flat).reshape(pixels.shape[:2])
         assert pmap.p_skin.tobytes() == expected.tobytes(), kind
 
 
 @pytest.mark.parametrize("bad", [np.nan, -1e-300, 1.0 + 2.0**-52])
 def test_stage1_range_check_reads_the_scored_colours(models, bad, monkeypatch):
-    """A score outside [0, 1], or NaN, still stops stage 1 though only the colours are checked."""
-    pixels = np.random.default_rng(8).integers(0, 256, size=(9, 7, 3), dtype=np.uint8)
+    """A score outside [0, 1], or NaN, stops stage 1 on either path: where only
+    the colours are checked (a 9x7 frame of at most 8 colours) and where the pixels
+    are scored (9x7 noise)."""
+    rng = np.random.default_rng(8)
+    few = (rng.integers(0, 2, size=(9, 7, 3)) * 255).astype(np.uint8)
+    noise = rng.integers(0, 256, size=(9, 7, 3), dtype=np.uint8)
 
     def one_bad_score(model, hsv):
         scores = mlp_predict_batch(model, hsv)
@@ -195,8 +278,9 @@ def test_stage1_range_check_reads_the_scored_colours(models, bad, monkeypatch):
         return scores
 
     monkeypatch.setattr(segment, "mlp_predict_batch", one_bad_score)
-    with pytest.raises(ValueError, match=r"probabilities must lie in \[0, 1\]"):
-        segment.stage1_probabilities(Image(pixels=pixels), models["mlp"])
+    for pixels in (few, noise):
+        with pytest.raises(ValueError, match=r"probabilities must lie in \[0, 1\]"):
+            segment.stage1_probabilities(Image(pixels=pixels), models["mlp"])
 
 
 def test_probability_map_checks_the_values_it_was_gathered_from():
