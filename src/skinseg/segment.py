@@ -158,7 +158,8 @@ def stage1_probabilities(image: Image, model) -> ProbabilityMap:
         return ProbabilityMap(p_skin.reshape(image.height, image.width))
     codes, inverse = _slots(codes, pixel, first)
     del pixel, first  # freed before scoring; inverse lives in the sorted codes' buffer
-    colours = np.stack([codes >> 16, (codes >> 8) & 0xFF, codes & 0xFF], axis=1).astype(np.uint8)
+    # a little-endian code's bytes are B, G, R, 0: the (d, 3) RGB colours are a view
+    colours = codes.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)[:, 2::-1]
     p_colour = score_rgb(model, colours)
     return ProbabilityMap(p_colour, index=inverse.reshape(image.height, image.width))
 

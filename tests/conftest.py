@@ -6,6 +6,14 @@ be exercised quickly and deterministically. Tests that need the real
 UCI file look for it under data/ and skip with instructions otherwise.
 """
 
+import os
+import sys
+
+# no __pycache__ is left under src/, where a later benchmark run would read
+# it and time a cached import as set-up; the CLI subprocesses inherit this
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
 from pathlib import Path
 
 import numpy as np

@@ -119,6 +119,13 @@ def test_forward_matches_straightline_oracle():
 @pytest.mark.parametrize("n_rows", [FORWARD_BLOCK_ROWS + 1, 2 * FORWARD_BLOCK_ROWS + 7],
                          ids=["block+1", "2*block+7"])
 def test_forward_batch_matches_cached_pass(n_rows):
+    """forward_batch gives the bits of the training pass on these batches.
+
+    Not marked every_cpu_path: it compares two gemm layouts, the
+    feature-major forward_batch against the row-major _forward_cached,
+    which round alike on other kernels only by luck of the data. Under
+    OPENBLAS_CORETYPE=Haswell the same comparison on a 16,391-row batch
+    differs in one row."""
     model = init_model(MlpArchitecture(), np.random.Generator(np.random.PCG64(4)))
     rng = np.random.default_rng(n_rows)
     for b in model.biases:
@@ -127,6 +134,7 @@ def test_forward_batch_matches_cached_pass(n_rows):
     assert np.array_equal(forward_batch(model, x), _forward_cached(model, x)[0])
 
 
+@pytest.mark.every_cpu_path
 @pytest.mark.parametrize("hidden", [(1,), (32, 16, 8), (64,), (5, 1)],
                          ids=["w1", "w32-16-8", "w64", "w5-1"])
 @pytest.mark.parametrize("n_rows", [1, 15, 16, 17, FORWARD_BLOCK_ROWS - 1, FORWARD_BLOCK_ROWS,
@@ -187,6 +195,7 @@ def test_zero_input_kills_first_layer_weight_gradient():
     assert np.any(grads[1] != 0.0)  # the bias gradient survives
 
 
+@pytest.mark.every_cpu_path
 @pytest.mark.parametrize("hidden", [(32, 16, 8), (4,), (3, 2), (1,)],
                          ids=["w32-16-8", "w4", "w3-2", "w1"])
 def test_backward_masks_match_pre_activation_masks_at_the_relu_kink(hidden):
@@ -480,6 +489,7 @@ def test_train_replicated_by_straightline_script():
         assert np.array_equal(got, expect)
 
 
+@pytest.mark.every_cpu_path
 @pytest.mark.parametrize("hidden", [(32, 16, 8), (1,), (5, 1)])
 @pytest.mark.parametrize(
     "n_rows, batch_size",

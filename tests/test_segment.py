@@ -132,6 +132,7 @@ def _frame_with_distinct(height, width, d, seed):
     return rgb.reshape(height, width, 3)
 
 
+@pytest.mark.every_cpu_path
 @pytest.mark.parametrize("kind", ["threshold", "bayes", "tree", "mlp"])
 @pytest.mark.parametrize("shape", [(4, 4), (50, 60)])
 def test_stage1_path_switches_at_the_distinct_colour_share(models, kind, shape, monkeypatch):
